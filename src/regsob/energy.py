@@ -1014,73 +1014,53 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     )
 
 
+def _cell_quadrature(field, p, q):
+    """Cell-wise tensor Gauss rule for |u|^p on the bilinear interpolant of
+    the regular factor: returns (WR, WZ, fr, fz, vals) with the
+    z^((2*sigma-1)*p) boundary factor folded into WZ through a Jacobi rule
+    in the first z cell, the hat fractions fr, fz, and the interpolant at
+    the quadrature points, all broadcast to (r cell, r point, z cell, z
+    point)."""
+    grid = field.grid
+    ap = (2 * field.sigma - 1) * p
+    vt = field.regular_values
+    xg, wg = roots_legendre(q)
+    ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
+    RQ = ra[:, None] + (rb - ra)[:, None] * (xg[None, :] + 1) / 2
+    WR = (rb - ra)[:, None] / 2 * wg[None, :] * RQ ** (grid.n - 2)
+    fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
+    za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
+    ZQ = za[:, None] + (zb - za)[:, None] * (xg[None, :] + 1) / 2
+    WZ = (zb - za)[:, None] / 2 * wg[None, :] * ZQ ** ap
+    xj, wj = roots_jacobi(q, 0.0, ap)
+    h0 = zb[0] - za[0]
+    ZQ[0] = h0 * (xj + 1) / 2
+    WZ[0] = (h0 / 2) ** (1 + ap) * wj
+    fz = (ZQ - za[:, None]) / (zb - za)[:, None]
+    fr_ = fr[:, :, None, None]
+    fz_ = fz[None, None, :, :]
+    vals = (
+        vt[:-1, None, :-1, None] * (1 - fr_) * (1 - fz_)
+        + vt[1:, None, :-1, None] * fr_ * (1 - fz_)
+        + vt[:-1, None, 1:, None] * (1 - fr_) * fz_
+        + vt[1:, None, 1:, None] * fr_ * fz_
+    )
+    return WR[:, :, None, None], WZ[None, None, :, :], fr_, fz_, vals
+
+
 def _interior_mass(field, p, q=4):
     """Integral of |u|^p over the truncation box, cell-wise tensor Gauss on
     the interpolant with the z^((2*sigma-1)*p) boundary factor integrated by
     a Jacobi rule in the first z cell."""
-    grid = field.grid
-    ap = (2 * field.sigma - 1) * p
-    vt = field.regular_values
-    xg, wg = roots_legendre(q)
-    ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
-    RQ = ra[:, None] + (rb - ra)[:, None] * (xg[None, :] + 1) / 2
-    WR = (rb - ra)[:, None] / 2 * wg[None, :] * RQ ** (grid.n - 2)
-    fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
-    za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ZQ = za[:, None] + (zb - za)[:, None] * (xg[None, :] + 1) / 2
-    WZ = (zb - za)[:, None] / 2 * wg[None, :] * ZQ ** ap
-    xj, wj = roots_jacobi(q, 0.0, ap)
-    h0 = zb[0] - za[0]
-    ZQ[0] = h0 * (xj + 1) / 2
-    WZ[0] = (h0 / 2) ** (1 + ap) * wj
-    fz = (ZQ - za[:, None]) / (zb - za)[:, None]
-    fr_ = fr[:, :, None, None]
-    fz_ = fz[None, None, :, :]
-    vals = (
-        vt[:-1, None, :-1, None] * (1 - fr_) * (1 - fz_)
-        + vt[1:, None, :-1, None] * fr_ * (1 - fz_)
-        + vt[:-1, None, 1:, None] * (1 - fr_) * fz_
-        + vt[1:, None, 1:, None] * fr_ * fz_
-    )
-    return float(
-        np.sum(WR[:, :, None, None] * WZ[None, None, :, :] * np.abs(vals) ** p)
-    )
+    WR, WZ, _, _, vals = _cell_quadrature(field, p, q)
+    return float(np.sum(WR * WZ * np.abs(vals) ** p))
 
 
 def _interior_mass_grad(field, p, q=4):
     """Exact gradient of _interior_mass with respect to the node values."""
-    grid = field.grid
-    ap = (2 * field.sigma - 1) * p
-    vt = field.regular_values
-    xg, wg = roots_legendre(q)
-    ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
-    RQ = ra[:, None] + (rb - ra)[:, None] * (xg[None, :] + 1) / 2
-    WR = (rb - ra)[:, None] / 2 * wg[None, :] * RQ ** (grid.n - 2)
-    fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
-    za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ZQ = za[:, None] + (zb - za)[:, None] * (xg[None, :] + 1) / 2
-    WZ = (zb - za)[:, None] / 2 * wg[None, :] * ZQ ** ap
-    xj, wj = roots_jacobi(q, 0.0, ap)
-    h0 = zb[0] - za[0]
-    ZQ[0] = h0 * (xj + 1) / 2
-    WZ[0] = (h0 / 2) ** (1 + ap) * wj
-    fz = (ZQ - za[:, None]) / (zb - za)[:, None]
-    fr_ = fr[:, :, None, None]
-    fz_ = fz[None, None, :, :]
-    vals = (
-        vt[:-1, None, :-1, None] * (1 - fr_) * (1 - fz_)
-        + vt[1:, None, :-1, None] * fr_ * (1 - fz_)
-        + vt[:-1, None, 1:, None] * (1 - fr_) * fz_
-        + vt[1:, None, 1:, None] * fr_ * fz_
-    )
-    G = (
-        p
-        * WR[:, :, None, None]
-        * WZ[None, None, :, :]
-        * np.abs(vals) ** (p - 1)
-        * np.sign(vals)
-    )
-    out = np.zeros(grid.shape)
+    WR, WZ, fr_, fz_, vals = _cell_quadrature(field, p, q)
+    G = p * WR * WZ * np.abs(vals) ** (p - 1) * np.sign(vals)
+    out = np.zeros(field.grid.shape)
     out[:-1, :-1] += np.sum(G * (1 - fr_) * (1 - fz_), axis=(1, 3))
     out[1:, :-1] += np.sum(G * fr_ * (1 - fz_), axis=(1, 3))
     out[:-1, 1:] += np.sum(G * (1 - fr_) * fz_, axis=(1, 3))

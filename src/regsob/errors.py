@@ -73,10 +73,6 @@ class DivergentStep(RegsobError):
     pass
 
 
-class StagnationWithoutConvergence(RegsobError):
-    """Raised only when no partial result can be returned."""
-
-
 class OutOfMemoryEstimate(RegsobError):
     pass
 

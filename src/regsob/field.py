@@ -114,7 +114,6 @@ class RadialField:
     sigma: float
     nonnegative: bool = True
     tail: TailModel | None = None
-    interp_error: float = 0.0
 
     def __post_init__(self):
         if self.regular_values.shape != self.grid.shape:
@@ -181,22 +180,7 @@ def resample(fld, new_grid):
         return replace(fld, grid=new_grid)
     R, Z = np.meshgrid(new_grid.r_nodes, new_grid.z_nodes, indexing="ij")
     vals = eval_vt(fld, R.ravel(), Z.ravel()).reshape(R.shape)
-    # midpoint defect of the source interpolant as a cheap error proxy
-    rm = 0.5 * (new_grid.r_nodes[:-1] + new_grid.r_nodes[1:])
-    zm = 0.5 * (new_grid.z_nodes[:-1] + new_grid.z_nodes[1:])
-    RM, ZM = np.meshgrid(rm, zm, indexing="ij")
-    direct = eval_vt(fld, RM.ravel(), ZM.ravel())
-    fine = _bilinear(new_grid, vals, RM.ravel(), ZM.ravel())
-    scale = np.max(np.abs(vals)) or 1.0
-    err = float(np.max(np.abs(direct - fine)) / scale)
-    return RadialField(
-        grid=new_grid,
-        regular_values=vals,
-        sigma=fld.sigma,
-        nonnegative=fld.nonnegative,
-        tail=fld.tail,
-        interp_error=err,
-    )
+    return replace(fld, grid=new_grid, regular_values=vals)
 
 
 def synthesize_profile(kind, grid, sigma):

@@ -46,14 +46,6 @@ class Gamma0Report:
         }
 
 
-def _energy_table(grid, sigma):
-    return build_kernel_table(grid, KernelParams.energy(grid.n, sigma))
-
-
-def _curvature_table(grid, sigma):
-    return build_kernel_table(grid, KernelParams.curvature(grid.n, sigma))
-
-
 def _on_grid(theta, N):
     g = theta.grid
     new = make_grid(g.n, g.R_max, N, N, g.grading_exponents)
@@ -90,7 +82,7 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     finest = None
     for N in grids:
         fld = _on_grid(theta, int(N))
-        tab = _curvature_table(fld.grid, sigma)
+        tab = build_kernel_table(fld.grid, KernelParams.curvature(g.n, sigma))
         vals = [
             weighted_seminorm(fld, tab, "gamma0", lam=l).total for l in schedule
         ]
@@ -106,7 +98,7 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     # gamma = 1 exterior bound at the largest lambda, with its constant
     # calibrated on the resolved part of the schedule
     fld, vals = finest
-    etab = _energy_table(fld.grid, sigma)
+    etab = build_kernel_table(fld.grid, KernelParams.energy(g.n, sigma))
     bounds = [tail_bound(fld, l, 1.0, table=etab) for l in schedule]
     remainders = [abs(value - v) for v in vals]
     ratios = [
@@ -143,7 +135,9 @@ def tail_bound(theta, lam, gamma, table=None):
             f"tail bound needs gamma < 2*sigma, got {gamma} >= {2 * theta.sigma}"
         )
     if table is None:
-        table = _energy_table(theta.grid, theta.sigma)
+        table = build_kernel_table(
+            theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
+        )
     return weighted_seminorm(
         theta, table, ("power", float(gamma)), lam=float(lam), exterior=True
     ).total
@@ -158,6 +152,8 @@ def interior_weighted_growth(theta, lam, gamma, table=None):
     if gamma == 2 * theta.sigma:
         raise InvalidGamma("gamma = 2*sigma is the excluded borderline case")
     if table is None:
-        table = _energy_table(theta.grid, theta.sigma)
+        table = build_kernel_table(
+            theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
+        )
     lam = None if lam is None else float(lam)
     return weighted_seminorm(theta, table, ("power", float(gamma)), lam=lam).total

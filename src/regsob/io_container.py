@@ -1,45 +1,28 @@
 """Binary container for grids, fields and kernel tables.
 
-Layout: magic "RSOB", little-endian u32 version, u32 header length, UTF-8
-JSON header, the named float64 arrays in row-major order, and a trailing
-CRC-64 checksum of everything before it.
+Layout (version 2): magic "RSOB", little-endian u32 version, u32 header
+length, UTF-8 JSON header, the named float64 arrays in row-major order, and
+a trailing little-endian u32 CRC-32 (zlib) of everything before it.  Files
+are written to a temporary name beside the target and moved into place, so
+a reader never sees a partial file.  Version 1 files (CRC-64 trailer) are
+rejected with VersionMismatch.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import ChecksumFailure, CorruptHeader, VersionMismatch
 
 MAGIC = b"RSOB"
-VERSION = 1
-
-def _crc64_table():
-    table = np.zeros(256, dtype=np.uint64)
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0xC96C5795D7870F42  # reflected polynomial
-            else:
-                crc >>= 1
-        table[i] = crc
-    return table
-
-
-_TABLE = _crc64_table()
-
-
-def crc64(data):
-    """CRC-64/XZ of a bytes object."""
-    table = _TABLE
-    crc = 0xFFFFFFFFFFFFFFFF
-    for b in data:
-        crc = int(table[(crc ^ b) & 0xFF]) ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+VERSION = 2
+_PREFIX = 12  # magic + version + header length
+_CRC = 4
 
 
 def write_container(path, header, arrays):
@@ -55,37 +38,44 @@ def write_container(path, header, arrays):
     blob += hjson
     for v in arrays.values():
         blob += np.ascontiguousarray(v, dtype="<f8").tobytes()
-    blob += struct.pack("<Q", crc64(bytes(blob)))
-    with open(path, "wb") as f:
-        f.write(blob)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_container(path):
     """Return (header dict, {name: ndarray}) after checksum validation."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 20 or blob[:4] != MAGIC:
+    if len(blob) < _PREFIX + _CRC or blob[:4] != MAGIC:
         raise CorruptHeader(f"{path}: missing container magic")
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise VersionMismatch(f"{path}: container version {version}, expected {VERSION}")
-    if len(blob) < 12 + hlen + 8:
+    if len(blob) < _PREFIX + hlen + _CRC:
         raise ChecksumFailure(f"{path}: file truncated")
-    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    if crc64(blob[:-8]) != stored:
+    (stored,) = struct.unpack_from("<I", blob, len(blob) - _CRC)
+    if zlib.crc32(memoryview(blob)[:-_CRC]) != stored:
         raise ChecksumFailure(f"{path}: checksum mismatch")
     try:
-        header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
+        header = json.loads(blob[_PREFIX : _PREFIX + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptHeader(f"{path}: bad header JSON ({e})")
     arrays = {}
-    offset = 12 + hlen
+    offset = _PREFIX + hlen
     for spec in header.get("arrays", []):
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[spec["name"]] = arr.reshape(shape).copy()
         offset += count * 8
-    if offset != len(blob) - 8:
+    if offset != len(blob) - _CRC:
         raise CorruptHeader(f"{path}: payload size disagrees with header")
     return header, arrays

@@ -69,11 +69,6 @@ class KernelParams:
         return abs(self.p - (self.n + 2 * self.sigma)) < 1e-12
 
 
-def _jacobi_rule(n, a, b):
-    x, w = roots_jacobi(n, a, b)
-    return x, w
-
-
 def _closed_form_d2(p, c, rs):
     """Exact angle integral over S^2: elementary antiderivative in m."""
     q = p / 2.0
@@ -100,7 +95,7 @@ def _composite_moment(p, m0, m1, alpha):
     if np.any(mild):
         a = m0[mild]
         tt = T[mild]
-        x, w = _jacobi_rule(_PANEL_NODES, alpha, alpha)
+        x, w = roots_jacobi(_PANEL_NODES, alpha, alpha)
         tau = tt[:, None] * (x[None, :] + 1.0) / 2.0
         g = (a[:, None] + tau) ** (-q)
         out[mild] = (tt / 2.0) ** (2.0 * alpha + 1.0) * (g @ w)
@@ -110,7 +105,7 @@ def _composite_moment(p, m0, m1, alpha):
         tt = T[peaked]
         acc = np.zeros_like(a)
         # first panel [0, m0]: left-endpoint weight tau^alpha
-        xj, wj = _jacobi_rule(_PANEL_NODES, 0.0, alpha)
+        xj, wj = roots_jacobi(_PANEL_NODES, 0.0, alpha)
         h = a
         tau = h[:, None] * (xj[None, :] + 1.0) / 2.0
         f = (a[:, None] + tau) ** (-q) * (tt[:, None] - tau) ** alpha
@@ -128,7 +123,7 @@ def _composite_moment(p, m0, m1, alpha):
             f = tau ** alpha * (tt[:, None] - tau) ** alpha * (a[:, None] + tau) ** (-q)
             acc += (width / 2.0) * (f @ wg)
         # last panel [T/2, T]: right-endpoint weight (T - tau)^alpha
-        xj, wj = _jacobi_rule(_PANEL_NODES, alpha, 0.0)
+        xj, wj = roots_jacobi(_PANEL_NODES, alpha, 0.0)
         tau = half[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
         f = tau ** alpha * (a[:, None] + tau) ** (-q)
         acc += (half / 2.0) ** (alpha + 1.0) * (f @ wj)
@@ -249,6 +244,7 @@ def kernel_values_excluded(r, s, t, params, m_lo):
 class KernelTable:
     """Tabulated K_p over a grid's radii and vertical differences.
 
+    values[i, j, k] = K_p(r_i, r_j, t_k) over the grid's radii r_nodes;
     t_nodes spans every signed pairwise difference of the grid's z nodes;
     values are filled for t >= 0 and reflected.  near_diag_mask flags entries
     inside the singular-cell neighbourhood; those are excluded from far-field
@@ -257,19 +253,11 @@ class KernelTable:
 
     params: KernelParams
     r_nodes: np.ndarray
-    s_nodes: np.ndarray
     t_nodes: np.ndarray
     values: np.ndarray
     near_diag_mask: np.ndarray
     grid_hash: str = ""
     t_tol: float = 0.0
-
-    def t_index(self, t):
-        """Index of a vertical difference in t_nodes (tolerance matched)."""
-        return int(lookup_t(self.t_nodes, t, self.t_tol))
-
-    def nbytes(self):
-        return self.values.nbytes + self.near_diag_mask.nbytes
 
     def cache_key(self):
         h = hashlib.sha256()
@@ -376,7 +364,6 @@ def build_kernel_table(grid, params, max_bytes=4 << 30):
     return KernelTable(
         params=params,
         r_nodes=r.copy(),
-        s_nodes=r.copy(),
         t_nodes=t_nodes,
         values=values,
         near_diag_mask=mask,
@@ -406,7 +393,6 @@ def save_table(table, path):
     }
     arrays = {
         "r_nodes": table.r_nodes,
-        "s_nodes": table.s_nodes,
         "t_nodes": table.t_nodes,
         "values": table.values,
         "near_diag_mask": table.near_diag_mask.astype(float),
@@ -423,7 +409,6 @@ def load_table(path):
             n=int(header["n"]), sigma=float(header["sigma"]), p=float(header["p"])
         ),
         r_nodes=arrays["r_nodes"],
-        s_nodes=arrays["s_nodes"],
         t_nodes=arrays["t_nodes"],
         values=arrays["values"],
         near_diag_mask=arrays["near_diag_mask"].astype(bool),

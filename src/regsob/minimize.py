@@ -184,8 +184,8 @@ def _descend_on_grid(fld, table, cfg, trace):
             window.pop(0)
             if window[0] - window[-1] <= cfg.tol_quotient * abs(window[-1]):
                 return _final_rearrange(fld, v, Q, quotient, trace, p), True
-    done = not accepted or len(window) > 6
-    return _final_rearrange(fld, v, Q, quotient, trace, p), done
+    # iteration cap or a failed Armijo search: not converged
+    return _final_rearrange(fld, v, Q, quotient, trace, p), False
 
 
 def _final_rearrange(fld, v, Q, quotient, trace, p):

@@ -25,26 +25,6 @@ class SliceProfile:
     values: np.ndarray
     measure_exponent: int
 
-    def weights(self):
-        return _hat_masses(self.radii, self.measure_exponent)
-
-
-def _hat_masses(radii, k):
-    """Integrals of the nodal hat functions against r^k dr."""
-    m = radii.size
-    out = np.zeros(m)
-    for a, b, lo in ((radii[:-1], radii[1:], True), (radii[1:], radii[:-1], False)):
-        width = np.abs(b - a)
-        q, w = roots_legendre(4)
-        x = a[:, None] + (b - a)[:, None] * (q[None, :] + 1) / 2
-        hat = 1.0 - np.abs(x - a[:, None]) / np.maximum(width[:, None], 1e-300)
-        vals = (width[:, None] / 2) * w[None, :] * hat * x ** k
-        if lo:
-            out[:-1] += vals.sum(axis=1)
-        else:
-            out[1:] += vals.sum(axis=1)
-    return out
-
 
 def _sort_desc(values):
     """Nonincreasing arrangement of the node values; a pure permutation, so

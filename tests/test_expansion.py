@@ -1,6 +1,10 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from regsob import energy
+from regsob.energy import critical_p, lp_norm, seminorm
 from regsob.errors import (
     CoincidentPoints,
     InvalidParams,
@@ -18,6 +22,8 @@ from regsob.expansion import (
     correction_terms,
     curvature_term,
     cutoff,
+    cutoff_energy_deficit,
+    cutoff_profile,
     cw_cutoff_check,
     dilate_graph,
     flatten_map,
@@ -25,8 +31,14 @@ from regsob.expansion import (
     unflatten_map,
     verify_upper_bound,
 )
-from regsob.field import attach_tail_model, make_grid, synthesize_profile
+from regsob.field import (
+    attach_tail_model,
+    dilate_exact,
+    make_grid,
+    synthesize_profile,
+)
 from regsob.gamma0 import Gamma0Report
+from regsob.kernel import KernelParams, build_kernel_table
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +173,70 @@ def test_dilate_graph_scaling():
     assert d.R0 == 2.0 * bg.R0
     xp = np.array([0.5, 0.2, -0.3])
     assert graph_height(d, 2.0 * xp) == pytest.approx(2.0 * graph_height(bg, xp))
+
+
+def _deficit_on_dilated_grid(theta, lam):
+    """The cutoff deficits of eta * Theta_lambda against Theta_lambda, both
+    on the exactly dilated grid with a kernel table of their own."""
+    ref = dilate_exact(theta, lam)
+    g = ref.grid
+    R, Z = np.meshgrid(g.r_nodes, g.z_nodes, indexing="ij")
+    cut = ref.with_values(ref.regular_values * cutoff(np.hypot(R, Z)), tail=None)
+    tab = build_kernel_table(g, KernelParams.energy(g.n, theta.sigma))
+    p = critical_p(g.n, theta.sigma)
+    return {
+        "cutoff_energy": seminorm(cut, tab).total,
+        "reference_energy": seminorm(ref, tab).total,
+        "cutoff_mass": lp_norm(cut, p) ** p,
+        "reference_mass": lp_norm(ref, p) ** p,
+    }
+
+
+def test_cutoff_energy_deficit_matches_dilated_grid(envelope16, monkeypatch):
+    built = []
+    init = energy.AssembledForm.__init__
+
+    def counting_init(self, grid, table, sigma, weight="none"):
+        built.append((table.params, weight))
+        init(self, grid, table, sigma, weight)
+
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    monkeypatch.setattr(energy.AssembledForm, "__init__", counting_init)
+    lams = (2.5, 5.0, 10.0)
+    got = {lam: cutoff_energy_deficit(envelope16, lam) for lam in lams}
+    # one operator on theta's grid serves every lambda
+    assert built == [(KernelParams.energy(4, 0.75), "none")]
+
+    for lam in lams:
+        want = _deficit_on_dilated_grid(envelope16, lam)
+        d, terms = got[lam], got[lam]["numerator_bound_terms"]
+        e_tol = 1e-11 * want["reference_energy"]
+        m_tol = 1e-11 * want["reference_mass"]
+        assert abs(terms["cutoff_energy"] - want["cutoff_energy"]) <= e_tol
+        assert abs(terms["reference_energy"] - want["reference_energy"]) <= e_tol
+        assert abs(
+            terms["energy_deficit"]
+            - (want["cutoff_energy"] - want["reference_energy"])
+        ) <= e_tol
+        assert abs(d["cutoff_mass"] - want["cutoff_mass"]) <= m_tol
+        assert abs(
+            d["denominator_deficit"]
+            - (want["reference_mass"] - want["cutoff_mass"])
+        ) <= m_tol
+
+
+def test_cutoff_profile_on_theta_grid(envelope16):
+    cut = cutoff_profile(envelope16, 2.0)
+    assert cut.grid is envelope16.grid
+    assert cut.tail is None
+    # eta(|x|/2) is 1 on |x| <= 4 and 0 on |x| >= 6 < R_max
+    near = envelope16.grid.z_nodes <= 4.0
+    assert np.array_equal(
+        cut.regular_values[0, near], envelope16.regular_values[0, near]
+    )
+    assert np.all(cut.regular_values[-1] == 0.0)
+    with pytest.raises(InvalidParams):
+        cutoff_profile(envelope16, 0.0)
 
 
 def test_curvature_term_basics(envelope16):

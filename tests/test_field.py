@@ -7,6 +7,7 @@ from regsob.errors import (
     InvalidGrading,
     InvalidParams,
     UnknownKind,
+    VersionMismatch,
 )
 from regsob.field import (
     attach_tail_model,
@@ -188,6 +189,30 @@ def test_truncated_file_detected(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-20])
     with pytest.raises(ChecksumFailure):
+        load_field(p)
+
+
+def test_flipped_payload_byte_detected(tmp_path):
+    g = make_grid(4, 2.0, 8, 8, (2.0, 2.0))
+    f = synthesize_profile("envelope", g, 0.75)
+    p = tmp_path / "f.rsob"
+    save_field(f, p)
+    blob = bytearray(p.read_bytes())
+    blob[-20] ^= 0x01  # inside the last array, before the checksum
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumFailure):
+        load_field(p)
+
+
+def test_version1_file_rejected(tmp_path):
+    g = make_grid(4, 2.0, 8, 8, (2.0, 2.0))
+    f = synthesize_profile("envelope", g, 0.75)
+    p = tmp_path / "f.rsob"
+    save_field(f, p)
+    blob = bytearray(p.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    p.write_bytes(bytes(blob))
+    with pytest.raises(VersionMismatch):
         load_field(p)
 
 

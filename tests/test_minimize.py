@@ -8,6 +8,8 @@ from regsob.kernel import KernelParams, build_kernel_table
 from regsob.minimize import (
     EnvelopeReport,
     SolverConfig,
+    _descend_on_grid,
+    _initial_field,
     envelope_check,
     save_result,
     scale_field,
@@ -107,6 +109,18 @@ def test_solver_partial_result_when_unconverged():
     res = solve_halfspace(cfg)
     assert res.converged is False
     assert res.trace.size >= 1
+
+
+def test_failed_line_search_is_not_converged():
+    # a step far too long with a single backtrack: the first Armijo search
+    # fails and the stage must not report convergence
+    cfg = SolverConfig(schedule=(10,), R_max=20.0, tau=1e6, max_backtracks=1)
+    g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    trace = []
+    _, converged = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace)
+    assert converged is False
+    assert min(trace) == trace[0]  # no step was accepted
 
 
 def test_result_persistence_roundtrip(tmp_path, coarse_result):
