@@ -20,7 +20,6 @@ from .expansion import (
     ExpansionVerdict,
     MCConfig,
     bounds_check,
-    build_test_function,
     correction_terms,
     curvature_term,
     cw_cutoff_check,

@@ -1,16 +1,20 @@
 """Quadratic-form evaluation of the half-space nonlocal energy.
 
 The double integral over the truncated half-space splits into a far part
-(node-product quadrature over the kernel table) and a near part (index
-adjacent dual-cell pairs integrated by a Duffy-split Gauss-Jacobi rule in
-relative coordinates).  Both parts are assembled once per (grid, kernel,
-weight) as quadratic forms in the nodal regular factor, which gives exact
-gradients and bilinear forms for the solver.
+(node-product quadrature over the kernel table, tensor Gauss rules for box
+pairs in the mid ring, and the coupling to the zero exterior of the
+truncation cylinder) and a near part (index adjacent dual-cell pairs
+integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
+Each family yields local quadratic forms in the nodal regular factor.  They
+are assembled once per (grid, kernel, weight) into one symmetric matrix H,
+so the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  The
+per-pair forms are kept only for sums restricted to the pairs inside a ball
+B_lambda, which the assembled matrix cannot separate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections import OrderedDict
 
 import numpy as np
@@ -694,25 +698,44 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     return maps, ga, gb, L
 
 
+def _scatter(H, maps, forms):
+    """Add the local forms forms[p] (k x k, on the nodes maps[p]) into the
+    dense matrix H, in chunks that bound the index array."""
+    N = H.shape[0]
+    flat = H.reshape(-1)
+    step = max(1, (1 << 21) // forms[0].size)
+    for s in range(0, len(maps), step):
+        m = maps[s : s + step]
+        idx = (m[:, :, None] * N + m[:, None, :]).ravel()
+        flat += np.bincount(idx, forms[s : s + step].ravel(), minlength=N * N)
+
+
+def _pair_sum(v, maps, ga, gb, L, sel):
+    """Sum of the pair forms L[p] over the pairs with both boxes in sel."""
+    vloc = v[maps]
+    e = np.einsum("pa,pab,pb->p", vloc, L, vloc, optimize=True)
+    return float((e * sel[ga] * sel[gb]).sum())
+
+
 class AssembledForm:
-    """Far + near quadratic form for one (grid, kernel table, weight)."""
+    """Far + near quadratic form for one (grid, kernel table, weight).
+
+    The whole form is the symmetric matrix H = H_far + H_near, so that
+    energy(v) = v.Hv and grad(v) = 2Hv; H_coarse is the near part at the
+    coarse orders, for the quadrature error estimate.  The per-pair local
+    forms are kept for the B_lambda restriction in parts(v, sel)."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         if table.grid_hash != grid_signature(grid):
             raise GridMismatch("kernel table was built for a different grid")
         wfn = _weight_fn(weight)
-        self.grid = grid
-        self.sigma = float(sigma)
-        self.params = table.params
         self.sphere = sphere_surface(grid.n - 2)
         rn, zn = grid.r_nodes, grid.z_nodes
         nr, nz = rn.size, zn.size
-        self.N = nr * nz
+        N = nr * nz
         r_flat = np.repeat(rn, nz)
         z_flat = np.tile(zn, nr)
         self.r_flat, self.z_flat = r_flat, z_flat
-        self.D = np.where(z_flat > 0, z_flat, 1.0) ** (2.0 * sigma - 1.0)
-        self.D[z_flat == 0.0] = 0.0
 
         wr = _box_masses(rn, grid.n - 2)
         wz = _box_masses(zn, 0)
@@ -737,7 +760,7 @@ class AssembledForm:
             grid, table.params, sigma, wfn
         )
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
-        self.ext_maps, self.X = _exterior_forms(grid, table.params, sigma, wfn)
+        ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn)
 
         self.maps, self.ga, self.gb, self.L = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
@@ -746,139 +769,76 @@ class AssembledForm:
             grid, table.params, sigma, wfn, _COARSE_ORDERS
         )
 
-    def _moments(self, vt):
-        """Per-box mean and mean square of u against the box measure."""
-        vloc = vt.ravel()[self.map9]
-        m1 = np.einsum("na,na->n", self.c1, vloc)
-        m2 = np.einsum("na,nab,nb->n", vloc, self.Q2, vloc, optimize=True)
-        W = np.maximum(self.node_weight, 1e-300)
-        return m1 / W, m2 / W
-
-    def _far(self, vt, sel=None):
-        P, S = self._moments(vt)
-        if sel is not None:
-            P = P * sel
-            S = S * sel
-            row = self.M @ sel.astype(float)
-        else:
-            row = self.M.sum(axis=1)
-        return 2.0 * (np.dot(row, S) - np.dot(P, self.M @ P))
-
-    def _ext(self, vt, sel=None):
-        """Coupling of the interior field to the zero exterior; pairs that
-        leave the truncation cylinder also leave any interior cap."""
-        if sel is not None:
-            return 0.0
-        vloc = vt.ravel()[self.ext_maps]
-        return float(
-            np.einsum("pa,pab,pb->", vloc, self.X, vloc, optimize=True)
+        # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
+        # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms
+        Wp = np.maximum(W, 1e-300)
+        C = np.bincount(
+            (np.arange(N)[:, None] * N + self.map9).ravel(),
+            (self.c1 / Wp[:, None]).ravel(),
+            minlength=N * N,
+        ).reshape(N, N)
+        H_far = -2.0 * (C.T @ M @ C)
+        row = M.sum(axis=1)
+        _scatter(H_far, self.map9, 2.0 * (row / Wp)[:, None, None] * self.Q2)
+        _scatter(H_far, self.mid_maps, self.Lmid)
+        _scatter(H_far, ext_maps, X)
+        H_near = np.zeros((N, N))
+        _scatter(H_near, self.maps, self.L)
+        H_coarse = np.zeros((N, N))
+        _scatter(H_coarse, self.maps, self.L_coarse)
+        self.H_far, self.H_near, self.H_coarse = (
+            0.5 * self.sphere * (A + A.T) for A in (H_far, H_near, H_coarse)
         )
+        self.H = self.H_far + self.H_near
 
-    def _mid(self, vt, sel=None):
-        vloc = vt.ravel()[self.mid_maps]
-        e = np.einsum("pa,pab,pb->p", vloc, self.Lmid, vloc, optimize=True)
-        if sel is not None:
-            e = e * sel[self.mga] * sel[self.mgb]
-        return float(e.sum())
-
-    def _near(self, vt, sel=None, coarse=False):
-        L = self.L_coarse if coarse else self.L
-        vloc = vt.ravel()[self.maps]
-        e = np.einsum("pa,pab,pb->p", vloc, L, vloc, optimize=True)
-        if sel is not None:
-            e = e * sel[self.ga] * sel[self.gb]
-        return float(e.sum())
+    def _far(self, v, sel):
+        """Far-moment part over the pairs with both boxes in sel."""
+        vloc = v[self.map9]
+        W = np.maximum(self.node_weight, 1e-300)
+        P = np.einsum("na,na->n", self.c1, vloc) / W * sel
+        S = (
+            np.einsum("na,nab,nb->n", vloc, self.Q2, vloc, optimize=True) / W * sel
+        )
+        row = self.M @ sel
+        return 2.0 * (np.dot(row, S) - np.dot(P, self.M @ P))
 
     def parts(self, vt, sel=None):
         """(far, near, near_coarse) including the angular prefactor; far
-        includes the coupling to the exterior of the truncation cylinder."""
-        far = (
-            self._far(vt, sel) + self._mid(vt, sel) + self._ext(vt, sel)
-        ) * self.sphere
-        near = self._near(vt, sel) * self.sphere
-        nearc = self._near(vt, sel, coarse=True) * self.sphere
+        includes the coupling to the exterior of the truncation cylinder.
+        Without sel they are v.H_far v, v.H_near v and v.H_coarse v.
+
+        With sel (the 0/1 indicator of the nodes in B_lambda) only the pairs
+        with both boxes in B_lambda count; that sum needs the per-pair forms,
+        since the assembled matrices have lost which pair an entry came
+        from.  It has no exterior term: a pair that leaves the truncation
+        cylinder also leaves any interior cap."""
+        v = vt.ravel()
+        if sel is None:
+            return tuple(
+                float(v @ (A @ v)) for A in (self.H_far, self.H_near, self.H_coarse)
+            )
+        mid = _pair_sum(v, self.mid_maps, self.mga, self.mgb, self.Lmid, sel)
+        far = (self._far(v, sel) + mid) * self.sphere
+        near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
+        nearc = (
+            _pair_sum(v, self.maps, self.ga, self.gb, self.L_coarse, sel)
+            * self.sphere
+        )
         return float(far), float(near), float(nearc)
 
-    def energy(self, vt, sel=None):
-        far, near, _ = self.parts(vt, sel)
-        return far + near
+    def energy(self, vt):
+        v = vt.ravel()
+        return float(v @ (self.H @ v))
 
     def bilinear(self, vt1, vt2):
-        """a(u1, u2), the symmetric bilinear form matching energy()."""
-        W = np.maximum(self.node_weight, 1e-300)
-        v1loc = vt1.ravel()[self.map9]
-        v2loc = vt2.ravel()[self.map9]
-        P1 = np.einsum("na,na->n", self.c1, v1loc) / W
-        P2 = np.einsum("na,na->n", self.c1, v2loc) / W
-        S12 = (
-            np.einsum("na,nab,nb->n", v1loc, self.Q2, v2loc, optimize=True) / W
-        )
-        row = self.M.sum(axis=1)
-        far = 2.0 * (np.dot(row, S12) - np.dot(P1, self.M @ P2))
-        far += float(
-            np.einsum(
-                "pa,pab,pb->",
-                vt1.ravel()[self.ext_maps],
-                self.X,
-                vt2.ravel()[self.ext_maps],
-                optimize=True,
-            )
-        )
-        far += float(
-            np.einsum(
-                "pa,pab,pb->",
-                vt1.ravel()[self.mid_maps],
-                self.Lmid,
-                vt2.ravel()[self.mid_maps],
-                optimize=True,
-            )
-        )
-        v1 = vt1.ravel()[self.maps]
-        v2 = vt2.ravel()[self.maps]
-        near = float(np.einsum("pa,pab,pb->p", v1, self.L, v2, optimize=True).sum())
-        return (far + near) * self.sphere
+        """a(u1, u2), the symmetric bilinear form matching energy(); both
+        orders are averaged so that swapping the arguments is exact."""
+        v1, v2 = vt1.ravel(), vt2.ravel()
+        return 0.5 * float(v1 @ (self.H @ v2) + v2 @ (self.H @ v1))
 
     def grad(self, vt):
         """Gradient of energy() with respect to the nodal regular factor."""
-        v = vt.ravel()
-        W = np.maximum(self.node_weight, 1e-300)
-        vloc = v[self.map9]
-        P = np.einsum("na,na->n", self.c1, vloc) / W
-        row = self.M.sum(axis=1)
-        g_far = np.zeros(self.N)
-        np.add.at(
-            g_far,
-            self.map9,
-            4.0
-            * (row / W)[:, None]
-            * np.einsum("nab,nb->na", self.Q2, vloc, optimize=True),
-        )
-        np.add.at(
-            g_far,
-            self.map9,
-            -4.0 * ((self.M @ P) / W)[:, None] * self.c1,
-        )
-        np.add.at(
-            g_far,
-            self.ext_maps,
-            2.0
-            * np.einsum(
-                "pab,pb->pa", self.X, v[self.ext_maps], optimize=True
-            ),
-        )
-        np.add.at(
-            g_far,
-            self.mid_maps,
-            2.0
-            * np.einsum(
-                "pab,pb->pa", self.Lmid, v[self.mid_maps], optimize=True
-            ),
-        )
-        vloc = v[self.maps]
-        contrib = 2.0 * np.einsum("pab,pb->pa", self.L, vloc, optimize=True)
-        g_near = np.zeros(self.N)
-        np.add.at(g_near, self.maps, contrib)
-        return (g_far + g_near) * self.sphere
+        return 2.0 * (self.H @ vt.ravel())
 
 
 _cache: OrderedDict = OrderedDict()
@@ -909,12 +869,14 @@ def _ball_sel(form, lam):
     return (form.r_flat ** 2 + form.z_flat ** 2 <= lam * lam).astype(float)
 
 
-def _tail_pieces(field, params):
-    """Exterior-extension estimate of the energy beyond the truncation box.
+def _tail_energy(field, params):
+    """Energy the attached tail model adds beyond the truncation box.
 
-    Builds a coarse combined grid (subsampled interior plus geometric exterior
-    up to 24 R_max), evaluates u through the attached tail model, and sums the
-    node-product rule over all pairs touching the exterior.
+    On a coarse combined grid (subsampled interior plus geometric exterior
+    up to 24 R_max) the node-product rule sums, over the pairs touching the
+    exterior, w_i w_j K [(u_i - u_j)^2 - (ub_i - ub_j)^2], where ub is the
+    field without its tail (u inside the box, 0 outside).  The coupling of
+    the interior to a zero exterior is already inside the assembled form.
     """
     grid = field.grid
     R = grid.R_max
@@ -931,16 +893,11 @@ def _tail_pieces(field, params):
     wr = _box_masses(r_ax, grid.n - 2)
     wz = _box_masses(z_ax, 0)
     RR, ZZ = np.meshgrid(r_ax, z_ax, indexing="ij")
-    U = eval_u(field, RR.ravel(), ZZ.ravel()).reshape(RR.shape)
-    W = wr[:, None] * wz[None, :]
-    inner = (RR <= R) & (ZZ <= R)
+    inner = ((RR <= R) & (ZZ <= R)).ravel()
+    uf = eval_u(field, RR.ravel(), ZZ.ravel())
+    ub = np.where(inner, uf, 0.0)
+    wf = (wr[:, None] * wz[None, :]).ravel()
     nr, nz = r_ax.size, z_ax.size
-    uf, wf = U.ravel(), W.ravel()
-    inf_ = inner.ravel()
-    lp_weights = wf[~inf_]
-    lp_u = uf[~inf_]
-    if params is None:
-        return 0.0, lp_weights, lp_u
     ri = np.repeat(np.arange(nr), nz)
     zi = np.tile(np.arange(nz), nr)
     rr = np.repeat(r_ax, nz)
@@ -949,12 +906,12 @@ def _tail_pieces(field, params):
     dzz = np.abs(zi[:, None] - zi[None, :])
     ok = (drr > 1) | (dzz > 1)
     # only pairs with at least one exterior point contribute to the tail
-    ok &= ~(inf_[:, None] & inf_[None, :])
+    ok &= ~(inner[:, None] & inner[None, :])
     ii, jj = np.where(ok)
     KV_flat = kernel_values(rr[ii], rr[jj], zz[ii] - zz[jj], params)
-    diffs = (uf[ii] - uf[jj]) ** 2
+    diffs = (uf[ii] - uf[jj]) ** 2 - (ub[ii] - ub[jj]) ** 2
     energy_tail = float(np.sum(wf[ii] * wf[jj] * KV_flat * diffs))
-    return energy_tail * sphere_surface(grid.n - 2), lp_weights, lp_u
+    return energy_tail * sphere_surface(grid.n - 2)
 
 
 def seminorm(field, table):
@@ -964,11 +921,7 @@ def seminorm(field, table):
     far, near, nearc = form.parts(field.regular_values)
     tail = 0.0
     if field.tail is not None:
-        # only the tail-model-dependent terms; the coupling of the interior
-        # to a zero exterior is already inside the assembled form
-        with_tail, _, _ = _tail_pieces(field, table.params)
-        bare, _, _ = _tail_pieces(replace(field, tail=None), table.params)
-        tail = with_tail - bare
+        tail = _tail_energy(field, table.params)
     qerr = abs(near - nearc)
     return EnergyBreakdown(
         total=far + near + tail,

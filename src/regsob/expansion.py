@@ -34,7 +34,6 @@ __all__ = [
     "MCConfig",
     "a1_constant",
     "bounds_check",
-    "build_test_function",
     "correction_terms",
     "curvature_term",
     "cutoff",
@@ -347,36 +346,6 @@ def cutoff(rho):
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """v_lambda = (eta * Theta_lambda) composed with the flattening shear."""
-
-    theta: object
-    lam: float
-    bg: BoundaryGraph
-
-    def flat(self, xi):
-        """theta_lambda at half-space points of shape (..., n)."""
-        xi = np.asarray(xi, dtype=float)
-        n, sigma = self.bg.n, self.theta.sigma
-        rho = np.sqrt(np.sum(xi ** 2, axis=-1))
-        r = np.sqrt(np.sum(xi[..., :-1] ** 2, axis=-1))
-        z = np.maximum(xi[..., -1], 0.0)
-        amp = self.lam ** ((n - 2.0 * sigma) / 2.0)
-        return cutoff(rho) * amp * eval_u(
-            self.theta, self.lam * r, self.lam * z
-        )
-
-    def __call__(self, x):
-        return self.flat(flatten_map(self.bg, x))
-
-
-def build_test_function(theta, lam, bg):
-    if lam <= 0:
-        raise InvalidParams(f"lambda must be positive, got {lam}")
-    return TestFunction(theta=theta, lam=float(lam), bg=bg)
-
-
 def cutoff_profile(theta, lam):
     """The cutoff dilation eta * Theta_lambda, pulled back to Theta's grid.
 
@@ -395,25 +364,21 @@ def cutoff_profile(theta, lam):
     return theta.with_values(theta.regular_values * eta, tail=None)
 
 
-def cutoff_energy_deficit(theta, lam):
-    """Energy and critical mass lost to the cutoff at scale lambda.
-
-    The cut field is cutoff_profile(theta, lam) and the reference is theta
-    itself, so both live on Theta's grid and share its one energy table and
-    assembled operator for every lambda, and the discretization bias cancels
-    in the differences.  By the exact dilation law K(lambda r, lambda s,
-    lambda t) = lambda^(-p) K of the kernel, these numbers equal the ones for
-    eta * Theta_lambda and Theta_lambda on the dilated grid up to rounding
-    (about 1e-12 relative to the reference energy and mass)."""
-    cut = cutoff_profile(theta, lam)
-    g = theta.grid
-    n, sigma = g.n, theta.sigma
+def _reference(theta):
+    """Theta's energy table, energy and critical mass: the reference every
+    cutoff deficit of a lambda scan is measured against."""
+    n, sigma = theta.grid.n, theta.sigma
     p = critical_p(n, sigma)
-    tab = build_kernel_table(g, KernelParams.energy(n, sigma))
+    tab = build_kernel_table(theta.grid, KernelParams.energy(n, sigma))
+    return tab, seminorm(theta, tab).total, lp_norm(theta, p) ** p
+
+
+def _cutoff_deficit(theta, lam, ref):
+    tab, e_ref, m_ref = ref
+    cut = cutoff_profile(theta, lam)
+    p = critical_p(theta.grid.n, theta.sigma)
     e_cut = seminorm(cut, tab).total
-    e_ref = seminorm(theta, tab).total
     m_cut = lp_norm(cut, p) ** p
-    m_ref = lp_norm(theta, p) ** p
     return {
         "numerator_bound_terms": {
             "cutoff_energy": float(e_cut),
@@ -425,12 +390,26 @@ def cutoff_energy_deficit(theta, lam):
     }
 
 
+def cutoff_energy_deficit(theta, lam):
+    """Energy and critical mass lost to the cutoff at scale lambda.
+
+    The cut field is cutoff_profile(theta, lam) and the reference is theta
+    itself, so both live on Theta's grid and share its one energy table and
+    assembled operator for every lambda, and the discretization bias cancels
+    in the differences.  By the exact dilation law K(lambda r, lambda s,
+    lambda t) = lambda^(-p) K of the kernel, these numbers equal the ones for
+    eta * Theta_lambda and Theta_lambda on the dilated grid up to rounding
+    (about 1e-12 relative to the reference energy and mass)."""
+    return _cutoff_deficit(theta, lam, _reference(theta))
+
+
 def cutoff_deficit_exponents(theta, lams):
     """Log-log fits of the cutoff deficits over a lambda scan."""
     lams = np.asarray(sorted(lams), dtype=float)
+    ref = _reference(theta)
     dm, de = [], []
     for lam in lams:
-        d = cutoff_energy_deficit(theta, lam)
+        d = _cutoff_deficit(theta, lam, ref)
         dm.append(max(d["denominator_deficit"], 1e-300))
         de.append(d["numerator_bound_terms"]["energy_deficit"])
     lp_slope = np.polyfit(np.log(lams), np.log(dm), 1)[0]
@@ -635,10 +614,11 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     if bg.R0 < 3.0 or z_top < 3.0:
         raise InvalidParams("chart must contain the cutoff support ball B_3")
     p = critical_p(n, sigma)
+    ref = _reference(theta)
     verdicts = []
     for lam in lam_schedule:
         lam = float(lam)
-        deficit = cutoff_energy_deficit(theta, lam)
+        deficit = _cutoff_deficit(theta, lam, ref)
         mass = deficit["cutoff_mass"]
         flat_grid = deficit["numerator_bound_terms"]["cutoff_energy"]
         tab_rho, tab_pdf, tab_cdf = _radial_cdf(n, sigma, 3.0 * lam)

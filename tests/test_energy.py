@@ -277,3 +277,53 @@ def test_gradient_matches_finite_difference():
     h = 1e-6
     fd = (form.energy(v + h * w) - form.energy(v - h * w)) / (2 * h)
     assert float(form.grad(v) @ w.ravel()) == pytest.approx(fd, rel=1e-7)
+
+
+# Values of the form as evaluated family by family (far moments, mid ring,
+# exterior, fine and coarse near forms) before the energy was assembled into
+# one matrix; w = default_rng(0).uniform(-1, 1) on the 17 x 17 grid.
+_FAMILY_SUMS = {
+    "setup4": dict(
+        weight="none",
+        energy=13.182901137626892,
+        far=6.36188988509791,
+        near=6.821011252528982,
+        qerr=0.04145073926571552,
+        grad_w=-1.876585327772911,
+        bilinear=-0.9382926638864553,
+        ball=2.269066596710537,
+    ),
+    "setup_gamma0": dict(
+        weight="gamma0",
+        energy=1.2747374652908403,
+        far=0.9535188004505418,
+        near=0.32121866484029854,
+        qerr=0.01781674940823602,
+        grad_w=-0.4531779772667935,
+        bilinear=-0.2265889886333897,
+        ball=-0.10856339662506702,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
+def test_assembled_matrix_matches_family_sums(name, request):
+    g, tab, f = request.getfixturevalue(name)
+    want = _FAMILY_SUMS[name]
+    weight = want["weight"]
+    form = assemble(g, tab, 0.75, weight)
+    v = f.regular_values
+    w = np.random.default_rng(0).uniform(-1, 1, g.shape)
+    bd = weighted_seminorm(f, tab, weight)
+    got = dict(
+        energy=form.energy(v),
+        far=bd.far_part,
+        near=bd.near_part,
+        qerr=bd.quad_error_estimate,
+        grad_w=float(form.grad(v) @ w.ravel()),
+        bilinear=form.bilinear(v, w),
+        ball=weighted_seminorm(f, tab, weight, lam=0.6).total,
+    )
+    for key, val in got.items():
+        assert val == pytest.approx(want[key], rel=1e-12), key
+    assert form.bilinear(v, w) == form.bilinear(w, v)

@@ -18,7 +18,6 @@ from regsob.expansion import (
     MCConfig,
     a1_constant,
     bounds_check,
-    build_test_function,
     correction_terms,
     curvature_term,
     cutoff,
@@ -154,16 +153,6 @@ def test_cutoff_shape():
     h = 1e-6
     assert abs(cutoff(2.0 + h) - cutoff(2.0 - h)) / (2 * h) < 1e-5
     assert abs(cutoff(3.0 + h) - cutoff(3.0 - h)) / (2 * h) < 1e-5
-
-
-def test_test_function_flat_chart(envelope16):
-    flat = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
-    v = build_test_function(envelope16, 2.0, flat)
-    inside = np.array([[0.3, 0.2, 0.1, 0.5]])
-    assert v(inside) == pytest.approx(v.flat(inside))
-    assert v.flat(np.array([[3.0, 1.0, 0.0, 1.0]])) == 0.0
-    with pytest.raises(InvalidParams):
-        build_test_function(envelope16, -1.0, flat)
 
 
 def test_dilate_graph_scaling():
