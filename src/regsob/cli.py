@@ -127,8 +127,19 @@ def _sha256(path):
 
 
 def _threads(cfg):
+    """Worker threads: REGSOB_THREADS if set, else the config's `threads`."""
     env = os.environ.get("REGSOB_THREADS")
-    return int(env) if env else int(cfg.get("threads", 4))
+    if env:
+        source, raw = "REGSOB_THREADS", env
+    else:
+        source, raw = "config key 'threads'", cfg.get("threads", 4)
+    try:
+        n = int(raw)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1 or isinstance(raw, (bool, float)):
+        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def _cache_dir():
@@ -370,6 +381,10 @@ def cmd_check(args):
 def cmd_kernel_table(args):
     cfg = load_config(args.config)
     k = cfg["kernel_table"]
+    if k["order"] not in ("energy", "curvature"):
+        raise ConfigError(
+            f"kernel_table.order must be 'energy' or 'curvature', got {k['order']!r}"
+        )
     man = Manifest("kernel-table", cfg, [], args.out + ".manifest.json")
     g = make_grid(
         int(k["n"]),

@@ -51,15 +51,6 @@ class EnergyBreakdown:
     tail_estimate: float
     quad_error_estimate: float
 
-    def to_json(self):
-        return {
-            "total": self.total,
-            "far_part": self.far_part,
-            "near_part": self.near_part,
-            "tail_estimate": self.tail_estimate,
-            "quad_error_estimate": self.quad_error_estimate,
-        }
-
 
 def _weight_fn(weight):
     if weight == "none":

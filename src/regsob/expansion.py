@@ -39,7 +39,6 @@ __all__ = [
     "cutoff",
     "cutoff_energy_deficit",
     "cw_cutoff_check",
-    "cutoff_deficit_exponents",
     "cutoff_profile",
     "dilate_graph",
     "flatten_map",
@@ -124,17 +123,6 @@ class BoundaryGraph:
             max(abs(a) for a in self.curvatures) <= self.epsilon0
             and self.g_lipschitz <= self.epsilon0
         )
-
-    def to_dict(self):
-        return {
-            "alpha": list(self.alpha),
-            "g_kind": self.g_kind,
-            "g_coeffs": list(self.g_coeffs),
-            "R0": self.R0,
-            "delta0": self.delta0,
-            "epsilon0": self.epsilon0,
-            "mu": self.mu,
-        }
 
     @classmethod
     def from_dict(cls, d):
@@ -403,23 +391,6 @@ def cutoff_energy_deficit(theta, lam):
     return _cutoff_deficit(theta, lam, _reference(theta))
 
 
-def cutoff_deficit_exponents(theta, lams):
-    """Log-log fits of the cutoff deficits over a lambda scan."""
-    lams = np.asarray(sorted(lams), dtype=float)
-    ref = _reference(theta)
-    dm, de = [], []
-    for lam in lams:
-        d = _cutoff_deficit(theta, lam, ref)
-        dm.append(max(d["denominator_deficit"], 1e-300))
-        de.append(d["numerator_bound_terms"]["energy_deficit"])
-    lp_slope = np.polyfit(np.log(lams), np.log(dm), 1)[0]
-    return {
-        "lp_deficit_exponent": float(-lp_slope),
-        "denominator_deficits": [float(v) for v in dm],
-        "energy_deficits": [float(v) for v in de],
-    }
-
-
 @dataclass(frozen=True)
 class CurvatureTerm:
     value: float
@@ -474,7 +445,6 @@ class MCConfig:
     seed: int = 0
     max_rel_stderr: float = 0.05
     workers: int = 4
-    z_top: float | None = None
 
     def __post_init__(self):
         if self.batches < 2:
@@ -517,7 +487,7 @@ def _radial_cdf(n, sigma, rmax):
     return rho, pdf / norm, cdf / norm
 
 
-def _mc_batch(theta, lam, bg, seed, m, z_top, tab_rho, tab_pdf, tab_cdf):
+def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
     n, sigma = bg.n, theta.sigma
     q = (n + 2.0 * sigma) / 2.0
     rng = np.random.default_rng(seed)
@@ -534,7 +504,7 @@ def _mc_batch(theta, lam, bg, seed, m, z_top, tab_rho, tab_pdf, tab_cdf):
         (area / 2.0) * np.maximum(ry, 1e-300) ** (n - 1)
     )
     # separation with the quadratically damped singular proposal
-    wmax = lam * np.sqrt((2.0 * bg.R0) ** 2 + z_top ** 2) + sup
+    wmax = lam * np.sqrt((2.0 * bg.R0) ** 2 + bg.R0 ** 2) + sup
     pw = 2.0 - 2.0 * sigma
     rw = wmax * rng.random(m) ** (1.0 / pw)
     dir_w = rng.standard_normal((m, n))
@@ -561,7 +531,7 @@ def _mc_batch(theta, lam, bg, seed, m, z_top, tab_rho, tab_pdf, tab_cdf):
         rz = np.sqrt(np.sum(z_pt[:, :-1] ** 2, axis=1))
         in_u = (
             (z_pt[:, -1] > 0)
-            & (z_pt[:, -1] < lam * z_top)
+            & (z_pt[:, -1] < lam * bg.R0)
             & (rz < lam * bg.R0)
         )
         tz = np.where(in_u, theta_hat(z_pt), 0.0)
@@ -610,8 +580,7 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     n, sigma = bg.n, theta.sigma
     if theta.grid.n != n:
         raise InvalidParams(f"field dimension {theta.grid.n} vs graph {n}")
-    z_top = cfg.z_top or bg.R0
-    if bg.R0 < 3.0 or z_top < 3.0:
+    if bg.R0 < 3.0:
         raise InvalidParams("chart must contain the cutoff support ball B_3")
     p = critical_p(n, sigma)
     ref = _reference(theta)
@@ -632,7 +601,6 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
                         bg,
                         s,
                         cfg.samples_per_batch,
-                        z_top,
                         tab_rho,
                         tab_pdf,
                         tab_cdf,

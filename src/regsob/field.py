@@ -18,19 +18,12 @@ from .errors import GridMismatch, InvalidGrading, InvalidParams, UnknownKind
 
 @dataclass(frozen=True)
 class HalfSpaceGrid:
-    """Tensor grid on [0, R_max]^2 in (r, z) with radial quadrature weights.
-
-    r_weights carry the measure r^(n-2) dr, z_weights carry dz; both are hat
-    function weights, so they integrate piecewise-linear data exactly and sum
-    to the exact total measure.
-    """
+    """Tensor grid on [0, R_max]^2 in (r, z), power-graded toward the axes."""
 
     n: int
     r_nodes: np.ndarray
     z_nodes: np.ndarray
     R_max: float
-    r_weights: np.ndarray
-    z_weights: np.ndarray
     grading_exponents: tuple
 
     @property
@@ -45,29 +38,6 @@ class HalfSpaceGrid:
             and np.array_equal(self.r_nodes, other.r_nodes)
             and np.array_equal(self.z_nodes, other.z_nodes)
         )
-
-
-def _hat_weights_power(nodes, k):
-    """Weights w_i = integral of the i-th hat function against x^k dx.
-
-    Exact antiderivatives of x^k and x^(k+1) on each cell; the weights form a
-    partition of unity, so they sum to the exact moment of the interval.
-    """
-    x = np.asarray(nodes, dtype=float)
-    w = np.zeros_like(x)
-
-    def mom(a, b, kk):
-        return (b ** (kk + 1) - a ** (kk + 1)) / (kk + 1)
-
-    for i in range(x.size - 1):
-        a, b = x[i], x[i + 1]
-        h = b - a
-        m0 = mom(a, b, k)
-        m1 = mom(a, b, k + 1)
-        up = (m1 - a * m0) / h  # weight of the hat rising on [a, b]
-        w[i + 1] += up
-        w[i] += m0 - up
-    return w
 
 
 def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
@@ -86,8 +56,6 @@ def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
         r_nodes=r,
         z_nodes=z,
         R_max=float(R_max),
-        r_weights=_hat_weights_power(r, n - 2),
-        z_weights=_hat_weights_power(z, 0),
         grading_exponents=(float(beta_r), float(beta_z)),
     )
 
@@ -112,7 +80,6 @@ class RadialField:
     grid: HalfSpaceGrid
     regular_values: np.ndarray
     sigma: float
-    nonnegative: bool = True
     tail: TailModel | None = None
 
     def __post_init__(self):
@@ -230,8 +197,6 @@ def dilate_exact(fld, lam):
         r_nodes=grid.r_nodes / lam,
         z_nodes=grid.z_nodes / lam,
         R_max=grid.R_max / lam,
-        r_weights=grid.r_weights / lam ** (n - 1),
-        z_weights=grid.z_weights / lam,
         grading_exponents=grid.grading_exponents,
     )
     tail = fld.tail
@@ -244,7 +209,6 @@ def dilate_exact(fld, lam):
         grid=new_grid,
         regular_values=lam ** q * fld.regular_values,
         sigma=sigma,
-        nonnegative=fld.nonnegative,
         tail=tail,
     )
 
@@ -273,7 +237,6 @@ def save_field(fld, path):
         "N_z": int(grid.z_nodes.size - 1),
         "R_max": grid.R_max,
         "grading": list(grid.grading_exponents),
-        "flags": {"nonnegative": bool(fld.nonnegative)},
         "tail": None
         if fld.tail is None
         else {"amplitude": fld.tail.amplitude, "exponent": fld.tail.exponent},
@@ -281,22 +244,20 @@ def save_field(fld, path):
     arrays = {
         "r_nodes": grid.r_nodes,
         "z_nodes": grid.z_nodes,
-        "r_weights": grid.r_weights,
-        "z_weights": grid.z_weights,
         "regular_values": fld.regular_values,
     }
     io_container.write_container(path, header, arrays)
 
 
 def load_field(path):
+    """Read a field file; arrays and header keys it does not use (the
+    quadrature weights and flags of older files) are ignored."""
     header, arrays = io_container.read_container(path)
     grid = HalfSpaceGrid(
         n=int(header["n"]),
         r_nodes=arrays["r_nodes"],
         z_nodes=arrays["z_nodes"],
         R_max=float(header["R_max"]),
-        r_weights=arrays["r_weights"],
-        z_weights=arrays["z_weights"],
         grading_exponents=tuple(header["grading"]),
     )
     tail = header.get("tail")
@@ -304,6 +265,5 @@ def load_field(path):
         grid=grid,
         regular_values=arrays["regular_values"],
         sigma=float(header["sigma"]),
-        nonnegative=bool(header["flags"]["nonnegative"]),
         tail=None if tail is None else TailModel(**tail),
     )

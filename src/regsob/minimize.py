@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .field import (
     RadialField,
     TailModel,
     attach_tail_model,
+    dilate_exact,
     eval_u,
-    eval_vt,
     make_grid,
     resample,
     save_field,
@@ -47,6 +47,17 @@ __all__ = [
     "save_result",
 ]
 
+# Armijo step: initial length (relative to the iterate's scale), shrink
+# factor per backtrack and backtracks per search
+STEP = 0.5
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 30
+# iterations between rearrangement attempts
+REARRANGE_EVERY = 10
+# canonical dilation: height at which the on-axis regular factor falls to
+# half its boundary value
+PIN_HALF_HEIGHT = 1.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,31 +66,22 @@ class SolverConfig:
     schedule: tuple = (16, 24, 32)
     R_max: float = 20.0
     grading: tuple = (2.0, 2.0)
-    tau: float = 0.5
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
-    rearrange_every: int = 10
     tol_quotient: float = 1e-6
     tol_residual: float = 0.05
     max_iters: int = 250
     seed: int = 0
     init: str = "envelope"
     init_noise: float = 0.0
-    pin_half_height: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidParams(f"step size must be positive, got {self.tau}")
         if self.tol_quotient <= 0 or self.tol_residual <= 0:
             raise InvalidParams("stopping tolerances must be positive")
         if list(self.schedule) != sorted(self.schedule):
             raise InvalidParams(
                 f"grid schedule must be coarse to fine, got {self.schedule}"
             )
-        if not (0 < self.backtrack_factor < 1):
-            raise InvalidParams("backtrack factor must lie in (0, 1)")
-        if self.max_iters < 1 or self.rearrange_every < 1:
-            raise InvalidParams("iteration counts must be positive")
+        if self.max_iters < 1:
+            raise InvalidParams("iteration count must be positive")
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -147,10 +149,10 @@ def _descend_on_grid(fld, table, cfg, trace):
     if not np.isfinite(Q):
         raise DivergentStep("non-finite quotient at initialization")
     trace.append(Q)
-    tau = cfg.tau
+    tau = STEP
     window = []
     for it in range(cfg.max_iters):
-        if it > 0 and it % cfg.rearrange_every == 0:
+        if it > 0 and it % REARRANGE_EVERY == 0:
             vr = _normalized(fld, rearrange_sharp(fld.with_values(v)).regular_values, p)
             Qr = quotient(vr)
             if Qr <= Q * (1 + 1e-12):
@@ -161,10 +163,10 @@ def _descend_on_grid(fld, table, cfg, trace):
         scale = np.max(np.abs(v)) / max(np.max(np.abs(d)), 1e-300)
         accepted = False
         t = tau
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = np.clip(v - t * scale * d, 0.0, None)
             if not np.any(cand):
-                t *= cfg.backtrack_factor
+                t *= BACKTRACK
                 continue
             cand = _normalized(fld, cand, p)
             Qc = quotient(cand)
@@ -174,11 +176,11 @@ def _descend_on_grid(fld, table, cfg, trace):
                 v, Q = cand, Qc
                 accepted = True
                 break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK
         if not accepted:
             break
         trace.append(Q)
-        tau = min(cfg.tau, t / cfg.backtrack_factor)
+        tau = min(STEP, t / BACKTRACK)
         window.append(Q)
         if len(window) > 6:
             window.pop(0)
@@ -211,7 +213,7 @@ def _initial_field(grid, cfg):
     return fld
 
 
-def _pin_scale(fld, cfg):
+def _pin_scale(fld):
     """Canonical dilation: the on-axis regular factor falls to half its
     boundary value at a fixed height, removing the dilation degeneracy."""
     axis = fld.regular_values[0, :]
@@ -227,7 +229,7 @@ def _pin_scale(fld, cfg):
     z0, z1 = fld.grid.z_nodes[j - 1], fld.grid.z_nodes[j]
     a0, a1 = axis[j - 1], axis[j]
     z_half = z0 + (z1 - z0) * (a0 - 0.5 * top) / max(a0 - a1, 1e-300)
-    lam = z_half / cfg.pin_half_height
+    lam = z_half / PIN_HALF_HEIGHT
     if not np.isfinite(lam) or lam <= 0 or abs(lam - 1.0) < 1e-12:
         return fld
     return scale_field(fld, lam)
@@ -257,7 +259,7 @@ def solve_halfspace(config=None, **kw):
     s_est = rayleigh_quotient(attach_tail_model(fld), table)
     resid = el_residual(fld, table)
     fld = attach_tail_model(fld)
-    fld = _pin_scale(fld, cfg)
+    fld = _pin_scale(fld)
     m = lp_norm(fld, p)
     if m <= 0:
         raise DivergentStep("solver produced the zero field")
@@ -287,18 +289,7 @@ def scale_field(theta, lam):
         raise InvalidParams(f"dilation factor must be positive, got {lam}")
     if lam == 1.0:
         return theta
-    grid = theta.grid
-    n, sigma = grid.n, theta.sigma
-    q = (n - 2 * sigma) / 2.0 + 2 * sigma - 1.0
-    R, Z = np.meshgrid(grid.r_nodes, grid.z_nodes, indexing="ij")
-    vals = lam ** q * eval_vt(theta, lam * R.ravel(), lam * Z.ravel()).reshape(R.shape)
-    tail = theta.tail
-    if tail is not None:
-        tail = TailModel(
-            amplitude=tail.amplitude * lam ** (q - tail.exponent),
-            exponent=tail.exponent,
-        )
-    return theta.with_values(vals, tail=tail)
+    return resample(dilate_exact(theta, lam), theta.grid)
 
 
 def _fit(x, y):

@@ -110,5 +110,21 @@ def test_unknown_suite_is_config_error(capsys):
 def test_thread_env_override(monkeypatch):
     monkeypatch.setenv("REGSOB_THREADS", "7")
     assert _threads({"threads": 2}) == 7
+    for bad in ("x", "0", "-3", "2.5"):
+        monkeypatch.setenv("REGSOB_THREADS", bad)
+        with pytest.raises(ConfigError, match="REGSOB_THREADS"):
+            _threads({"threads": 2})
     monkeypatch.delenv("REGSOB_THREADS")
     assert _threads({"threads": 2}) == 2
+    for bad in (0, -1, 2.5, "x", None, True):
+        with pytest.raises(ConfigError, match="threads"):
+            _threads({"threads": bad})
+
+
+def test_kernel_table_order_checked(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"kernel_table": {"order": "energi"}}))
+    out = tmp_path / "tab.rsob"
+    assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 1
+    assert "kernel_table.order" in capsys.readouterr().err
+    assert not out.exists()

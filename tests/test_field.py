@@ -20,33 +20,13 @@ from regsob.field import (
     save_field,
     synthesize_profile,
 )
-from regsob.io_container import read_container
+from regsob.io_container import read_container, write_container
 
 
 def test_uniform_grid_nodes():
     g = make_grid(3, 1.0, 10, 10, (1.0, 1.0))
     assert np.allclose(g.r_nodes, np.arange(11) / 10, atol=1e-15)
     assert np.allclose(g.z_nodes, np.arange(11) / 10, atol=1e-15)
-
-
-def test_radial_weight_total_mass():
-    g = make_grid(4, 1.0, 10, 10, (2.0, 2.0))
-    assert g.r_weights.sum() == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert g.z_weights.sum() == pytest.approx(1.0, rel=1e-12)
-    g5 = make_grid(5, 2.0, 12, 12, (1.5, 2.0))
-    assert g5.r_weights.sum() == pytest.approx(2.0 ** 4 / 4.0, rel=1e-12)
-
-
-def test_weights_integrate_piecewise_linear_exactly():
-    # hat weights reproduce node sums of linear functions against the measure
-    g = make_grid(4, 3.0, 9, 9, (2.0, 2.0))
-    r = g.r_nodes
-    # integral of (a + b r) r^2 dr over [0, 3]
-    a, b = 0.7, -0.2
-    # piecewise-linear interpolant of a linear function is the function itself
-    got = np.sum(g.r_weights * (a + b * r))
-    want = a * 3.0 ** 3 / 3 + b * 3.0 ** 4 / 4
-    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_grading_doubles_boundary_density():
@@ -166,6 +146,27 @@ def test_save_load_round_trip(tmp_path):
     assert f2.tail == f.tail
     save_field(f2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_old_layout_file_loads(tmp_path):
+    # files written before the grid lost its hat weights carry r_weights,
+    # z_weights and a flags header; load_field ignores them
+    g = make_grid(4, 2.0, 8, 10, (2.0, 1.5))
+    f = attach_tail_model(synthesize_profile("envelope", g, 0.75))
+    new = tmp_path / "new.rsob"
+    save_field(f, new)
+    header, arrays = read_container(new)
+    header["flags"] = {"nonnegative": True}
+    arrays["r_weights"] = np.linspace(0.0, 1.0, g.r_nodes.size)
+    arrays["z_weights"] = np.linspace(1.0, 2.0, g.z_nodes.size)
+    old = tmp_path / "old.rsob"
+    write_container(old, header, arrays)
+    a, b = load_field(new), load_field(old)
+    assert np.array_equal(b.grid.r_nodes, a.grid.r_nodes)
+    assert np.array_equal(b.grid.z_nodes, a.grid.z_nodes)
+    assert np.array_equal(b.regular_values, a.regular_values)
+    assert b.sigma == a.sigma
+    assert b.tail == a.tail
 
 
 def test_header_metadata(tmp_path):

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from regsob import minimize
 from regsob.energy import critical_p, lp_norm, rayleigh_quotient
 from regsob.errors import InvalidParams
-from regsob.field import attach_tail_model, load_field, make_grid, synthesize_profile
+from regsob.field import (
+    TailModel,
+    attach_tail_model,
+    load_field,
+    make_grid,
+    synthesize_profile,
+)
 from regsob.kernel import KernelParams, build_kernel_table
 from regsob.minimize import (
     EnvelopeReport,
@@ -25,13 +32,9 @@ def coarse_result():
 
 def test_config_validation():
     with pytest.raises(InvalidParams):
-        SolverConfig(tau=0.0)
-    with pytest.raises(InvalidParams):
         SolverConfig(schedule=(32, 16))
     with pytest.raises(InvalidParams):
         SolverConfig(tol_quotient=-1.0)
-    with pytest.raises(InvalidParams):
-        SolverConfig(backtrack_factor=1.5)
 
 
 def test_config_digest_deterministic():
@@ -45,6 +48,50 @@ def test_scale_field_identity():
     assert scale_field(f, 1.0) is f
     with pytest.raises(InvalidParams):
         scale_field(f, 0.0)
+
+
+# scale_field of a tailed interior bubble as evaluated by sampling the
+# regular factor at lam * (r, z) directly, before it became a resample of
+# dilate_exact; w = default_rng(0).uniform(0, 1) on the 13 x 13 grid.
+_SCALED = {
+    0.8: dict(
+        total=1.5448530305047623,
+        weighted=0.7667399546127546,
+        origin=0.019604073653634715,
+        mid=0.0065708059003265805,
+        corner=1.7082285443620038e-05,
+        amplitude=2.063121649535578,
+    ),
+    2.0: dict(
+        total=3.1761707324465656,
+        weighted=1.681952322073579,
+        origin=0.09744091213330636,
+        mid=0.0004615808696441549,
+        corner=3.4492315027847037e-06,
+        amplitude=0.41507810106058196,
+    ),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(_SCALED))
+def test_scale_field_matches_direct_sampling(lam):
+    g = make_grid(4, 20.0, 12, 12, (2.0, 2.0))
+    f = attach_tail_model(synthesize_profile("interior-bubble", g, 0.75))
+    w = np.random.default_rng(0).uniform(0, 1, g.shape)
+    s = scale_field(f, lam)
+    v = s.regular_values
+    want = _SCALED[lam]
+    got = dict(
+        total=v.sum(),
+        weighted=np.sum(w * v),
+        origin=v[0, 0],
+        mid=v[5, 7],
+        corner=v[-1, -1],
+    )
+    for key, val in got.items():
+        assert val == pytest.approx(want[key], rel=1e-13), key
+    assert s.grid is g
+    assert s.tail == TailModel(amplitude=want["amplitude"], exponent=3.5)
 
 
 def test_scale_field_preserves_norm_and_quotient():
@@ -111,10 +158,12 @@ def test_solver_partial_result_when_unconverged():
     assert res.trace.size >= 1
 
 
-def test_failed_line_search_is_not_converged():
+def test_failed_line_search_is_not_converged(monkeypatch):
     # a step far too long with a single backtrack: the first Armijo search
     # fails and the stage must not report convergence
-    cfg = SolverConfig(schedule=(10,), R_max=20.0, tau=1e6, max_backtracks=1)
+    monkeypatch.setattr(minimize, "STEP", 1e6)
+    monkeypatch.setattr(minimize, "MAX_BACKTRACKS", 1)
+    cfg = SolverConfig(schedule=(10,), R_max=20.0)
     g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
     trace = []
