@@ -7,9 +7,10 @@ truncation cylinder) and a near part (index adjacent dual-cell pairs
 integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
 Each family yields local quadratic forms in the nodal regular factor.  They
 are assembled once per (grid, kernel, weight) into one symmetric matrix H,
-so the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  The
-per-pair forms are kept only for sums restricted to the pairs inside a ball
-B_lambda, which the assembled matrix cannot separate.
+so the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  For
+sums restricted to the pairs inside a ball B_lambda, which the assembled
+matrix cannot separate, the near pairs keep their local forms and the mid
+ring keeps one Gauss basis per box and one weighted kernel block per pair.
 """
 
 from __future__ import annotations
@@ -263,12 +264,15 @@ _MID_RING = 8
 
 
 def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
-    """Pairwise quadratic forms for box pairs 2 to _MID_RING cells apart.
+    """Tensor Gauss rules for box pairs 2 to _MID_RING cells apart.
 
     There the kernel is smooth but still varies together with the squared
     field difference across the pair, so a factorized rule is biased; a
-    tensor Gauss rule per box pair keeps the coupling.  Returns
-    (maps18, ga, gb, L) with the 3x3 node patches of both boxes."""
+    tensor Gauss rule per box pair keeps the coupling.  Returns (patch,
+    basis, ga, gb, KW): each box's 3x3 node patch (N, 9) and u at its q x q
+    Gauss points on that patch (N, q*q, 9), the boxes of each pair and its
+    weighted kernel block (P, q*q, q*q) on (U_a,g - U_b,h)^2, where
+    U = basis . v[patch]."""
     rn, zn = grid.r_nodes, grid.z_nodes
     nr, nz = rn.size, zn.size
     er, ez = _dual_edges(rn), _dual_edges(zn)
@@ -290,14 +294,14 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
         gq = np.broadcast_to(np.arange(q)[None, :], crel.shape)
         np.add.at(B, (idx, gq, crel), 1.0 - frac)
         np.add.at(B, (idx, gq, crel + 1), frac)
-        return Xq, Wq, base, B
+        return Xq, Wq, base[:, None] + np.arange(3), B
 
-    RQ, WR, base_r, BRr = axis_data(rn, er, npow)
-    ZQ, WZ, base_z, BZz = axis_data(zn, ez, 0)
-    ZA = ZQ ** a_exp
+    RQ, WR, patch_r, BRr = axis_data(rn, er, npow)
+    ZQ, WZ, patch_z, BZz = axis_data(zn, ez, 0)
+    patch = patch_r[:, None, :, None] * nz + patch_z[None, :, None, :]
+    basis = np.einsum("iga,jz,jzb->ijgzab", BRr, ZQ ** a_exp, BZz)
 
-    maps_all, ga_all, gb_all, L_all = [], [], [], []
-    s3 = np.arange(3)
+    pairs = []
     for di in range(0, _MID_RING + 1):
         for dj in range(-_MID_RING, _MID_RING + 1):
             ring = max(di, abs(dj))
@@ -310,7 +314,6 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
             I = np.repeat(ii, jj.size)
             J = np.tile(jj, ii.size)
             Ib, Jb = I + di, J + dj
-            P = I.size
             K = kernel_values(
                 RQ[I][:, :, None, None, None],
                 RQ[Ib][:, None, None, :, None],
@@ -332,49 +335,9 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
                     RQ[Ib][:, None, None, :, None],
                     ZQ[Jb][:, None, None, None, :],
                 )
-            ca = np.einsum(
-                "pga,pz,pzb->pgzab", BRr[I], ZA[J], BZz[J]
-            ).reshape(P, q, q, 9)
-            cb = np.einsum(
-                "pga,pz,pzb->pgzab", BRr[Ib], ZA[Jb], BZz[Jb]
-            ).reshape(P, q, q, 9)
-            rowA = KW.sum(axis=(3, 4))
-            colB = KW.sum(axis=(1, 2))
-            AA = np.einsum("pgz,pgza,pgzb->pab", rowA, ca, ca, optimize=True)
-            BB = np.einsum("pgz,pgza,pgzb->pab", colB, cb, cb, optimize=True)
-            AB = np.einsum(
-                "pgzhw,pgza,phwb->pab",
-                KW,
-                ca,
-                cb,
-                optimize=True,
-            )
-            L = np.zeros((P, 18, 18))
-            L[:, :9, :9] = AA
-            L[:, 9:, 9:] = BB
-            L[:, :9, 9:] = -AB
-            L[:, 9:, :9] = -AB.transpose(0, 2, 1)
-            L *= 2.0  # both orientations of each unordered pair
-            mA = (
-                (base_r[I][:, None, None] + s3[None, :, None]) * nz
-                + base_z[J][:, None, None]
-                + s3[None, None, :]
-            ).reshape(P, 9)
-            mB = (
-                (base_r[Ib][:, None, None] + s3[None, :, None]) * nz
-                + base_z[Jb][:, None, None]
-                + s3[None, None, :]
-            ).reshape(P, 9)
-            maps_all.append(np.concatenate([mA, mB], axis=1))
-            ga_all.append(I * nz + J)
-            gb_all.append(Ib * nz + Jb)
-            L_all.append(L)
-    return (
-        np.concatenate(maps_all),
-        np.concatenate(ga_all),
-        np.concatenate(gb_all),
-        np.concatenate(L_all),
-    )
+            pairs.append((I * nz + J, Ib * nz + Jb, KW.reshape(-1, q * q, q * q)))
+    ga, gb, KW = (np.concatenate(x) for x in zip(*pairs))
+    return patch.reshape(-1, 9), basis.reshape(-1, q * q, 9), ga, gb, KW
 
 
 def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
@@ -689,15 +652,16 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     return maps, ga, gb, L
 
 
-def _scatter(H, maps, forms):
-    """Add the local forms forms[p] (k x k, on the nodes maps[p]) into the
-    dense matrix H, in chunks that bound the index array."""
+def _scatter(H, maps, forms, cols=None):
+    """Add the local forms forms[p] (on the rows maps[p] and the columns
+    cols[p], by default maps[p] too) into the dense matrix H, in chunks that
+    bound the index array."""
     N = H.shape[0]
     flat = H.reshape(-1)
+    cols = maps if cols is None else cols
     step = max(1, (1 << 21) // forms[0].size)
     for s in range(0, len(maps), step):
-        m = maps[s : s + step]
-        idx = (m[:, :, None] * N + m[:, None, :]).ravel()
+        idx = (maps[s : s + step, :, None] * N + cols[s : s + step, None, :]).ravel()
         flat += np.bincount(idx, forms[s : s + step].ravel(), minlength=N * N)
 
 
@@ -713,8 +677,10 @@ class AssembledForm:
 
     The whole form is the symmetric matrix H = H_far + H_near, so that
     energy(v) = v.Hv and grad(v) = 2Hv; H_coarse is the near part at the
-    coarse orders, for the quadrature error estimate.  The per-pair local
-    forms are kept for the B_lambda restriction in parts(v, sel)."""
+    coarse orders, for the quadrature error estimate.  For the B_lambda
+    restriction in parts(v, sel) it keeps the far moments, the near local
+    forms and, for the mid ring, one Gauss basis per box (patch, basis) and
+    one weighted kernel block KW per box pair (mga, mgb)."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         if table.grid_hash != grid_signature(grid):
@@ -747,7 +713,7 @@ class AssembledForm:
         )
         M[handled] = 0.0
         self.M = M
-        self.mid_maps, self.mga, self.mgb, self.Lmid = _mid_pair_forms(
+        self.patch, self.basis, self.mga, self.mgb, self.KW = _mid_pair_forms(
             grid, table.params, sigma, wfn
         )
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
@@ -771,7 +737,19 @@ class AssembledForm:
         H_far = -2.0 * (C.T @ M @ C)
         row = M.sum(axis=1)
         _scatter(H_far, self.map9, 2.0 * (row / Wp)[:, None, None] * self.Q2)
-        _scatter(H_far, self.mid_maps, self.Lmid)
+        # mid ring, 2 sum_gh KW (U_a,g - U_b,h)^2 per pair: a diagonal form
+        # per box with the kernel mass D each Gauss point sees, and each
+        # cross block once at twice its weight (H_far is symmetrised below)
+        B, ma, mb = self.basis, self.mga, self.mgb
+        D = np.zeros(B.shape[:2])
+        np.add.at(D, ma, self.KW.sum(axis=2))
+        np.add.at(D, mb, self.KW.sum(axis=1))
+        _scatter(H_far, self.patch, 2.0 * np.einsum("nga,ng,ngb->nab", B, D, B))
+        step = 1 << 14
+        for s in range(0, ma.size, step):
+            a, b = ma[s : s + step], mb[s : s + step]
+            cross = B[a].transpose(0, 2, 1) @ self.KW[s : s + step] @ B[b]
+            _scatter(H_far, self.patch[a], -4.0 * cross, self.patch[b])
         _scatter(H_far, ext_maps, X)
         H_near = np.zeros((N, N))
         _scatter(H_near, self.maps, self.L)
@@ -808,7 +786,10 @@ class AssembledForm:
             return tuple(
                 float(v @ (A @ v)) for A in (self.H_far, self.H_near, self.H_coarse)
             )
-        mid = _pair_sum(v, self.mid_maps, self.mga, self.mgb, self.Lmid, sel)
+        U = np.einsum("nga,na->ng", self.basis, v[self.patch])
+        keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
+        d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
+        mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
         far = (self._far(v, sel) + mid) * self.sphere
         near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
         nearc = (

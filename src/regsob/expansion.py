@@ -11,6 +11,7 @@ compared against the flat quotient minus the curvature correction.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -451,6 +452,9 @@ class MCConfig:
             raise InvalidParams("need at least 2 batches for a stderr")
         if self.samples_per_batch < 100:
             raise InvalidParams("need at least 100 samples per batch")
+        w = self.workers
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+            raise InvalidParams(f"workers must be an integer >= 1, got {w!r}")
 
 
 @dataclass(frozen=True)

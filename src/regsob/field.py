@@ -252,7 +252,7 @@ def save_field(fld, path):
 def load_field(path):
     """Read a field file; arrays and header keys it does not use (the
     quadrature weights and flags of older files) are ignored."""
-    header, arrays = io_container.read_container(path)
+    header, arrays = io_container.read_container(path, kind="radial_field")
     grid = HalfSpaceGrid(
         n=int(header["n"]),
         r_nodes=arrays["r_nodes"],

@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ChecksumFailure, CorruptHeader, VersionMismatch
+from .errors import ChecksumFailure, CorruptHeader, UnknownKind, VersionMismatch
 
 MAGIC = b"RSOB"
 VERSION = 2
@@ -50,8 +50,9 @@ def write_container(path, header, arrays):
         raise
 
 
-def read_container(path):
-    """Return (header dict, {name: ndarray}) after checksum validation."""
+def read_container(path, kind=None):
+    """Return (header dict, {name: ndarray}) after checksum validation; with
+    kind, a header of another kind raises UnknownKind."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < _PREFIX + _CRC or blob[:4] != MAGIC:
@@ -68,6 +69,10 @@ def read_container(path):
         header = json.loads(blob[_PREFIX : _PREFIX + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptHeader(f"{path}: bad header JSON ({e})")
+    if kind is not None and header.get("kind") != kind:
+        raise UnknownKind(
+            f"{path}: file kind {header.get('kind')!r}, expected {kind!r}"
+        )
     arrays = {}
     offset = _PREFIX + hlen
     for spec in header.get("arrays", []):

@@ -214,8 +214,9 @@ def kernel_values_excluded(r, s, t, params, m_lo):
                 2.0 * np.pi * (lo ** (1.0 - q) - hi ** (1.0 - q)) / ((q - 1.0) * 2.0 * rsp)
             )
         else:
-            # shifted lower endpoint kills the left singular weight; a plain
-            # dyadic composite from the new endpoint suffices
+            # the shifted lower endpoint kills the left singular weight:
+            # dyadic panels graded away from m0 cover [lo, mid], and a last
+            # Gauss-Jacobi panel [mid, m1] carries (m1 - m)^alpha
             alpha = (d - 2) / 2.0
             lo = np.maximum(m0[part], m_lo)
             vals = np.zeros_like(cp)
@@ -223,9 +224,10 @@ def kernel_values_excluded(r, s, t, params, m_lo):
             m0p = m0[part]
             m1p = m1[part]
             gap0 = lo - m0p
+            mid = 0.5 * (lo + m1p)
             for k in range(_MAX_PANELS):
-                a_k = np.minimum(lo + gap0 * (2.0 ** k - 1.0), m1p)
-                b_k = np.minimum(lo + gap0 * (2.0 ** (k + 1) - 1.0), m1p)
+                a_k = np.minimum(lo + gap0 * (2.0 ** k - 1.0), mid)
+                b_k = np.minimum(lo + gap0 * (2.0 ** (k + 1) - 1.0), mid)
                 width = b_k - a_k
                 if not np.any(width > 0):
                     break
@@ -233,9 +235,14 @@ def kernel_values_excluded(r, s, t, params, m_lo):
                 f = (
                     m ** (-p / 2.0)
                     * (m - m0p[:, None]) ** alpha
-                    * np.maximum(m1p[:, None] - m, 0.0) ** alpha
+                    * (m1p[:, None] - m) ** alpha
                 )
                 vals += (width / 2.0) * (f @ wg)
+            xj, wj = roots_jacobi(_PANEL_NODES, alpha, 0.0)
+            half = m1p - mid
+            m = mid[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
+            f = m ** (-p / 2.0) * (m - m0p[:, None]) ** alpha
+            vals += (half / 2.0) ** (alpha + 1.0) * (f @ wj)
             out[part] = sphere_surface(d - 1) * (2.0 * rsp) ** (-(d - 1)) * vals
     return out
 
@@ -403,7 +410,7 @@ def save_table(table, path):
 def load_table(path):
     from . import io_container
 
-    header, arrays = io_container.read_container(path)
+    header, arrays = io_container.read_container(path, kind="kernel_table")
     return KernelTable(
         params=KernelParams(
             n=int(header["n"]), sigma=float(header["sigma"]), p=float(header["p"])

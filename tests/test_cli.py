@@ -4,6 +4,8 @@ import pytest
 
 from regsob.cli import DEFAULT_CONFIG, _threads, load_config, main
 from regsob.errors import ConfigError
+from regsob.field import make_grid
+from regsob.kernel import KernelParams, build_kernel_table, save_table
 
 MINI = {
     "solver": {"schedule": [8, 10], "R_max": 8.0, "max_iters": 5},
@@ -127,4 +129,15 @@ def test_kernel_table_order_checked(tmp_path, capsys):
     out = tmp_path / "tab.rsob"
     assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 1
     assert "kernel_table.order" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma0_rejects_kernel_table_file(tmp_path, capsys):
+    tab = tmp_path / "tab.rsob"
+    g = make_grid(4, 2.0, 6, 6)
+    save_table(build_kernel_table(g, KernelParams.energy(4, 0.75)), tab)
+    out = tmp_path / "g0.json"
+    assert main(["gamma0", "--theta", str(tab), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "UnknownKind" in err and str(tab) in err
     assert not out.exists()

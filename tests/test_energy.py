@@ -50,6 +50,15 @@ def setup_gamma0():
     return g, tab, f
 
 
+@pytest.fixture(scope="module")
+def setup_graded():
+    # the graded grid and power weight of the operator gamma0.tail_bound builds
+    g = make_grid(4, 1.05, 16, 16, (2.0, 2.0))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    f = synthesize_profile("compact-bump", g, 0.75)
+    return g, tab, f
+
+
 def test_zero_field_all_parts_zero(setup4):
     g, tab, f = setup4
     bd = seminorm(f.with_values(np.zeros(g.shape)), tab)
@@ -281,7 +290,9 @@ def test_gradient_matches_finite_difference():
 
 # Values of the form as evaluated family by family (far moments, mid ring,
 # exterior, fine and coarse near forms) before the energy was assembled into
-# one matrix; w = default_rng(0).uniform(-1, 1) on the 17 x 17 grid.
+# one matrix (setup_graded: before the mid ring was stored as per-box Gauss
+# bases and per-pair kernel blocks, in place of 18 x 18 pair forms);
+# w = default_rng(0).uniform(-1, 1) on the 17 x 17 grid.
 _FAMILY_SUMS = {
     "setup4": dict(
         weight="none",
@@ -302,6 +313,16 @@ _FAMILY_SUMS = {
         grad_w=-0.4531779772667935,
         bilinear=-0.2265889886333897,
         ball=-0.10856339662506702,
+    ),
+    "setup_graded": dict(
+        weight=("power", 1.0),
+        energy=11.719866004154298,
+        far=6.502573526675256,
+        near=5.21729247747904,
+        qerr=0.003782583040022658,
+        grad_w=-0.3649098923722973,
+        bilinear=-0.18245494618614844,
+        ball=1.3548836813622227,
     ),
 }
 

@@ -251,6 +251,9 @@ def test_mc_config_validation():
         MCConfig(batches=1)
     with pytest.raises(InvalidParams):
         MCConfig(samples_per_batch=10)
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(InvalidParams, match="workers"):
+            MCConfig(workers=bad)
 
 
 def test_verify_flat_matches_grid_quotient(envelope16):

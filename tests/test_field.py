@@ -21,6 +21,7 @@ from regsob.field import (
     synthesize_profile,
 )
 from regsob.io_container import read_container, write_container
+from regsob.kernel import KernelParams, build_kernel_table, load_table, save_table
 
 
 def test_uniform_grid_nodes():
@@ -167,6 +168,19 @@ def test_old_layout_file_loads(tmp_path):
     assert np.array_equal(b.regular_values, a.regular_values)
     assert b.sigma == a.sigma
     assert b.tail == a.tail
+
+
+def test_load_checks_file_kind(tmp_path):
+    g = make_grid(4, 2.0, 8, 10, (2.0, 1.5))
+    fp, tp = tmp_path / "f.rsob", tmp_path / "t.rsob"
+    save_field(synthesize_profile("envelope", g, 0.75), fp)
+    save_table(build_kernel_table(g, KernelParams.energy(4, 0.75)), tp)
+    with pytest.raises(UnknownKind) as e:
+        load_field(tp)
+    assert f"{tp}: file kind 'kernel_table', expected 'radial_field'" in str(e.value)
+    with pytest.raises(UnknownKind) as e:
+        load_table(fp)
+    assert f"{fp}: file kind 'radial_field', expected 'kernel_table'" in str(e.value)
 
 
 def test_header_metadata(tmp_path):

@@ -116,21 +116,22 @@ def test_reduction_matches_full_dimension_monte_carlo():
     assert abs(est - angular_kernel(r, s, t, par)) < 3 * err
 
 
-def test_excluded_range_partial_integral():
-    par = KernelParams.energy(5, 0.75)
+@pytest.mark.parametrize("n", [3, 5])
+def test_excluded_range_partial_integral(n):
+    # odd n: the range ends at m1 with an integrable (m1 - m)^alpha factor
+    par = KernelParams.energy(n, 0.75)
     r, s, t, m_lo = 1.0, 1.2, 0.1, 0.5
     c = r * r + s * s + t * t
+    # separations >= sqrt(m_lo) are the angles past the cut
+    cut = np.arccos((c - m_lo) / (2 * r * s))
 
     def f(phi):
-        sep2 = c - 2 * r * s * np.cos(phi)
-        if sep2 < m_lo:
-            return 0.0
-        return np.sin(phi) ** (par.n - 3) * sep2 ** (-par.p / 2)
+        return np.sin(phi) ** (n - 3) * (c - 2 * r * s * np.cos(phi)) ** (-par.p / 2)
 
-    ref, _ = quad(f, 0.0, np.pi, limit=400)
-    ref *= sphere_surface(par.n - 3)
+    ref, _ = quad(f, cut, np.pi, limit=400, epsabs=0.0, epsrel=1e-13)
+    ref *= sphere_surface(n - 3)
     got = float(kernel_values_excluded(r, s, t, par, m_lo))
-    assert got == pytest.approx(ref, rel=1e-6)
+    assert got == pytest.approx(ref, rel=1e-10)
     # removing the exclusion recovers the full kernel
     assert float(kernel_values_excluded(r, s, t, par, 0.0)) == pytest.approx(
         angular_kernel(r, s, t, par), rel=1e-12
