@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .gamma0 import (
     interior_weighted_growth,
     tail_bound,
 )
+from .io_container import write_atomic
 from .kernel import (
     KernelParams,
     build_kernel_table,
@@ -167,8 +169,7 @@ class Manifest:
         self.write()
 
     def write(self):
-        with open(self.path, "w") as fh:
-            json.dump(self.data, fh, indent=2)
+        write_atomic(self.path, json.dumps(self.data, indent=2).encode())
 
     def finish(self, outputs):
         self.data["wall_time_s"] = time.time() - self.t0
@@ -215,8 +216,7 @@ def cmd_gamma0(args):
         grids=g["grids"],
         provenance=args.theta,
     )
-    with open(args.out, "w") as fh:
-        json.dump(rep.to_json(), fh, indent=2)
+    write_atomic(args.out, json.dumps(rep.to_json(), indent=2).encode())
     man.finish([args.out])
     print(f"gamma0 {rep.value:.6f} verdict {rep.sign_verdict}")
     return 0
@@ -252,33 +252,36 @@ def cmd_verify(args):
         "verify", cfg, [args.theta, args.gamma0], args.out + ".manifest.json"
     )
     verdicts = verify_upper_bound(theta, rep, bg, v["lambda_schedule"], mc)
-    with open(args.out + ".json", "w") as fh:
-        json.dump([x.to_json() for x in verdicts], fh, indent=2)
-    with open(args.out + ".csv", "w", newline="") as fh:
-        w = csv.writer(fh)
+    write_atomic(
+        args.out + ".json",
+        json.dumps([x.to_json() for x in verdicts], indent=2).encode(),
+    )
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(
+        [
+            "lambda",
+            "measured_quotient",
+            "stderr",
+            "predicted_bound",
+            "curvature_term",
+            "F_term",
+            "pass",
+        ]
+    )
+    for x in verdicts:
         w.writerow(
             [
-                "lambda",
-                "measured_quotient",
-                "stderr",
-                "predicted_bound",
-                "curvature_term",
-                "F_term",
-                "pass",
+                x.lam,
+                x.measured_quotient,
+                x.measured_stderr,
+                x.predicted_bound,
+                x.term_breakdown["curvature_term"],
+                x.term_breakdown["F_term"],
+                int(x.passed),
             ]
         )
-        for x in verdicts:
-            w.writerow(
-                [
-                    x.lam,
-                    x.measured_quotient,
-                    x.measured_stderr,
-                    x.predicted_bound,
-                    x.term_breakdown["curvature_term"],
-                    x.term_breakdown["F_term"],
-                    int(x.passed),
-                ]
-            )
+    write_atomic(args.out + ".csv", buf.getvalue().encode())
     man.finish([args.out + ".json", args.out + ".csv"])
     ok = all(x.passed for x in verdicts)
     for x in verdicts:

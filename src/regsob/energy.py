@@ -5,9 +5,12 @@ The double integral over the truncated half-space splits into a far part
 pairs in the mid ring, and the coupling to the zero exterior of the
 truncation cylinder) and a near part (index adjacent dual-cell pairs
 integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
-Each family yields local quadratic forms in the nodal regular factor.  They
-are assembled once per (grid, kernel, weight) into one symmetric matrix H,
-so the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  For
+Each family yields local quadratic forms in the nodal regular factor, built
+from rows of one helper, _hat, which places a point's two bilinear weights
+per axis on the slots of the family's node patch (3 nodes per axis for the
+box moments and the mid ring, 4 for the near forms).  The forms are
+assembled once per (grid, kernel, weight) into one symmetric matrix H, so
+the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  For
 sums restricted to the pairs inside a ball B_lambda, which the assembled
 matrix cannot separate, the near pairs keep their local forms and the mid
 ring keeps one Gauss basis per box and one weighted kernel block per pair.
@@ -110,6 +113,14 @@ def _interp_slots(nodes, base, x):
     return c - base, np.clip(f, 0.0, 1.0)
 
 
+def _hat(c, f, width):
+    """Bilinear weights of points as rows over `width` patch slots: 1 - f at
+    slot c and f at slot c + 1, shape c.shape + (width,)."""
+    slot = np.arange(width)
+    c, f = np.asarray(c)[..., None], f[..., None]
+    return np.where(slot == c, 1.0 - f, np.where(slot == c + 1, f, 0.0))
+
+
 _Z_PANELS = 10
 
 
@@ -209,11 +220,12 @@ def _box_moments(grid, sigma, q=6):
     gj = np.clip(np.arange(nz)[:, None] + off[None, :], 0, nz - 1)
     map9 = (gi[:, None, :, None] * nz + gj[None, :, None, :]).reshape(N, 9)
 
-    c1 = np.zeros((N, 9))
-    Q2 = np.zeros((N, 9, 9))
+    c1 = np.zeros((nr, nz, 3, 3))
+    Q2 = np.zeros((nr, nz, 3, 3, 3, 3))
     xg, wg = roots_legendre(q)
     fg = (xg + 1.0) / 2.0
-    zero_dz = None
+    # half-box s of a node lies in the cell whose corners are the node's
+    # patch slots s and s + 1 along each axis
     for s_i in (0, 1):
         ii = np.arange(1, nr) if s_i == 0 else np.arange(0, nr - 1)
         ci = ii - 1 + s_i
@@ -221,43 +233,26 @@ def _box_moments(grid, sigma, q=6):
         hi_r = rn[ii] if s_i == 0 else er[ii + 1]
         rq = lo_r[:, None] + (hi_r - lo_r)[:, None] * fg[None, :]
         wr = (hi_r - lo_r)[:, None] * (wg[None, :] / 2.0) * rq ** npow
-        fr = (rq - rn[ci][:, None]) / (rn[ci + 1] - rn[ci])[:, None]
-        br = np.stack([1.0 - fr, fr])  # (2, Ni, q)
-        Ar = np.einsum("iq,uiq->ui", wr, br)
-        Br = np.einsum("iq,uiq,viq->uvi", wr, br, br)
+        hr = _hat(s_i, (rq - rn[ci][:, None]) / (rn[ci + 1] - rn[ci])[:, None], 3)
+        Ar = np.einsum("iq,iqa->ia", wr, hr)
+        Br = np.einsum("iq,iqa,iqb->iab", wr, hr, hr)
         for s_j in (0, 1):
             jj = np.arange(1, nz) if s_j == 0 else np.arange(0, nz - 1)
             cj = jj - 1 + s_j
             lo_z = ez[jj] if s_j == 0 else zn[jj]
             hi_z = zn[jj] if s_j == 0 else ez[jj + 1]
-            if zero_dz is None or zero_dz.size != jj.size:
-                zero_dz = np.zeros(jj.size)
+            zero_dz = np.zeros(jj.size)
             zq1, wz1 = _z_rule(lo_z, hi_z, zero_dz, a_exp, 0.0, q)
             zq2, wz2 = _z_rule(lo_z, hi_z, zero_dz, 2.0 * a_exp, 0.0, q)
             hz = (zn[cj + 1] - zn[cj])[:, None]
-            f1 = (zq1 - zn[cj][:, None]) / hz
-            f2 = (zq2 - zn[cj][:, None]) / hz
-            bz1 = np.stack([1.0 - f1, f1])
-            bz2 = np.stack([1.0 - f2, f2])
-            Az = np.einsum("jq,vjq->vj", wz1, bz1)
-            Bz = np.einsum("jq,vjq,wjq->vwj", wz2, bz2, bz2)
-            # local slots of cell corners relative to the node
-            node_flat = (ii[:, None] * nz + jj[None, :]).ravel()
-            for uu in (0, 1):
-                sli = 3 * (s_i - 1 + uu + 1)
-                for vv in (0, 1):
-                    sl = sli + (s_j - 1 + vv + 1)
-                    c1[node_flat, sl] += np.outer(
-                        Ar[uu], Az[vv]
-                    ).ravel()
-                    for uu2 in (0, 1):
-                        sli2 = 3 * (s_i - 1 + uu2 + 1)
-                        for vv2 in (0, 1):
-                            sl2 = sli2 + (s_j - 1 + vv2 + 1)
-                            Q2[node_flat, sl, sl2] += np.outer(
-                                Br[uu, uu2], Bz[vv, vv2]
-                            ).ravel()
-    return map9, c1, Q2
+            hz1 = _hat(s_j, (zq1 - zn[cj][:, None]) / hz, 3)
+            hz2 = _hat(s_j, (zq2 - zn[cj][:, None]) / hz, 3)
+            Az = np.einsum("jq,jqa->ja", wz1, hz1)
+            Bz = np.einsum("jq,jqa,jqb->jab", wz2, hz2, hz2)
+            box = np.ix_(ii, jj)
+            c1[box] += Ar[:, None, :, None] * Az[None, :, None, :]
+            Q2[box] += Br[:, None, :, None, :, None] * Bz[None, :, None, :, None, :]
+    return map9, c1.reshape(N, 9), Q2.reshape(N, 9, 9)
 
 
 _MID_RING = 8
@@ -288,12 +283,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
         Xq = edges[:-1, None] + wid[:, None] * fg[None, :]
         Wq = wid[:, None] * hg[None, :] * Xq ** power
         base = np.clip(np.arange(m) - 1, 0, m - 3)
-        crel, frac = _interp_slots(nodes, base[:, None], Xq)
-        B = np.zeros((m, q, 3))
-        idx = np.broadcast_to(np.arange(m)[:, None], crel.shape)
-        gq = np.broadcast_to(np.arange(q)[None, :], crel.shape)
-        np.add.at(B, (idx, gq, crel), 1.0 - frac)
-        np.add.at(B, (idx, gq, crel + 1), frac)
+        B = _hat(*_interp_slots(nodes, base[:, None], Xq), 3)
         return Xq, Wq, base[:, None] + np.arange(3), B
 
     RQ, WR, patch_r, BRr = axis_data(rn, er, npow)
@@ -503,21 +493,13 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     L = np.zeros((P, 16, 16))
 
     a_exp = 2.0 * sigma - 1.0
+    # (z_x^a p_x - z_y^a p_y)^2 term by term: z exponents at x and at y, the
+    # coefficient, and the points (x or y) whose rows form the term
     terms = (
-        (2.0 * a_exp, 0.0, 1.0),
-        (a_exp, a_exp, -2.0),
-        (0.0, 2.0 * a_exp, 1.0),
+        (2.0 * a_exp, 0.0, 1.0, "xx"),
+        (a_exp, a_exp, -2.0, "xy"),
+        (0.0, 2.0 * a_exp, 1.0, "yy"),
     )
-
-    def scatter(out, ci, fi, cj, fj):
-        # all index/fraction arrays have shape (Ps, n_x, nzt)
-        Ps, nq = out.shape[:2]
-        for di in (0, 1):
-            cr = np.abs(1 - di - fi)
-            for dj in (0, 1):
-                cz = np.abs(1 - dj - fj)
-                slot = ((ci + di) * 4 + cj + dj).reshape(Ps, nq)
-                out[pidx, qidx, slot] = (cr * cz).reshape(Ps, nq)
 
     for sr, sz in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         er = np.maximum(B1r - A0r, 0.0) if sr > 0 else np.maximum(A1r - B0r, 0.0)
@@ -537,8 +519,14 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
             Ps = sel.size
             acc = np.zeros((Ps, 16, 16))
             nq = n_x * nzt
-            qidx = np.broadcast_to(np.arange(nq)[None, :], (Ps, nq))
-            pidx = np.broadcast_to(np.arange(Ps)[:, None], (Ps, nq))
+
+            def rows(h_r, zq):
+                # 16-slot rows over the 4x4 patch: radial hat times vertical hat
+                h_z = _hat(*_interp_slots(zn, base_js[:, None], zq), 4)
+                return (h_r[:, :, None, :, None] * h_z[:, None, :, None, :]).reshape(
+                    Ps, nq, 16
+                )
+
             for tri in (0, 1):
                 for k in range(n_rho):
                     for m in range(n_v):
@@ -567,87 +555,38 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
                             * xr ** npow
                             * yr ** npow
                         )
-                        cxi, fx = _interp_slots(rn, base_is[:, None], xr)
-                        cyi, fy = _interp_slots(rn, base_is[:, None], yr)
-                        cxi = np.broadcast_to(cxi[:, :, None], (Ps, n_x, nzt))
-                        fx = np.broadcast_to(fx[:, :, None], (Ps, n_x, nzt))
-                        cyi = np.broadcast_to(cyi[:, :, None], (Ps, n_x, nzt))
-                        fy = np.broadcast_to(fy[:, :, None], (Ps, n_x, nzt))
-                        for e_x, e_y, coef in terms:
+                        hat_r = {
+                            "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
+                            "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
+                        }
+                        for e_x, e_y, coef, sides in terms:
                             zz, zw = _z_rule(
                                 lo_z, hi_z, dz, e_x, e_y, n_z, panels=npan
                             )
-                            wq = (wc[:, :, None] * zw[:, None, :]).reshape(Ps, nq)
+                            zq = {"x": zz, "y": zz + dz[:, None]}
+                            wq = wc[:, :, None] * zw[:, None, :]
                             if weight_fn is not None:
-                                XR = np.broadcast_to(
-                                    xr[:, :, None], (Ps, n_x, nzt)
-                                )
-                                XZ = np.broadcast_to(
-                                    zz[:, None, :], (Ps, n_x, nzt)
-                                )
                                 wq = wq * weight_fn(
-                                    XR,
-                                    XZ,
-                                    XR + dr[:, None, None],
-                                    XZ + dz[:, None, None],
-                                ).reshape(Ps, nq)
-                            A = np.zeros((Ps, nq, 16))
-                            if coef > 0 and e_y > 0:
-                                # term 3: basis at y only
-                                cwi, fw = _interp_slots(
-                                    zn, base_js[:, None], zz + dz[:, None]
+                                    xr[:, :, None],
+                                    zq["x"][:, None, :],
+                                    yr[:, :, None],
+                                    zq["y"][:, None, :],
                                 )
-                                scatter(
-                                    A,
-                                    cyi,
-                                    fy,
-                                    np.broadcast_to(
-                                        cwi[:, None, :], (Ps, n_x, nzt)
-                                    ),
-                                    np.broadcast_to(
-                                        fw[:, None, :], (Ps, n_x, nzt)
-                                    ),
-                                )
+                            wq = wq.reshape(Ps, nq)
+                            s1, s2 = sides
+                            A = rows(hat_r[s1], zq[s1])
+                            if s1 == s2:
                                 acc += np.einsum(
                                     "pq,pqa,pqb->pab", coef * wq, A, A,
                                     optimize=True,
                                 )
-                                continue
-                            czi, fz = _interp_slots(zn, base_js[:, None], zz)
-                            scatter(
-                                A,
-                                cxi,
-                                fx,
-                                np.broadcast_to(czi[:, None, :], (Ps, n_x, nzt)),
-                                np.broadcast_to(fz[:, None, :], (Ps, n_x, nzt)),
-                            )
-                            if coef < 0:
-                                # term 2: cross basis, symmetrized
-                                B = np.zeros((Ps, nq, 16))
-                                cwi, fw = _interp_slots(
-                                    zn, base_js[:, None], zz + dz[:, None]
-                                )
-                                scatter(
-                                    B,
-                                    cyi,
-                                    fy,
-                                    np.broadcast_to(
-                                        cwi[:, None, :], (Ps, n_x, nzt)
-                                    ),
-                                    np.broadcast_to(
-                                        fw[:, None, :], (Ps, n_x, nzt)
-                                    ),
-                                )
+                            else:
+                                # cross term, symmetrized
                                 cross = np.einsum(
-                                    "pq,pqa,pqb->pab", 0.5 * coef * wq, A, B,
-                                    optimize=True,
+                                    "pq,pqa,pqb->pab", 0.5 * coef * wq, A,
+                                    rows(hat_r[s2], zq[s2]), optimize=True,
                                 )
                                 acc += cross + cross.transpose(0, 2, 1)
-                            else:
-                                acc += np.einsum(
-                                    "pq,pqa,pqb->pab", coef * wq, A, A,
-                                    optimize=True,
-                                )
             L[sel] += acc
     return maps, ga, gb, L
 

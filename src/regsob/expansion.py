@@ -413,6 +413,14 @@ def curvature_term(theta, lam, bg, gamma0_report=None):
     if lam <= 0:
         raise InvalidParams(f"lambda must be positive, got {lam}")
     n, sigma = theta.grid.n, theta.sigma
+    tab = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
+    return _curvature_term(theta, lam, bg, gamma0_report, tab)
+
+
+def _curvature_term(theta, lam, bg, gamma0_report, tab):
+    """curvature_term with Theta's curvature table given, so that a lambda
+    scan builds it once."""
+    n, sigma = theta.grid.n, theta.sigma
     q = (n + 2.0 * sigma) / 2.0
     H = bg.mean_curvature
     value = q * H * gamma0_report.value / lam
@@ -425,7 +433,6 @@ def curvature_term(theta, lam, bg, gamma0_report=None):
         )
         / lam
     )
-    tab = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
     ext = weighted_seminorm(theta, tab, "gamma0", lam=lam, exterior=True).total
     fd = q * abs(H) * abs(ext) / lam
     cut = cutoff_profile(theta, lam)
@@ -588,6 +595,7 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
         raise InvalidParams("chart must contain the cutoff support ball B_3")
     p = critical_p(n, sigma)
     ref = _reference(theta)
+    tab_curv = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
     verdicts = []
     for lam in lam_schedule:
         lam = float(lam)
@@ -618,7 +626,7 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
         se = means.std(axis=0, ddof=1) / np.sqrt(cfg.batches)
         i_delta, i_flat_mc, i_b, i_f, i_res = est
         denom = mass ** (2.0 / p)
-        ct = curvature_term(theta, lam, bg, gamma0_report)
+        ct = _curvature_term(theta, lam, bg, gamma0_report, tab_curv)
         # the B-linear part of the kernel deviation is evaluated by
         # quadrature through the curvature term; the sampler measures only
         # the Taylor remainder, whose scale the F bound controls

@@ -3,9 +3,10 @@
 Layout (version 2): magic "RSOB", little-endian u32 version, u32 header
 length, UTF-8 JSON header, the named float64 arrays in row-major order, and
 a trailing little-endian u32 CRC-32 (zlib) of everything before it.  Files
-are written to a temporary name beside the target and moved into place, so
-a reader never sees a partial file.  Version 1 files (CRC-64 trailer) are
-rejected with VersionMismatch.
+are written to a temporary name beside the target and moved into place
+(write_atomic, which the JSON and CSV outputs use too), so a reader never
+sees a partial file.  Version 1 files (CRC-64 trailer) are rejected with
+VersionMismatch.
 """
 
 from __future__ import annotations
@@ -39,10 +40,16 @@ def write_container(path, header, arrays):
     for v in arrays.values():
         blob += np.ascontiguousarray(v, dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(blob))
+    write_atomic(path, blob)
+
+
+def write_atomic(path, data):
+    """Write bytes to a temporary name beside path and move it into place,
+    so that a reader sees the old file or the new one, never a partial one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(blob)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

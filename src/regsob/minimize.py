@@ -34,6 +34,7 @@ from .field import (
     save_field,
     synthesize_profile,
 )
+from .io_container import write_atomic
 from .kernel import KernelParams, build_kernel_table, sphere_surface
 from .rearrange import rearrange_sharp
 
@@ -347,5 +348,5 @@ def save_result(result, path):
         "config": asdict(result.config),
         "config_hash": result.config.digest(),
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, default=list)
+    text = json.dumps(sidecar, indent=2, default=list)
+    write_atomic(str(path) + ".json", text.encode())

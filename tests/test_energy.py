@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from regsob.energy import (
+    _hat,
+    _interp_slots,
     assemble,
     brute_force_seminorm,
     critical_p,
@@ -14,8 +16,10 @@ from regsob.energy import (
 )
 from regsob.errors import NonCompactSupport, PointTooCloseToEdge, ZeroField
 from regsob.field import (
+    RadialField,
     attach_tail_model,
     eval_u,
+    eval_vt,
     make_grid,
     synthesize_profile,
 )
@@ -288,6 +292,42 @@ def test_gradient_matches_finite_difference():
     assert float(form.grad(v) @ w.ravel()) == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize("width", [3, 4])
+def test_hat_rows_reproduce_field_interpolant(width):
+    # the patch rows of the box moments and mid ring (3 nodes per axis) and
+    # of the near forms (4 nodes per axis) against the field's own bilinear
+    # interpolant, on random points and on each patch's far corner
+    g = make_grid(4, 2.0, 12, 10, (2.0, 1.5))
+    rng = np.random.default_rng(width)
+    f = RadialField(g, rng.uniform(-1.0, 1.0, g.shape), 0.75)
+    m = 400
+    br = rng.integers(0, g.r_nodes.size - width + 1, m)
+    bz = rng.integers(0, g.z_nodes.size - width + 1, m)
+    r = rng.uniform(g.r_nodes[br], g.r_nodes[br + width - 1])
+    z = rng.uniform(g.z_nodes[bz], g.z_nodes[bz + width - 1])
+    r[:20] = g.r_nodes[br[:20] + width - 1]
+    z[:20] = g.z_nodes[bz[:20] + width - 1]
+    hr = _hat(*_interp_slots(g.r_nodes, br, r), width)
+    hz = _hat(*_interp_slots(g.z_nodes, bz, z), width)
+    assert hr.shape == hz.shape == (m, width)
+    assert np.all(np.abs(hr.sum(axis=1) - 1.0) <= 1e-15)
+    assert np.all(np.abs(hz.sum(axis=1) - 1.0) <= 1e-15)
+    slots = np.arange(width)
+    patch = f.regular_values[
+        br[:, None, None] + slots[:, None], bz[:, None, None] + slots[None, :]
+    ]
+    rows = (hr[:, :, None] * hz[:, None, :]).reshape(m, -1)
+    got = np.einsum("pk,pk->p", rows, patch.reshape(m, -1))
+    assert np.max(np.abs(got - eval_vt(f, r, z))) <= 1e-14
+
+
+# qerr = |near - near_coarse| is a difference of near-equal energies, so at
+# 1e-12 it pins the rounding of the near forms: evaluating their einsums with
+# optimize=False alone moved qerr by 8.4e-12 relative on setup4 and by
+# 1.2e-11 on setup_graded (and graded grad_w by 2e-12), and a Kronecker-
+# factored near form moved qerr by up to 1.7e-10.  A rewrite of the near
+# forms that keeps these values keeps their arithmetic bit for bit.
+#
 # Values of the form as evaluated family by family (far moments, mid ring,
 # exterior, fine and coarse near forms) before the energy was assembled into
 # one matrix (setup_graded: before the mid ring was stored as per-box Gauss

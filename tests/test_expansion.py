@@ -3,7 +3,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from regsob import energy
+from regsob import energy, expansion
 from regsob.energy import critical_p, lp_norm, seminorm
 from regsob.errors import (
     CoincidentPoints,
@@ -271,3 +271,20 @@ def test_verify_flat_matches_grid_quotient(envelope16):
     assert v.passed
     j = v.to_json()
     assert j["pass"] is True
+
+
+def test_verify_builds_each_table_once(envelope16, monkeypatch):
+    built = []
+
+    def counting_build(grid, params):
+        built.append(params)
+        return build_kernel_table(grid, params)
+
+    monkeypatch.setattr(expansion, "build_kernel_table", counting_build)
+    flat = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
+    cfg = MCConfig(batches=2, samples_per_batch=200, seed=0, max_rel_stderr=1.0)
+    lams = (2.0, 2.5, 3.0)
+    verdicts = verify_upper_bound(envelope16, make_report(5.0), flat, lams, cfg)
+    assert [v.lam for v in verdicts] == list(lams)
+    # one energy and one curvature table serve the whole lambda scan
+    assert built == [KernelParams.energy(4, 0.75), KernelParams.curvature(4, 0.75)]

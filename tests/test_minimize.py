@@ -184,3 +184,19 @@ def test_result_persistence_roundtrip(tmp_path, coarse_result):
     side = json.loads((tmp_path / "theta.bin.json").read_text())
     assert side["s_estimate"] == pytest.approx(coarse_result.s_estimate)
     assert side["config_hash"] == coarse_result.config.digest()
+
+
+def test_sidecar_rewrite_is_atomic(tmp_path, coarse_result):
+    from dataclasses import replace
+
+    path = tmp_path / "theta.bin"
+    save_result(coarse_result, path)
+    side = tmp_path / "theta.bin.json"
+    before = side.read_bytes()
+    # a value json cannot encode makes the second sidecar fail while it is
+    # serialized; the first one must survive whole, with no temporary left
+    env = replace(coarse_result.envelope_report, ratio_min=object())
+    with pytest.raises(TypeError):
+        save_result(replace(coarse_result, envelope_report=env), path)
+    assert side.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
