@@ -14,15 +14,25 @@ the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  For
 sums restricted to the pairs inside a ball B_lambda, which the assembled
 matrix cannot separate, the near pairs keep their local forms and the mid
 ring keeps one Gauss basis per box and one weighted kernel block per pair.
+
+The near forms are most of a build.  Their independent blocks (a sign
+quadrant of the separation times the interior or the boundary pairs, at
+the fine and the coarse orders) run on a thread pool with one worker per
+CPU in the process's affinity mask, and the calling thread adds the
+results up in one fixed block order, so every assembled array is bitwise
+the same for any worker count.  The other families are built on the
+calling thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import (
     GridMismatch,
@@ -34,6 +44,7 @@ from .errors import (
 )
 from .field import eval_u
 from .kernel import (
+    gauss_rule,
     grid_signature,
     kernel_values,
     kernel_values_excluded,
@@ -145,7 +156,7 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
                                               np.minimum(d_self, d_other)))
     h0 = np.minimum(far, width) if panels else width
 
-    xg, wg = roots_legendre(q)
+    xg, wg = gauss_rule(q)
     fg = (xg + 1.0) / 2.0
     nodes = np.zeros((P, q * (panels + 1)))
     wts = np.zeros_like(nodes)
@@ -155,7 +166,7 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
     ):
         if not np.any(mask):
             continue
-        xj, wj = roots_jacobi(q, 0.0, expo)
+        xj, wj = gauss_rule(q, 0.0, expo)
         fj = (xj + 1.0) / 2.0
         zz = lo[mask, None] + h0[mask, None] * fj[None, :]
         ww = (h0[mask, None] / 2.0) ** (expo + 1.0) * wj[None, :]
@@ -222,7 +233,7 @@ def _box_moments(grid, sigma, q=6):
 
     c1 = np.zeros((nr, nz, 3, 3))
     Q2 = np.zeros((nr, nz, 3, 3, 3, 3))
-    xg, wg = roots_legendre(q)
+    xg, wg = gauss_rule(q)
     fg = (xg + 1.0) / 2.0
     # half-box s of a node lies in the cell whose corners are the node's
     # patch slots s and s + 1 along each axis
@@ -273,7 +284,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
     er, ez = _dual_edges(rn), _dual_edges(zn)
     a_exp = 2.0 * sigma - 1.0
     npow = grid.n - 2
-    xg, wg = roots_legendre(q)
+    xg, wg = gauss_rule(q)
     fg = (xg + 1.0) / 2.0
     hg = wg / 2.0
 
@@ -291,7 +302,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
     patch = patch_r[:, None, :, None] * nz + patch_z[None, :, None, :]
     basis = np.einsum("iga,jz,jzb->ijgzab", BRr, ZQ ** a_exp, BZz)
 
-    pairs = []
+    offsets = []
     for di in range(0, _MID_RING + 1):
         for dj in range(-_MID_RING, _MID_RING + 1):
             ring = max(di, abs(dj))
@@ -299,34 +310,42 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
                 continue
             ii = np.arange(0, nr - di)
             jj = np.arange(max(0, -dj), min(nz, nz - dj))
-            if ii.size == 0 or jj.size == 0:
-                continue
-            I = np.repeat(ii, jj.size)
-            J = np.tile(jj, ii.size)
-            Ib, Jb = I + di, J + dj
-            K = kernel_values(
+            if ii.size and jj.size:
+                offsets.append((di, dj, ii, jj))
+    # filled offset by offset, so that KW is never held twice
+    P = sum(ii.size * jj.size for _, _, ii, jj in offsets)
+    ga = np.empty(P, dtype=np.int64)
+    gb = np.empty(P, dtype=np.int64)
+    KW = np.empty((P, q * q, q * q))
+    s = 0
+    for di, dj, ii, jj in offsets:
+        I = np.repeat(ii, jj.size)
+        J = np.tile(jj, ii.size)
+        Ib, Jb = I + di, J + dj
+        e = s + I.size
+        ga[s:e], gb[s:e] = I * nz + J, Ib * nz + Jb
+        K = kernel_values(
+            RQ[I][:, :, None, None, None],
+            RQ[Ib][:, None, None, :, None],
+            ZQ[J][:, None, :, None, None] - ZQ[Jb][:, None, None, None, :],
+            params,
+        )
+        blk = (
+            K
+            * WR[I][:, :, None, None, None]
+            * WZ[J][:, None, :, None, None]
+            * WR[Ib][:, None, None, :, None]
+            * WZ[Jb][:, None, None, None, :]
+        )
+        if weight_fn is not None:
+            blk = blk * weight_fn(
                 RQ[I][:, :, None, None, None],
+                ZQ[J][:, None, :, None, None],
                 RQ[Ib][:, None, None, :, None],
-                ZQ[J][:, None, :, None, None]
-                - ZQ[Jb][:, None, None, None, :],
-                params,
+                ZQ[Jb][:, None, None, None, :],
             )
-            KW = (
-                K
-                * WR[I][:, :, None, None, None]
-                * WZ[J][:, None, :, None, None]
-                * WR[Ib][:, None, None, :, None]
-                * WZ[Jb][:, None, None, None, :]
-            )
-            if weight_fn is not None:
-                KW = KW * weight_fn(
-                    RQ[I][:, :, None, None, None],
-                    ZQ[J][:, None, :, None, None],
-                    RQ[Ib][:, None, None, :, None],
-                    ZQ[Jb][:, None, None, None, :],
-                )
-            pairs.append((I * nz + J, Ib * nz + Jb, KW.reshape(-1, q * q, q * q)))
-    ga, gb, KW = (np.concatenate(x) for x in zip(*pairs))
+        KW[s:e] = blk.reshape(-1, q * q, q * q)
+        s = e
     return patch.reshape(-1, 9), basis.reshape(-1, q * q, 9), ga, gb, KW
 
 
@@ -384,7 +403,7 @@ def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
         ]
     )
 
-    xg, wg = roots_legendre(q)
+    xg, wg = gauss_rule(q)
     fg = (xg + 1.0) / 2.0
     hr = np.diff(rn)
     hz = np.diff(zn)
@@ -442,6 +461,11 @@ def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
     return maps, X
 
 
+# the contraction order that optimize=True picks for every block shape of
+# the near-form einsums, given so that no call searches for it
+_NEAR_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def _near_local_forms(grid, params, sigma, weight_fn, orders):
     """Per-pair 16x16 local quadratic forms in the nodal regular factor.
 
@@ -453,6 +477,12 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     whose z weights are separable, so boundary cells get exact Gauss-Jacobi
     treatment of the z^a factors and the kernel (independent of the inner
     vertical variable) is evaluated once per radial node.
+
+    The forms are a sum over independent blocks, one per sign quadrant and
+    per batch (interior pairs, then pairs touching z = 0).  Returns (maps,
+    ga, gb, blocks) with each block (sel, fn), where fn() gives the block's
+    part of the forms of the pairs sel; adding these into L[sel] in block
+    order gives the forms L (see _sum_blocks).
     """
     n_rho, n_v, n_x = orders
     n_z = n_x
@@ -479,18 +509,17 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     B0z, B1z = ez_edges[bj], ez_edges[bj + 1]
 
     beta = 1.0 - 2.0 * sigma
-    xr_j, wr_j = roots_jacobi(n_rho, 0.0, beta)
+    xr_j, wr_j = gauss_rule(n_rho, 0.0, beta)
     rho = (xr_j + 1.0) / 2.0
     w_rho = wr_j * 2.0 ** (-beta - 1.0) * rho ** (2.0 * sigma)
-    xv, wv = roots_legendre(n_v)
+    xv, wv = gauss_rule(n_v)
     vv = (xv + 1.0) / 2.0
     w_v = wv / 2.0
-    xg, wg = roots_legendre(n_x)
+    xg, wg = gauss_rule(n_x)
     gg = (xg + 1.0) / 2.0
     w_g = wg / 2.0
 
     npow = grid.n - 2
-    L = np.zeros((P, 16, 16))
 
     a_exp = 2.0 * sigma - 1.0
     # (z_x^a p_x - z_y^a p_y)^2 term by term: z exponents at x and at y, the
@@ -501,94 +530,125 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
         (0.0, 2.0 * a_exp, 1.0, "yy"),
     )
 
+    def block(sel, sr, sz, ers, ezs, npan):
+        nzt = n_z * (npan + 1)
+        A0rs, A1rs, B0rs, B1rs = A0r[sel], A1r[sel], B0r[sel], B1r[sel]
+        A0zs, A1zs, B0zs, B1zs = A0z[sel], A1z[sel], B0z[sel], B1z[sel]
+        base_is, base_js = base_i[sel], base_j[sel]
+        mults = mult[sel]
+        Ps = sel.size
+        acc = np.zeros((Ps, 16, 16))
+        nq = n_x * nzt
+
+        def rows(h_r, zq):
+            # 16-slot rows over the 4x4 patch: radial hat times vertical hat
+            h_z = _hat(*_interp_slots(zn, base_js[:, None], zq), 4)
+            return (h_r[:, :, None, :, None] * h_z[:, None, :, None, :]).reshape(
+                Ps, nq, 16
+            )
+
+        for tri in (0, 1):
+            for k in range(n_rho):
+                for m in range(n_v):
+                    if tri == 0:
+                        a_sc, b_sc = rho[k], rho[k] * vv[m]
+                    else:
+                        a_sc, b_sc = rho[k] * vv[m], rho[k]
+                    dr = sr * ers * a_sc
+                    dz = sz * ezs * b_sc
+                    lo_r = np.maximum(A0rs, B0rs - dr)
+                    hi_r = np.minimum(A1rs, B1rs - dr)
+                    lo_z = np.maximum(A0zs, B0zs - dz)
+                    hi_z = np.minimum(A1zs, B1zs - dz)
+                    wid_r = np.maximum(hi_r - lo_r, 0.0)
+                    hi_z = np.maximum(hi_z, lo_z)
+                    w_pair = mults * ers * ezs * w_rho[k] * w_v[m]
+                    # radial inner nodes; the kernel needs only these
+                    xr = lo_r[:, None] + wid_r[:, None] * gg[None, :]
+                    yr = xr + dr[:, None]
+                    kv = kernel_values(xr, yr, dz[:, None], params)
+                    wc = (
+                        w_pair[:, None]
+                        * wid_r[:, None]
+                        * w_g[None, :]
+                        * kv
+                        * xr ** npow
+                        * yr ** npow
+                    )
+                    hat_r = {
+                        "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
+                        "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
+                    }
+                    for e_x, e_y, coef, sides in terms:
+                        zz, zw = _z_rule(
+                            lo_z, hi_z, dz, e_x, e_y, n_z, panels=npan
+                        )
+                        zq = {"x": zz, "y": zz + dz[:, None]}
+                        wq = wc[:, :, None] * zw[:, None, :]
+                        if weight_fn is not None:
+                            wq = wq * weight_fn(
+                                xr[:, :, None],
+                                zq["x"][:, None, :],
+                                yr[:, :, None],
+                                zq["y"][:, None, :],
+                            )
+                        wq = wq.reshape(Ps, nq)
+                        s1, s2 = sides
+                        A = rows(hat_r[s1], zq[s1])
+                        if s1 == s2:
+                            acc += np.einsum(
+                                "pq,pqa,pqb->pab", coef * wq, A, A,
+                                optimize=_NEAR_PATH,
+                            )
+                        else:
+                            # cross term, symmetrized
+                            cross = np.einsum(
+                                "pq,pqa,pqb->pab", 0.5 * coef * wq, A,
+                                rows(hat_r[s2], zq[s2]), optimize=_NEAR_PATH,
+                            )
+                            acc += cross + cross.transpose(0, 2, 1)
+        return acc
+
+    blocks = []
     for sr, sz in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         er = np.maximum(B1r - A0r, 0.0) if sr > 0 else np.maximum(A1r - B0r, 0.0)
         ez = np.maximum(B1z - A0z, 0.0) if sz > 0 else np.maximum(A1z - B0z, 0.0)
         ok = (er > 0) & (ez > 0)
-        for batch_bnd in (False, True):
-            npan = _Z_PANELS if batch_bnd else 0
-            nzt = n_z * (npan + 1)
-            sel = np.where(ok & (is_bnd == batch_bnd))[0]
-            if sel.size == 0:
-                continue
-            ers, ezs = er[sel], ez[sel]
-            A0rs, A1rs, B0rs, B1rs = A0r[sel], A1r[sel], B0r[sel], B1r[sel]
-            A0zs, A1zs, B0zs, B1zs = A0z[sel], A1z[sel], B0z[sel], B1z[sel]
-            base_is, base_js = base_i[sel], base_j[sel]
-            mults = mult[sel]
-            Ps = sel.size
-            acc = np.zeros((Ps, 16, 16))
-            nq = n_x * nzt
+        for npan in (0, _Z_PANELS):
+            sel = np.where(ok & (is_bnd == (npan > 0)))[0]
+            if sel.size:
+                fn = functools.partial(block, sel, sr, sz, er[sel], ez[sel], npan)
+                blocks.append((sel, fn))
+    return maps, ga, gb, blocks
 
-            def rows(h_r, zq):
-                # 16-slot rows over the 4x4 patch: radial hat times vertical hat
-                h_z = _hat(*_interp_slots(zn, base_js[:, None], zq), 4)
-                return (h_r[:, :, None, :, None] * h_z[:, None, :, None, :]).reshape(
-                    Ps, nq, 16
-                )
 
-            for tri in (0, 1):
-                for k in range(n_rho):
-                    for m in range(n_v):
-                        if tri == 0:
-                            a_sc, b_sc = rho[k], rho[k] * vv[m]
-                        else:
-                            a_sc, b_sc = rho[k] * vv[m], rho[k]
-                        dr = sr * ers * a_sc
-                        dz = sz * ezs * b_sc
-                        lo_r = np.maximum(A0rs, B0rs - dr)
-                        hi_r = np.minimum(A1rs, B1rs - dr)
-                        lo_z = np.maximum(A0zs, B0zs - dz)
-                        hi_z = np.minimum(A1zs, B1zs - dz)
-                        wid_r = np.maximum(hi_r - lo_r, 0.0)
-                        hi_z = np.maximum(hi_z, lo_z)
-                        w_pair = mults * ers * ezs * w_rho[k] * w_v[m]
-                        # radial inner nodes; the kernel needs only these
-                        xr = lo_r[:, None] + wid_r[:, None] * gg[None, :]
-                        yr = xr + dr[:, None]
-                        kv = kernel_values(xr, yr, dz[:, None], params)
-                        wc = (
-                            w_pair[:, None]
-                            * wid_r[:, None]
-                            * w_g[None, :]
-                            * kv
-                            * xr ** npow
-                            * yr ** npow
-                        )
-                        hat_r = {
-                            "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
-                            "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
-                        }
-                        for e_x, e_y, coef, sides in terms:
-                            zz, zw = _z_rule(
-                                lo_z, hi_z, dz, e_x, e_y, n_z, panels=npan
-                            )
-                            zq = {"x": zz, "y": zz + dz[:, None]}
-                            wq = wc[:, :, None] * zw[:, None, :]
-                            if weight_fn is not None:
-                                wq = wq * weight_fn(
-                                    xr[:, :, None],
-                                    zq["x"][:, None, :],
-                                    yr[:, :, None],
-                                    zq["y"][:, None, :],
-                                )
-                            wq = wq.reshape(Ps, nq)
-                            s1, s2 = sides
-                            A = rows(hat_r[s1], zq[s1])
-                            if s1 == s2:
-                                acc += np.einsum(
-                                    "pq,pqa,pqb->pab", coef * wq, A, A,
-                                    optimize=True,
-                                )
-                            else:
-                                # cross term, symmetrized
-                                cross = np.einsum(
-                                    "pq,pqa,pqb->pab", 0.5 * coef * wq, A,
-                                    rows(hat_r[s2], zq[s2]), optimize=True,
-                                )
-                                acc += cross + cross.transpose(0, 2, 1)
-            L[sel] += acc
-    return maps, ga, gb, L
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask, or all of them where
+    the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sum_blocks(P, *block_lists):
+    """One (P, 16, 16) array of near forms per list of blocks (sel, fn).
+
+    The fn() run on a thread pool with one worker per CPU (at most one per
+    block); the calling thread adds each result into its array at sel in
+    list order, so the sums are bitwise independent of the worker count.
+    An exception raised in a block is raised here, after the pool is shut
+    down."""
+    sums = [np.zeros((P, 16, 16)) for _ in block_lists]
+    tasks = [(L, sel, fn) for L, blocks in zip(sums, block_lists) for sel, fn in blocks]
+    pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks)))
+    try:
+        futures = [pool.submit(fn) for _, _, fn in tasks]
+        for (L, sel, _), fut in zip(tasks, futures):
+            L[sel] += fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return sums
 
 
 def _scatter(H, maps, forms, cols=None):
@@ -658,12 +718,11 @@ class AssembledForm:
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
         ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn)
 
-        self.maps, self.ga, self.gb, self.L = _near_local_forms(
+        self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
-        _, _, _, self.L_coarse = _near_local_forms(
-            grid, table.params, sigma, wfn, _COARSE_ORDERS
-        )
+        coarse = _near_local_forms(grid, table.params, sigma, wfn, _COARSE_ORDERS)[3]
+        self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse)
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
         # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms
@@ -888,7 +947,7 @@ def _cell_quadrature(field, p, q):
     grid = field.grid
     ap = (2 * field.sigma - 1) * p
     vt = field.regular_values
-    xg, wg = roots_legendre(q)
+    xg, wg = gauss_rule(q)
     ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
     RQ = ra[:, None] + (rb - ra)[:, None] * (xg[None, :] + 1) / 2
     WR = (rb - ra)[:, None] / 2 * wg[None, :] * RQ ** (grid.n - 2)
@@ -896,7 +955,7 @@ def _cell_quadrature(field, p, q):
     za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
     ZQ = za[:, None] + (zb - za)[:, None] * (xg[None, :] + 1) / 2
     WZ = (zb - za)[:, None] / 2 * wg[None, :] * ZQ ** ap
-    xj, wj = roots_jacobi(q, 0.0, ap)
+    xj, wj = gauss_rule(q, 0.0, ap)
     h0 = zb[0] - za[0]
     ZQ[0] = h0 * (xj + 1) / 2
     WZ[0] = (h0 / 2) ** (1 + ap) * wj

@@ -11,6 +11,7 @@ evaluates K_p for any dimension n >= 2 and tabulates it on a grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -24,6 +25,17 @@ from .errors import DiagonalSingularity, InvalidParams, OutOfMemoryEstimate
 # m^(-p/2) is accurate to ~1e-14, which dominates the error budget.
 _PANEL_NODES = 12
 _MAX_PANELS = 48
+
+
+@functools.lru_cache(maxsize=256)
+def gauss_rule(q, a=None, b=None):
+    """Nodes and weights of the q-point Gauss rule on [-1, 1]: Legendre for
+    gauss_rule(q), Jacobi with the weight (1 - x)^a (1 + x)^b for
+    gauss_rule(q, a, b).  Cached; the arrays are read-only."""
+    x, w = roots_legendre(q) if a is None else roots_jacobi(q, a, b)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def sphere_surface(d):
@@ -95,7 +107,7 @@ def _composite_moment(p, m0, m1, alpha):
     if np.any(mild):
         a = m0[mild]
         tt = T[mild]
-        x, w = roots_jacobi(_PANEL_NODES, alpha, alpha)
+        x, w = gauss_rule(_PANEL_NODES, alpha, alpha)
         tau = tt[:, None] * (x[None, :] + 1.0) / 2.0
         g = (a[:, None] + tau) ** (-q)
         out[mild] = (tt / 2.0) ** (2.0 * alpha + 1.0) * (g @ w)
@@ -105,13 +117,13 @@ def _composite_moment(p, m0, m1, alpha):
         tt = T[peaked]
         acc = np.zeros_like(a)
         # first panel [0, m0]: left-endpoint weight tau^alpha
-        xj, wj = roots_jacobi(_PANEL_NODES, 0.0, alpha)
+        xj, wj = gauss_rule(_PANEL_NODES, 0.0, alpha)
         h = a
         tau = h[:, None] * (xj[None, :] + 1.0) / 2.0
         f = (a[:, None] + tau) ** (-q) * (tt[:, None] - tau) ** alpha
         acc += (h / 2.0) ** (alpha + 1.0) * (f @ wj)
         # dyadic middle panels [m0 2^k, m0 2^(k+1)] clipped to [m0, T/2]
-        xg, wg = roots_legendre(_PANEL_NODES)
+        xg, wg = gauss_rule(_PANEL_NODES)
         half = tt / 2.0
         for k in range(_MAX_PANELS):
             lo = np.minimum(a * 2.0 ** k, half)
@@ -123,7 +135,7 @@ def _composite_moment(p, m0, m1, alpha):
             f = tau ** alpha * (tt[:, None] - tau) ** alpha * (a[:, None] + tau) ** (-q)
             acc += (width / 2.0) * (f @ wg)
         # last panel [T/2, T]: right-endpoint weight (T - tau)^alpha
-        xj, wj = roots_jacobi(_PANEL_NODES, alpha, 0.0)
+        xj, wj = gauss_rule(_PANEL_NODES, alpha, 0.0)
         tau = half[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
         f = tau ** alpha * (a[:, None] + tau) ** (-q)
         acc += (half / 2.0) ** (alpha + 1.0) * (f @ wj)
@@ -220,7 +232,7 @@ def kernel_values_excluded(r, s, t, params, m_lo):
             alpha = (d - 2) / 2.0
             lo = np.maximum(m0[part], m_lo)
             vals = np.zeros_like(cp)
-            xg, wg = roots_legendre(_PANEL_NODES)
+            xg, wg = gauss_rule(_PANEL_NODES)
             m0p = m0[part]
             m1p = m1[part]
             gap0 = lo - m0p
@@ -238,7 +250,7 @@ def kernel_values_excluded(r, s, t, params, m_lo):
                     * (m1p[:, None] - m) ** alpha
                 )
                 vals += (width / 2.0) * (f @ wg)
-            xj, wj = roots_jacobi(_PANEL_NODES, alpha, 0.0)
+            xj, wj = gauss_rule(_PANEL_NODES, alpha, 0.0)
             half = m1p - mid
             m = mid[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
             f = m ** (-p / 2.0) * (m - m0p[:, None]) ** alpha

@@ -3,10 +3,9 @@
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import SingularAtZeroSeparation
-from .kernel import KernelParams, kernel_values, sphere_surface
+from .kernel import KernelParams, gauss_rule, kernel_values, sphere_surface
 
 __all__ = [
     "SliceProfile",
@@ -63,7 +62,7 @@ def slice_interaction(f, g, t, n, sigma, q=6):
 
     def points(profile):
         r = profile.radii
-        xg, wg = roots_legendre(q)
+        xg, wg = gauss_rule(q)
         a, b = r[:-1], r[1:]
         x = a[:, None] + (b - a)[:, None] * (xg[None, :] + 1) / 2
         wq = (b - a)[:, None] / 2 * wg[None, :] * x ** k
@@ -78,7 +77,7 @@ def slice_interaction(f, g, t, n, sigma, q=6):
         edges = R + (1.0 + R) * np.concatenate(
             [[0.0], np.geomspace(1e-4, 2e4, 48)]
         )
-        xg, wg = roots_legendre(4)
+        xg, wg = gauss_rule(4)
         a, b = edges[:-1], edges[1:]
         x = a[:, None] + (b - a)[:, None] * (xg[None, :] + 1) / 2
         wq = (b - a)[:, None] / 2 * wg[None, :] * x ** k

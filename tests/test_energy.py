@@ -1,7 +1,12 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from regsob import energy
 from regsob.energy import (
+    AssembledForm,
     _hat,
     _interp_slots,
     assemble,
@@ -14,7 +19,12 @@ from regsob.energy import (
     seminorm,
     weighted_seminorm,
 )
-from regsob.errors import NonCompactSupport, PointTooCloseToEdge, ZeroField
+from regsob.errors import (
+    DiagonalSingularity,
+    NonCompactSupport,
+    PointTooCloseToEdge,
+    ZeroField,
+)
 from regsob.field import (
     RadialField,
     attach_tail_model,
@@ -388,3 +398,57 @@ def test_assembled_matrix_matches_family_sums(name, request):
     for key, val in got.items():
         assert val == pytest.approx(want[key], rel=1e-12), key
     assert form.bilinear(v, w) == form.bilinear(w, v)
+
+
+@pytest.mark.parametrize("name", ["setup4", "setup_graded"])
+def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
+    # the near-form blocks run on a thread pool, and their sums are taken in
+    # one fixed order, so one worker and several give the same bits
+    g, tab, _ = request.getfixturevalue(name)
+    weight = _FAMILY_SUMS[name]["weight"]
+    forms = []
+    for workers in (1, max(2, energy._cpu_count())):
+        monkeypatch.setattr(energy, "_cpu_count", lambda w=workers: w)
+        forms.append(AssembledForm(g, tab, 0.75, weight))
+    for attr in ("L", "L_coarse", "H", "H_coarse"):
+        assert np.array_equal(getattr(forms[0], attr), getattr(forms[1], attr)), attr
+
+
+def test_near_block_sums_follow_block_order(monkeypatch):
+    # blocks made to finish last to first on a worker each must still be
+    # added in block order: the plain loop over the blocks is the reference
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    maps, _, _, blocks = energy._near_local_forms(
+        g, KernelParams.energy(4, 0.75), 0.75, None, energy._FINE_ORDERS
+    )
+    want = np.zeros((maps.shape[0], 16, 16))
+    for sel, fn in blocks:
+        want[sel] += fn()
+
+    def late(fn, delay):
+        return lambda: (time.sleep(delay), fn())[1]
+
+    n = len(blocks)
+    slow = [(sel, late(fn, 0.05 * (n - k))) for k, (sel, fn) in enumerate(blocks)]
+    monkeypatch.setattr(energy, "_cpu_count", lambda: n)
+    (got,) = energy._sum_blocks(maps.shape[0], slow)
+    assert np.array_equal(got, want)
+
+
+def test_near_block_error_surfaces(monkeypatch):
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    plain = energy.kernel_values
+
+    def failing(*args):
+        # the mid ring and exterior forms call it on the calling thread, the
+        # near-form blocks on the pool's
+        if threading.current_thread() is not threading.main_thread():
+            raise DiagonalSingularity("raised in a near-form block")
+        return plain(*args)
+
+    monkeypatch.setattr(energy, "kernel_values", failing)
+    before = threading.active_count()
+    with pytest.raises(DiagonalSingularity, match="near-form block"):
+        AssembledForm(g, tab, 0.75)
+    assert threading.active_count() == before

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from regsob.errors import DiagonalSingularity, InvalidParams, OutOfMemoryEstimate
 from regsob.field import make_grid
@@ -8,6 +9,7 @@ from regsob.kernel import (
     KernelParams,
     angular_kernel,
     build_kernel_table,
+    gauss_rule,
     kernel_values,
     kernel_values_excluded,
     sphere_surface,
@@ -178,3 +180,25 @@ def test_table_memory_guard():
     grid = make_grid(4, 4.0, 32, 32, (2.0, 2.0))
     with pytest.raises(OutOfMemoryEstimate):
         build_kernel_table(grid, par, max_bytes=1000)
+
+
+# every (q,) and (q, a, b) the energy, kernel and rearrangement code asks for
+# at n = 3..6, sigma = 0.75
+_GAUSS_RULES = [(q,) for q in (2, 3, 4, 6, 12)] + [
+    (2, 0.0, 0.5), (2, 0.0, 1.0), (3, 0.0, 0.5), (3, 0.0, 1.0),
+    (4, 0.0, -0.5), (4, 0.0, 1.6), (4, 0.0, 2.0),
+    (6, 0.0, -0.5), (6, 0.0, 0.5), (6, 0.0, 1.0),
+    (12, -0.5, -0.5), (12, -0.5, 0.0), (12, 0.0, -0.5),
+    (12, 0.0, 0.0), (12, 0.5, 0.5), (12, 0.5, 0.0), (12, 0.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("args", _GAUSS_RULES, ids=str)
+def test_gauss_rule_is_scipy_rule_read_only(args):
+    x, w = gauss_rule(*args)
+    want = roots_legendre(*args) if len(args) == 1 else roots_jacobi(*args)
+    assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+    assert gauss_rule(*args)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
