@@ -10,10 +10,11 @@ from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
 box moments and the mid ring, 4 for the near forms).  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
-the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  For
-sums restricted to the pairs inside a ball B_lambda, which the assembled
-matrix cannot separate, the near pairs keep their local forms and the mid
-ring keeps one Gauss basis per box and one weighted kernel block per pair.
+the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  H is
+the only assembled matrix: the near part and its error estimate are sums
+of the per-pair near forms, and for sums restricted to the pairs inside a
+ball B_lambda the mid ring keeps one Gauss basis per box and one weighted
+kernel block per pair.
 
 The near forms are most of a build.  Their independent blocks (a sign
 quadrant of the separation times the interior or the boundary pairs, at
@@ -117,8 +118,8 @@ def _near_pair_list(nr, nz):
 
 
 def _interp_slots(nodes, base, x):
-    """Cell index, fraction and local slot of a coordinate within the 4-node
-    local patch starting at base."""
+    """Local slot of the cell holding coordinate x and x's fraction across
+    that cell, within the 3- or 4-node patch starting at base."""
     c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
     f = (x - nodes[c]) / (nodes[c + 1] - nodes[c])
     return c - base, np.clip(f, 0.0, 1.0)
@@ -664,22 +665,23 @@ def _scatter(H, maps, forms, cols=None):
         flat += np.bincount(idx, forms[s : s + step].ravel(), minlength=N * N)
 
 
-def _pair_sum(v, maps, ga, gb, L, sel):
-    """Sum of the pair forms L[p] over the pairs with both boxes in sel."""
+def _pair_sum(v, maps, ga, gb, L, sel=None):
+    """Sum of the pair forms L[p] over the pairs with both boxes in sel, or
+    over all pairs without sel."""
     vloc = v[maps]
     e = np.einsum("pa,pab,pb->p", vloc, L, vloc, optimize=True)
-    return float((e * sel[ga] * sel[gb]).sum())
+    return float((e if sel is None else e * sel[ga] * sel[gb]).sum())
 
 
 class AssembledForm:
     """Far + near quadratic form for one (grid, kernel table, weight).
 
-    The whole form is the symmetric matrix H = H_far + H_near, so that
-    energy(v) = v.Hv and grad(v) = 2Hv; H_coarse is the near part at the
-    coarse orders, for the quadrature error estimate.  For the B_lambda
-    restriction in parts(v, sel) it keeps the far moments, the near local
-    forms and, for the mid ring, one Gauss basis per box (patch, basis) and
-    one weighted kernel block KW per box pair (mga, mgb)."""
+    The whole form is one symmetric matrix H, so that energy(v) = v.Hv and
+    grad(v) = 2Hv; H and the far kernel M are its only N x N arrays.  For
+    parts(v, sel) it keeps the near forms at the fine and coarse orders (L,
+    L_coarse), the far moments and, for the mid ring, one Gauss basis per
+    box (patch, basis) and one weighted kernel block KW per box pair (mga,
+    mgb)."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         if table.grid_hash != grid_signature(grid):
@@ -733,6 +735,7 @@ class AssembledForm:
             minlength=N * N,
         ).reshape(N, N)
         H_far = -2.0 * (C.T @ M @ C)
+        del C
         row = M.sum(axis=1)
         _scatter(H_far, self.map9, 2.0 * (row / Wp)[:, None, None] * self.Q2)
         # mid ring, 2 sum_gh KW (U_a,g - U_b,h)^2 per pair: a diagonal form
@@ -751,12 +754,12 @@ class AssembledForm:
         _scatter(H_far, ext_maps, X)
         H_near = np.zeros((N, N))
         _scatter(H_near, self.maps, self.L)
-        H_coarse = np.zeros((N, N))
-        _scatter(H_coarse, self.maps, self.L_coarse)
-        self.H_far, self.H_near, self.H_coarse = (
-            0.5 * self.sphere * (A + A.T) for A in (H_far, H_near, H_coarse)
-        )
-        self.H = self.H_far + self.H_near
+        # in place: the bits of 0.5 sphere (A + A^T), fewer N x N temporaries
+        for A in (H_far, H_near):
+            A += A.T
+            A *= 0.5 * self.sphere
+        H_far += H_near
+        self.H = H_far
 
     def _far(self, v, sel):
         """Far-moment part over the pairs with both boxes in sel."""
@@ -772,29 +775,28 @@ class AssembledForm:
     def parts(self, vt, sel=None):
         """(far, near, near_coarse) including the angular prefactor; far
         includes the coupling to the exterior of the truncation cylinder.
-        Without sel they are v.H_far v, v.H_near v and v.H_coarse v.
+        near and near_coarse are sums of the per-pair near forms at the fine
+        and the coarse orders, and without sel far is energy(v) - near.
 
         With sel (the 0/1 indicator of the nodes in B_lambda) only the pairs
         with both boxes in B_lambda count; that sum needs the per-pair forms,
-        since the assembled matrices have lost which pair an entry came
-        from.  It has no exterior term: a pair that leaves the truncation
-        cylinder also leaves any interior cap."""
+        since H has lost which pair an entry came from.  It has no exterior
+        term: a pair that leaves the truncation cylinder also leaves any
+        interior cap."""
         v = vt.ravel()
-        if sel is None:
-            return tuple(
-                float(v @ (A @ v)) for A in (self.H_far, self.H_near, self.H_coarse)
-            )
-        U = np.einsum("nga,na->ng", self.basis, v[self.patch])
-        keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
-        d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
-        mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
-        far = (self._far(v, sel) + mid) * self.sphere
         near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
         nearc = (
             _pair_sum(v, self.maps, self.ga, self.gb, self.L_coarse, sel)
             * self.sphere
         )
-        return float(far), float(near), float(nearc)
+        if sel is None:
+            return self.energy(vt) - near, near, nearc
+        U = np.einsum("nga,na->ng", self.basis, v[self.patch])
+        keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
+        d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
+        mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
+        far = (self._far(v, sel) + mid) * self.sphere
+        return float(far), near, nearc
 
     def energy(self, vt):
         v = vt.ravel()
@@ -980,15 +982,17 @@ def _interior_mass(field, p, q=4):
 
 
 def _interior_mass_grad(field, p, q=4):
-    """Exact gradient of _interior_mass with respect to the node values."""
+    """(_interior_mass, its exact gradient in the node values), from one
+    quadrature."""
     WR, WZ, fr_, fz_, vals = _cell_quadrature(field, p, q)
+    mass = float(np.sum(WR * WZ * np.abs(vals) ** p))
     G = p * WR * WZ * np.abs(vals) ** (p - 1) * np.sign(vals)
     out = np.zeros(field.grid.shape)
     out[:-1, :-1] += np.sum(G * (1 - fr_) * (1 - fz_), axis=(1, 3))
     out[1:, :-1] += np.sum(G * fr_ * (1 - fz_), axis=(1, 3))
     out[:-1, 1:] += np.sum(G * (1 - fr_) * fz_, axis=(1, 3))
     out[1:, 1:] += np.sum(G * fr_ * fz_, axis=(1, 3))
-    return out
+    return mass, out
 
 
 def _exterior_mass(field, p):
@@ -1102,11 +1106,10 @@ def el_residual(field, table):
     e_u = form.energy(field.regular_values)
     # mass and its variation use the same cell-wise Gauss quadrature as the
     # norm itself, so a discrete critical point has a small defect
-    mass = _interior_mass(field, p)
+    mass, gmass = _interior_mass_grad(field, p)
     if mass <= 0:
         return 0.0
     mu = e_u / (sphere_surface(grid.n - 2) * mass)
-    gmass = _interior_mass_grad(field, p)
     worst = 0.0
     for phi in _test_bank(grid, field.sigma):
         a_up = form.bilinear(field.regular_values, phi)

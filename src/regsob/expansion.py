@@ -214,7 +214,7 @@ def _correction_arrays(bg, xi, zeta, n, sigma):
     E = B + C + D
     F = q * np.abs(C) + q * D + a1_constant(n, sigma) * E ** 2
     ratio = (1.0 + E) ** (-q)
-    return B, C, D, E, F, ratio, dist2
+    return B, C, D, E, F, ratio
 
 
 def correction_terms(bg, xi, zeta, sigma=0.75):
@@ -228,7 +228,7 @@ def correction_terms(bg, xi, zeta, sigma=0.75):
         raise InvalidParams(f"expected points in R^{bg.n}")
     if np.array_equal(xi, zeta):
         raise CoincidentPoints("correction terms need two distinct points")
-    B, C, D, E, F, ratio, _ = _correction_arrays(bg, xi, zeta, bg.n, sigma)
+    B, C, D, E, F, ratio = _correction_arrays(bg, xi, zeta, bg.n, sigma)
     return {
         "B": float(B),
         "C": float(C),
@@ -283,7 +283,7 @@ def bounds_check(bg, sample_count=100000, seed=0, sigma=0.75):
     zeta = _sample_half_ball(rng, sample_count, n, bg.R0)
     same = np.all(xi == zeta, axis=1)
     zeta[same] += 1e-9
-    B, C, D, E, F, ratio, _ = _correction_arrays(bg, xi, zeta, n, sigma)
+    B, C, D, E, F, ratio = _correction_arrays(bg, xi, zeta, n, sigma)
     eps = bg.epsilon0
     s = np.sum(xi[:, :-1] ** 2, axis=1) + np.sum(zeta[:, :-1] ** 2, axis=1)
     bound_B = eps * np.sqrt(s)
@@ -403,24 +403,19 @@ class CurvatureTerm:
         return self.value
 
 
-def curvature_term(theta, lam, bg, gamma0_report=None):
+def curvature_term(theta, lam, bg, gamma0_report=None, table=None):
     """The leading correction (n+2*sigma)/2 * H * Gamma0 / lambda with the
     Gamma0 error budget propagated, plus the measured magnitudes of the two
     finite-domain discrepancies it replaces (pairs leaving B_lambda for the
-    pure and for the cutoff dilation)."""
+    pure and for the cutoff dilation).  table is Theta's curvature table,
+    built here when not given, so that a lambda scan builds it once."""
     if gamma0_report is None:
         raise MissingGamma0("curvature term needs a Gamma0 report")
     if lam <= 0:
         raise InvalidParams(f"lambda must be positive, got {lam}")
     n, sigma = theta.grid.n, theta.sigma
-    tab = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
-    return _curvature_term(theta, lam, bg, gamma0_report, tab)
-
-
-def _curvature_term(theta, lam, bg, gamma0_report, tab):
-    """curvature_term with Theta's curvature table given, so that a lambda
-    scan builds it once."""
-    n, sigma = theta.grid.n, theta.sigma
+    if table is None:
+        table = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
     q = (n + 2.0 * sigma) / 2.0
     H = bg.mean_curvature
     value = q * H * gamma0_report.value / lam
@@ -433,10 +428,10 @@ def _curvature_term(theta, lam, bg, gamma0_report, tab):
         )
         / lam
     )
-    ext = weighted_seminorm(theta, tab, "gamma0", lam=lam, exterior=True).total
+    ext = weighted_seminorm(theta, table, "gamma0", lam=lam, exterior=True).total
     fd = q * abs(H) * abs(ext) / lam
     cut = cutoff_profile(theta, lam)
-    ext_cut = weighted_seminorm(cut, tab, "gamma0", lam=lam, exterior=True).total
+    ext_cut = weighted_seminorm(cut, table, "gamma0", lam=lam, exterior=True).total
     co = q * abs(H) * abs(ext_cut) / lam
     return CurvatureTerm(
         value=float(value),
@@ -534,8 +529,8 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
         return np.where((z > 0) & (rho <= sup), vals, 0.0)
 
     ty = theta_hat(y)
-    sums = np.zeros(5)
-    sq = np.zeros(5)
+    sums = np.zeros(4)
+    sq = np.zeros(4)
     taylor_bad = 0
     for sgn in (1.0, -1.0):
         z_pt = y + sgn * w
@@ -553,7 +548,7 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
         mult = np.where(in_u, 1.0 + outside_sup, 0.0)
         d = y - z_pt
         dist2 = np.sum(d ** 2, axis=1)
-        B, C, D, E, F, ratio, _ = _correction_arrays(
+        B, C, D, E, F, ratio = _correction_arrays(
             bg, y / lam, z_pt / lam, n, sigma
         )
         kern_flat = dist2 ** (-q)
@@ -571,7 +566,7 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
         taylor_bad += int(
             np.sum(g_delta > -g_b + g_f + 1e-12 * np.abs(g_flat))
         )
-        for k, g in enumerate((g_delta, g_flat, g_b, g_f, g_res)):
+        for k, g in enumerate((g_flat, g_b, g_f, g_res)):
             v = 0.5 * g * mult * inv_density
             sums[k] += np.sum(v)
             sq[k] += np.sum(v ** 2)
@@ -624,16 +619,16 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
         taylor_bad = sum(o[2] for o in out)
         est = means.mean(axis=0)
         se = means.std(axis=0, ddof=1) / np.sqrt(cfg.batches)
-        i_delta, i_flat_mc, i_b, i_f, i_res = est
+        i_flat_mc, i_b, i_f, i_res = est
         denom = mass ** (2.0 / p)
-        ct = _curvature_term(theta, lam, bg, gamma0_report, tab_curv)
+        ct = curvature_term(theta, lam, bg, gamma0_report, tab_curv)
         # the B-linear part of the kernel deviation is evaluated by
         # quadrature through the curvature term; the sampler measures only
         # the Taylor remainder, whose scale the F bound controls
         i_meas = flat_grid - ct.value + i_res
-        if se[4] / flat_grid > cfg.max_rel_stderr:
+        if se[3] / flat_grid > cfg.max_rel_stderr:
             raise MonteCarloVarianceTooHigh(
-                f"relative stderr {se[4] / flat_grid:.3g} at lambda {lam}"
+                f"relative stderr {se[3] / flat_grid:.3g} at lambda {lam}"
             )
         # the sampled B-term mean must agree with the quadrature curvature
         # term it replaces; an inconsistent Gamma0 shows up here and
@@ -641,15 +636,15 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
         b_gap = abs(i_b + ct.value)
         # generous gate: the B-term sampler is heavy tailed, so this only
         # catches a grossly inconsistent curvature coefficient
-        b_budget = 10.0 * (se[2] + ct.stderr) + 0.5 * (
+        b_budget = 10.0 * (se[1] + ct.stderr) + 0.5 * (
             abs(i_b) + abs(ct.value)
         )
         b_consistent = bool(b_gap <= b_budget + 1e-12)
         measured = i_meas / denom
         predicted = (flat_grid - ct.value + i_f) / denom
-        pred_err = se[3] / denom
+        pred_err = se[2] / denom
         meas_err = (
-            se[4] + ct.stderr + ct.finite_domain_term + ct.cutoff_term
+            se[3] + ct.stderr + ct.finite_domain_term + ct.cutoff_term
         ) / denom
         verdicts.append(
             ExpansionVerdict(
@@ -661,12 +656,12 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
                 term_breakdown={
                     "flat_energy": float(flat_grid / denom),
                     "flat_energy_mc": float(i_flat_mc / denom),
-                    "flat_energy_mc_stderr": float(se[1] / denom),
+                    "flat_energy_mc_stderr": float(se[0] / denom),
                     "curvature_term": float(ct.value / denom),
                     "F_term": float(i_f / denom),
                     "B_term_sampled": float(i_b / denom),
                     "remainder_sampled": float(i_res / denom),
-                    "remainder_stderr": float(se[4] / denom),
+                    "remainder_stderr": float(se[3] / denom),
                     "cutoff_corrections": deficit["numerator_bound_terms"],
                     "denominator_deficit": deficit["denominator_deficit"],
                     "taylor_violations": int(taylor_bad),

@@ -266,8 +266,8 @@ class KernelTable:
     values[i, j, k] = K_p(r_i, r_j, t_k) over the grid's radii r_nodes;
     t_nodes spans every signed pairwise difference of the grid's z nodes;
     values are filled for t >= 0 and reflected.  near_diag_mask flags entries
-    inside the singular-cell neighbourhood; those are excluded from far-field
-    sums and handled by the local cell quadrature in the energy module.
+    inside the singular-cell neighbourhood; no computation reads it (the
+    assembled energy leaves out its own window of node pairs within 8 cells).
     """
 
     params: KernelParams

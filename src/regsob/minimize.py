@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .energy import (
-    _interior_mass,
     _interior_mass_grad,
     assemble,
     critical_p,
@@ -141,9 +140,9 @@ def _descend_on_grid(fld, table, cfg, trace):
 
     def norm2_grad(v):
         # gradient of lp_norm^2, consistent with the quadrature in lp_norm
-        f = fld.with_values(v)
-        mass = sph * _interior_mass(f, p)
-        return (2.0 / p) * mass ** (2.0 / p - 1.0) * sph * _interior_mass_grad(f, p)
+        mass, gmass = _interior_mass_grad(fld.with_values(v), p)
+        mass = sph * mass
+        return (2.0 / p) * mass ** (2.0 / p - 1.0) * sph * gmass
 
     v = _normalized(fld, np.clip(fld.regular_values, 0.0, None), p)
     Q = quotient(v)
@@ -257,9 +256,9 @@ def solve_halfspace(config=None, **kw):
     quotients = tuple(
         trace[b - 1] if b > 0 else np.nan for b in breaks[1:]
     ) + (trace[-1],)
-    s_est = rayleigh_quotient(attach_tail_model(fld), table)
-    resid = el_residual(fld, table)
     fld = attach_tail_model(fld)
+    s_est = rayleigh_quotient(fld, table)
+    resid = el_residual(fld, table)
     fld = _pin_scale(fld)
     m = lp_norm(fld, p)
     if m <= 0:

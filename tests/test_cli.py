@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from regsob import cli
 from regsob.cli import DEFAULT_CONFIG, _threads, load_config, main
 from regsob.errors import ConfigError
 from regsob.field import make_grid
@@ -130,6 +131,22 @@ def test_kernel_table_order_checked(tmp_path, capsys):
     assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 1
     assert "kernel_table.order" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kernel_table_reuses_cache_dir(tmp_path, monkeypatch):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"kernel_table": {"N": 6, "R_max": 4.0}}))
+    monkeypatch.setenv("REGSOB_CACHE_DIR", str(tmp_path / "cache"))
+    first, second = tmp_path / "a.rsob", tmp_path / "b.rsob"
+    assert main(["kernel-table", "--config", str(p), "--out", str(first)]) == 0
+
+    def no_build(*args):
+        raise AssertionError("table rebuilt despite the cache")
+
+    # the second run must take the table from the cache directory
+    monkeypatch.setattr(cli, "build_kernel_table", no_build)
+    assert main(["kernel-table", "--config", str(p), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_gamma0_rejects_kernel_table_file(tmp_path, capsys):

@@ -23,6 +23,7 @@ from regsob.errors import (
     DiagonalSingularity,
     NonCompactSupport,
     PointTooCloseToEdge,
+    TableExponentMismatch,
     ZeroField,
 )
 from regsob.field import (
@@ -400,6 +401,40 @@ def test_assembled_matrix_matches_family_sums(name, request):
     assert form.bilinear(v, w) == form.bilinear(w, v)
 
 
+@pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
+def test_full_parts_are_ball_parts_over_every_node(name, request):
+    # the near sums come from the per-pair forms with or without a ball, so
+    # the ball that holds every node gives the same bits; the far part is
+    # the rest of the assembled energy
+    g, tab, f = request.getfixturevalue(name)
+    form = assemble(g, tab, 0.75, _FAMILY_SUMS[name]["weight"])
+    v = f.regular_values
+    far, near, nearc = form.parts(v)
+    _, near1, nearc1 = form.parts(v, np.ones(g.shape[0] * g.shape[1]))
+    assert (near, nearc) == (near1, nearc1)
+    assert far + near == pytest.approx(form.energy(v), rel=1e-13)
+
+
+def test_assembled_form_keeps_two_dense_matrices(setup4):
+    g, tab, _ = setup4
+    N = g.shape[0] * g.shape[1]
+    form = assemble(g, tab, 0.75)
+    dense = sorted(
+        k for k, a in vars(form).items()
+        if isinstance(a, np.ndarray) and a.shape == (N, N)
+    )
+    assert dense == ["H", "M"]
+
+
+def test_table_order_checked(setup4, setup_gamma0):
+    _, tab_e, f = setup4
+    _, tab_c, _ = setup_gamma0
+    with pytest.raises(TableExponentMismatch):
+        seminorm(f, tab_c)
+    with pytest.raises(TableExponentMismatch):
+        weighted_seminorm(f, tab_e, "gamma0")
+
+
 @pytest.mark.parametrize("name", ["setup4", "setup_graded"])
 def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
     # the near-form blocks run on a thread pool, and their sums are taken in
@@ -410,7 +445,7 @@ def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
     for workers in (1, max(2, energy._cpu_count())):
         monkeypatch.setattr(energy, "_cpu_count", lambda w=workers: w)
         forms.append(AssembledForm(g, tab, 0.75, weight))
-    for attr in ("L", "L_coarse", "H", "H_coarse"):
+    for attr in ("L", "L_coarse", "H"):
         assert np.array_equal(getattr(forms[0], attr), getattr(forms[1], attr)), attr
 
 

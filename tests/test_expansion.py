@@ -9,6 +9,7 @@ from regsob.errors import (
     CoincidentPoints,
     InvalidParams,
     MissingGamma0,
+    MonteCarloVarianceTooHigh,
     OutsideChart,
     UnknownKind,
 )
@@ -271,6 +272,15 @@ def test_verify_flat_matches_grid_quotient(envelope16):
     assert v.passed
     j = v.to_json()
     assert j["pass"] is True
+
+
+def test_verify_cap_stderr_over_limit_raises(envelope16):
+    # on a curved cap the sampled Taylor remainder has a nonzero stderr,
+    # which no tiny max_rel_stderr admits
+    cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
+    cfg = MCConfig(batches=2, samples_per_batch=2000, seed=0, max_rel_stderr=1e-9)
+    with pytest.raises(MonteCarloVarianceTooHigh, match="lambda 2"):
+        verify_upper_bound(envelope16, make_report(5.0), cap, (2.0,), cfg)
 
 
 def test_verify_builds_each_table_once(envelope16, monkeypatch):

@@ -1,8 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from regsob.errors import (
     ChecksumFailure,
+    CorruptHeader,
     GridMismatch,
     InvalidGrading,
     InvalidParams,
@@ -216,6 +220,35 @@ def test_flipped_payload_byte_detected(tmp_path):
     blob[-20] ^= 0x01  # inside the last array, before the checksum
     p.write_bytes(bytes(blob))
     with pytest.raises(ChecksumFailure):
+        load_field(p)
+
+
+def _with_crc(blob):
+    """blob with its CRC-32 trailer recomputed, as a writer would leave it."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_corrupt_headers_rejected(tmp_path):
+    g = make_grid(4, 2.0, 8, 8, (2.0, 2.0))
+    p = tmp_path / "f.rsob"
+    save_field(synthesize_profile("envelope", g, 0.75), p)
+    good = p.read_bytes()
+
+    p.write_bytes(b"XSOB" + good[4:])
+    with pytest.raises(CorruptHeader, match="magic"):
+        load_field(p)
+
+    # header bytes that are not JSON, under a valid checksum
+    blob = bytearray(good)
+    blob[12] = ord("#")
+    p.write_bytes(_with_crc(blob))
+    with pytest.raises(CorruptHeader, match="header JSON"):
+        load_field(p)
+
+    # one float64 more than the header declares, under a valid checksum
+    p.write_bytes(_with_crc(good[:-4] + bytes(8) + good[-4:]))
+    with pytest.raises(CorruptHeader, match="payload size"):
         load_field(p)
 
 
