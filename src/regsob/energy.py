@@ -18,11 +18,17 @@ kernel block per pair.
 
 The near forms are most of a build.  Their independent blocks (a sign
 quadrant of the separation times the interior or the boundary pairs, at
-the fine and the coarse orders) run on a thread pool with one worker per
-CPU in the process's affinity mask, and the calling thread adds the
-results up in one fixed block order, so every assembled array is bitwise
-the same for any worker count.  The other families are built on the
-calling thread.
+the fine and the coarse orders) and the mid ring run on a thread pool with
+one worker per CPU in the process's affinity mask, and the calling thread
+adds the block results up in one fixed block order, so every assembled
+array is bitwise the same for any worker count.  A block stacks chunks of
+its (tri, k, m) quadrature samples along the pair axis, so that each numpy
+call (which holds the GIL) does more work, and still adds them up one
+sample at a time; it calls kernel_values once per sample, since for odd n
+the kernel reduces with BLAS, whose rounding depends on the call size.
+The box moments and the exterior forms are built on the calling thread
+before the pool starts: on a worker, the exterior forms' freed temporaries
+would stay in that thread's malloc arena and raise the peak RSS.
 """
 
 from __future__ import annotations
@@ -465,6 +471,9 @@ def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
 # the contraction order that optimize=True picks for every block shape of
 # the near-form einsums, given so that no call searches for it
 _NEAR_PATH = ["einsum_path", (0, 1), (0, 1)]
+# element budget of one chunk's (pairs, nodes, 16) row arrays (1 MiB); the
+# near forms of an N = 32 build ran slower at 1 << 22
+_NEAR_CHUNK = 1 << 17
 
 
 def _near_local_forms(grid, params, sigma, weight_fn, orders):
@@ -530,84 +539,102 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
         (a_exp, a_exp, -2.0, "xy"),
         (0.0, 2.0 * a_exp, 1.0, "yy"),
     )
+    # the (tri, k, m) samples of the relative coordinates in the order the
+    # forms add them up: Duffy triangle, radial and angular node
+    tri, k, m = np.indices((2, n_rho, n_v)).reshape(3, -1)
+    rv = rho[k] * vv[m]
+    a_s = np.where(tri == 0, rho[k], rv)
+    b_s = np.where(tri == 0, rv, rho[k])
+    w_rho_s, w_v_s = w_rho[k], w_v[m]
 
     def block(sel, sr, sz, ers, ezs, npan):
         nzt = n_z * (npan + 1)
         A0rs, A1rs, B0rs, B1rs = A0r[sel], A1r[sel], B0r[sel], B1r[sel]
         A0zs, A1zs, B0zs, B1zs = A0z[sel], A1z[sel], B0z[sel], B1z[sel]
         base_is, base_js = base_i[sel], base_j[sel]
-        mults = mult[sel]
+        w_sel = mult[sel] * ers * ezs
+        sre, sze = sr * ers, sz * ezs
         Ps = sel.size
         acc = np.zeros((Ps, 16, 16))
         nq = n_x * nzt
+        step = max(1, _NEAR_CHUNK // (Ps * nq * 16))
 
-        def rows(h_r, zq):
-            # 16-slot rows over the 4x4 patch: radial hat times vertical hat
-            h_z = _hat(*_interp_slots(zn, base_js[:, None], zq), 4)
-            return (h_r[:, :, None, :, None] * h_z[:, None, :, None, :]).reshape(
-                Ps, nq, 16
+        for s0 in range(0, a_s.size, step):
+            # arrays are (sample, pair, ...) over the chunk's samples, and
+            # flat over (sample, pair) where a helper wants one pair axis
+            ch = slice(s0, s0 + step)
+            c = a_s[ch].size
+            n = c * Ps
+            dr = sre * a_s[ch, None]
+            dz = sze * b_s[ch, None]
+            lo_r = np.maximum(A0rs, B0rs - dr)
+            hi_r = np.minimum(A1rs, B1rs - dr)
+            lo_z = np.maximum(A0zs, B0zs - dz)
+            hi_z = np.minimum(A1zs, B1zs - dz)
+            wid_r = np.maximum(hi_r - lo_r, 0.0)
+            hi_z = np.maximum(hi_z, lo_z)
+            w_pair = w_sel * w_rho_s[ch, None] * w_v_s[ch, None]
+            # radial inner nodes; the kernel needs only these.  One call per
+            # sample: for odd n the kernel reduces with BLAS, whose rounding
+            # depends on the call size
+            xr = lo_r[..., None] + wid_r[..., None] * gg
+            yr = xr + dr[..., None]
+            kv = np.stack(
+                [kernel_values(xr[i], yr[i], dz[i, :, None], params) for i in range(c)]
             )
-
-        for tri in (0, 1):
-            for k in range(n_rho):
-                for m in range(n_v):
-                    if tri == 0:
-                        a_sc, b_sc = rho[k], rho[k] * vv[m]
-                    else:
-                        a_sc, b_sc = rho[k] * vv[m], rho[k]
-                    dr = sr * ers * a_sc
-                    dz = sz * ezs * b_sc
-                    lo_r = np.maximum(A0rs, B0rs - dr)
-                    hi_r = np.minimum(A1rs, B1rs - dr)
-                    lo_z = np.maximum(A0zs, B0zs - dz)
-                    hi_z = np.minimum(A1zs, B1zs - dz)
-                    wid_r = np.maximum(hi_r - lo_r, 0.0)
-                    hi_z = np.maximum(hi_z, lo_z)
-                    w_pair = mults * ers * ezs * w_rho[k] * w_v[m]
-                    # radial inner nodes; the kernel needs only these
-                    xr = lo_r[:, None] + wid_r[:, None] * gg[None, :]
-                    yr = xr + dr[:, None]
-                    kv = kernel_values(xr, yr, dz[:, None], params)
-                    wc = (
-                        w_pair[:, None]
-                        * wid_r[:, None]
-                        * w_g[None, :]
-                        * kv
-                        * xr ** npow
-                        * yr ** npow
-                    )
-                    hat_r = {
-                        "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
-                        "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
-                    }
-                    for e_x, e_y, coef, sides in terms:
-                        zz, zw = _z_rule(
-                            lo_z, hi_z, dz, e_x, e_y, n_z, panels=npan
+            wc = (
+                w_pair[..., None] * wid_r[..., None] * w_g * kv * xr ** npow * yr ** npow
+            )
+            hat_r = {
+                "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
+                "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
+            }
+            lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
+            parts = []
+            for t, (e_x, e_y, coef, sides) in enumerate(terms):
+                zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
+                if npan or t == 0:
+                    # interior pairs have no Jacobi head panel, so all three
+                    # terms share the plain Gauss z nodes and their rows
+                    zz = zz.reshape(c, Ps, nzt)
+                    zq = {"x": zz, "y": zz + dz[..., None]}
+                    wf = None
+                    if weight_fn is not None:
+                        wf = weight_fn(
+                            xr[..., None],
+                            zq["x"][..., None, :],
+                            yr[..., None],
+                            zq["y"][..., None, :],
                         )
-                        zq = {"x": zz, "y": zz + dz[:, None]}
-                        wq = wc[:, :, None] * zw[:, None, :]
-                        if weight_fn is not None:
-                            wq = wq * weight_fn(
-                                xr[:, :, None],
-                                zq["x"][:, None, :],
-                                yr[:, :, None],
-                                zq["y"][:, None, :],
-                            )
-                        wq = wq.reshape(Ps, nq)
-                        s1, s2 = sides
-                        A = rows(hat_r[s1], zq[s1])
-                        if s1 == s2:
-                            acc += np.einsum(
-                                "pq,pqa,pqb->pab", coef * wq, A, A,
-                                optimize=_NEAR_PATH,
-                            )
-                        else:
-                            # cross term, symmetrized
-                            cross = np.einsum(
-                                "pq,pqa,pqb->pab", 0.5 * coef * wq, A,
-                                rows(hat_r[s2], zq[s2]), optimize=_NEAR_PATH,
-                            )
-                            acc += cross + cross.transpose(0, 2, 1)
+                    rows = {}
+                wq = wc[..., None] * zw.reshape(c, Ps, 1, nzt)
+                if wf is not None:
+                    wq = wq * wf
+                wq = wq.reshape(n, nq)
+                for s in sides:
+                    if s not in rows:
+                        # 16-slot rows over the 4x4 patch: radial hat times
+                        # vertical hat
+                        h_z = _hat(*_interp_slots(zn, base_js[:, None], zq[s]), 4)
+                        rows[s] = (
+                            hat_r[s][..., :, None, :, None] * h_z[..., None, :, None, :]
+                        ).reshape(n, nq, 16)
+                A, B = rows[sides[0]], rows[sides[1]]
+                if A is B:
+                    f = np.einsum(
+                        "pq,pqa,pqb->pab", coef * wq, A, A, optimize=_NEAR_PATH
+                    )
+                else:
+                    # cross term, symmetrized
+                    f = np.einsum(
+                        "pq,pqa,pqb->pab", 0.5 * coef * wq, A, B, optimize=_NEAR_PATH
+                    )
+                    f = f + f.transpose(0, 2, 1)
+                parts.append(f.reshape(c, Ps, 16, 16))
+            # sample by sample, term by term: the unchunked loop's order and bits
+            for i in range(c):
+                for f in parts:
+                    acc += f[i]
         return acc
 
     blocks = []
@@ -632,24 +659,35 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _sum_blocks(P, *block_lists):
-    """One (P, 16, 16) array of near forms per list of blocks (sel, fn).
+def _sum_blocks(P, *block_lists, first=None):
+    """One (P, 16, 16) array of near forms per list of blocks (sel, fn),
+    after the result of first() if first is given.
 
-    The fn() run on a thread pool with one worker per CPU (at most one per
-    block); the calling thread adds each result into its array at sel in
-    list order, so the sums are bitwise independent of the worker count.
-    An exception raised in a block is raised here, after the pool is shut
-    down."""
+    first() and the fn() run on a thread pool with one worker per CPU (at
+    most one per task), first() ahead of the blocks; the calling thread
+    adds each block's result into its array at sel in list order, so the
+    sums are bitwise independent of the worker count.  An exception raised
+    in a task is raised here, after the pool is shut down.
+
+    A block adds up its (tri, k, m) samples in chunks of samples stacked
+    along the pair axis (_NEAR_CHUNK), one sample at a time into its sum,
+    and calls kernel_values once per sample with the shapes of an unchunked
+    loop, since BLAS reductions for odd n round by the call size; so the
+    chunk size changes no bit either.  The exterior forms are not a task:
+    on a worker their freed temporaries would stay in that thread's malloc
+    arena and raise the peak RSS."""
     sums = [np.zeros((P, 16, 16)) for _ in block_lists]
     tasks = [(L, sel, fn) for L, blocks in zip(sums, block_lists) for sel, fn in blocks]
-    pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks)))
+    pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks) + (first is not None)))
     try:
+        head = [] if first is None else [pool.submit(first)]
         futures = [pool.submit(fn) for _, _, fn in tasks]
+        head = [fut.result() for fut in head]
         for (L, sel, _), fut in zip(tasks, futures):
             L[sel] += fut.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    return sums
+    return head + sums
 
 
 def _scatter(H, maps, forms, cols=None):
@@ -714,17 +752,17 @@ class AssembledForm:
         )
         M[handled] = 0.0
         self.M = M
-        self.patch, self.basis, self.mga, self.mgb, self.KW = _mid_pair_forms(
-            grid, table.params, sigma, wfn
-        )
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
+        # on the calling thread, before the pool starts (peak RSS, _sum_blocks)
         ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn)
 
         self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
         coarse = _near_local_forms(grid, table.params, sigma, wfn, _COARSE_ORDERS)[3]
-        self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse)
+        mid = functools.partial(_mid_pair_forms, grid, table.params, sigma, wfn)
+        mid, self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse, first=mid)
+        self.patch, self.basis, self.mga, self.mgb, self.KW = mid
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
         # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms

@@ -437,15 +437,17 @@ def test_table_order_checked(setup4, setup_gamma0):
 
 @pytest.mark.parametrize("name", ["setup4", "setup_graded"])
 def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
-    # the near-form blocks run on a thread pool, and their sums are taken in
-    # one fixed order, so one worker and several give the same bits
+    # the mid ring and the near-form blocks run on a thread pool, and the
+    # block sums are taken in one fixed order, so one worker and several
+    # give the same bits
     g, tab, _ = request.getfixturevalue(name)
     weight = _FAMILY_SUMS[name]["weight"]
     forms = []
     for workers in (1, max(2, energy._cpu_count())):
         monkeypatch.setattr(energy, "_cpu_count", lambda w=workers: w)
         forms.append(AssembledForm(g, tab, 0.75, weight))
-    for attr in ("L", "L_coarse", "H"):
+    for attr in ("L", "L_coarse", "H", "KW", "basis", "patch", "mga", "mgb", "M",
+                 "c1", "Q2"):
         assert np.array_equal(getattr(forms[0], attr), getattr(forms[1], attr)), attr
 
 
@@ -476,14 +478,99 @@ def test_near_block_error_surfaces(monkeypatch):
     plain = energy.kernel_values
 
     def failing(*args):
-        # the mid ring and exterior forms call it on the calling thread, the
-        # near-form blocks on the pool's
+        # the exterior forms call it on the calling thread, the mid ring and
+        # the near-form blocks on the pool's
         if threading.current_thread() is not threading.main_thread():
-            raise DiagonalSingularity("raised in a near-form block")
+            raise DiagonalSingularity("raised on a pool thread")
         return plain(*args)
 
     monkeypatch.setattr(energy, "kernel_values", failing)
     before = threading.active_count()
-    with pytest.raises(DiagonalSingularity, match="near-form block"):
+    with pytest.raises(DiagonalSingularity, match="pool thread"):
         AssembledForm(g, tab, 0.75)
     assert threading.active_count() == before
+
+
+def test_mid_ring_error_surfaces(monkeypatch):
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise DiagonalSingularity("raised in the mid ring")
+
+    monkeypatch.setattr(energy, "_mid_pair_forms", failing)
+    before = threading.active_count()
+    with pytest.raises(DiagonalSingularity, match="mid ring"):
+        AssembledForm(g, tab, 0.75)
+    assert threading.active_count() == before
+    assert threads and threads[0] is not threading.main_thread()
+
+
+def _near_forms(g, params, weight):
+    wfn = energy._weight_fn(weight)
+    fine, coarse = (
+        energy._near_local_forms(g, params, 0.75, wfn, orders)
+        for orders in (energy._FINE_ORDERS, energy._COARSE_ORDERS)
+    )
+    return energy._sum_blocks(fine[1].size, fine[3], coarse[3])
+
+
+@pytest.mark.parametrize("name", ["setup4", "setup_graded", "n3"])
+def test_near_forms_independent_of_batch_budget(name, request, monkeypatch):
+    # a budget of 1 takes one (tri, k, m) sample per chunk, the unchunked
+    # loop; for n = 3 the kernel reduces with BLAS, whose rounding changes
+    # if kernel_values is called once per chunk and not once per sample
+    if name == "n3":
+        g = make_grid(3, 1.0, 8, 8, (1.0, 1.5))
+        params, weight = KernelParams.energy(3, 0.75), "none"
+    else:
+        g, tab, _ = request.getfixturevalue(name)
+        params, weight = tab.params, _FAMILY_SUMS[name]["weight"]
+    z_rule = energy._z_rule
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return z_rule(*args, **kw)
+
+    monkeypatch.setattr(energy, "_z_rule", counted)
+    got = []
+    for budget in (energy._NEAR_CHUNK, 1):
+        monkeypatch.setattr(energy, "_NEAR_CHUNK", budget)
+        calls.clear()
+        got.append((_near_forms(g, params, weight), len(calls)))
+    (chunked, n_chunked), (single, n_single) = got
+    assert n_chunked < n_single  # some blocks took several samples per chunk
+    for a, b in zip(chunked, single):
+        assert np.array_equal(a, b)
+
+
+def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
+    # interior near-form blocks build the rows of the three terms of
+    # (z_x^a p_x - z_y^a p_y)^2 from the first term's z nodes, which holds
+    # only while _z_rule gives all three the same nodes there
+    g, tab, _ = setup_graded
+    z_rule = energy._z_rule
+    seen = []
+
+    def spy(lo, hi, dz, e_x, e_y, q, panels=0):
+        if panels == 0:
+            seen.append((lo, hi, dz, q))
+        return z_rule(lo, hi, dz, e_x, e_y, q, panels)
+
+    monkeypatch.setattr(energy, "_z_rule", spy)
+    _, _, _, blocks = energy._near_local_forms(
+        g, tab.params, 0.75, None, energy._FINE_ORDERS
+    )
+    for _, fn in blocks:
+        fn()
+    a = 2 * 0.75 - 1
+    assert seen
+    for lo, hi, dz, q in seen:
+        xx, xy, yy = (
+            z_rule(lo, hi, dz, e_x, e_y, q, panels=0)[0]
+            for e_x, e_y in ((2 * a, 0.0), (a, a), (0.0, 2 * a))
+        )
+        assert np.array_equal(xx, xy) and np.array_equal(xx, yy)
