@@ -16,19 +16,9 @@ of the per-pair near forms, and for sums restricted to the pairs inside a
 ball B_lambda the mid ring keeps one Gauss basis per box and one weighted
 kernel block per pair.
 
-The near forms are most of a build.  Their independent blocks (a sign
-quadrant of the separation times the interior or the boundary pairs, at
-the fine and the coarse orders) and the mid ring run on a thread pool with
-one worker per CPU in the process's affinity mask, and the calling thread
-adds the block results up in one fixed block order, so every assembled
-array is bitwise the same for any worker count.  A block stacks chunks of
-its (tri, k, m) quadrature samples along the pair axis, so that each numpy
-call (which holds the GIL) does more work, and still adds them up one
-sample at a time; it calls kernel_values once per sample, since for odd n
-the kernel reduces with BLAS, whose rounding depends on the call size.
-The box moments and the exterior forms are built on the calling thread
-before the pool starts: on a worker, the exterior forms' freed temporaries
-would stay in that thread's malloc arena and raise the peak RSS.
+The near-form blocks and the mid ring run on a thread pool, one worker per
+CPU, and are added up in a fixed order, so every assembled array is
+bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -659,35 +649,27 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _sum_blocks(P, *block_lists, first=None):
-    """One (P, 16, 16) array of near forms per list of blocks (sel, fn),
-    after the result of first() if first is given.
+def _sum_blocks(P, *block_lists, pool=None):
+    """One (P, 16, 16) array of near forms per list of blocks (sel, fn).
 
-    first() and the fn() run on a thread pool with one worker per CPU (at
-    most one per task), first() ahead of the blocks; the calling thread
-    adds each block's result into its array at sel in list order, so the
-    sums are bitwise independent of the worker count.  An exception raised
-    in a task is raised here, after the pool is shut down.
-
-    A block adds up its (tri, k, m) samples in chunks of samples stacked
-    along the pair axis (_NEAR_CHUNK), one sample at a time into its sum,
-    and calls kernel_values once per sample with the shapes of an unchunked
-    loop, since BLAS reductions for odd n round by the call size; so the
-    chunk size changes no bit either.  The exterior forms are not a task:
-    on a worker their freed temporaries would stay in that thread's malloc
-    arena and raise the peak RSS."""
+    The fn() run on pool, or on a pool of its own with one worker per CPU
+    (at most one per block); the calling thread adds each block's result
+    into its array at sel in list order, so the sums are bitwise
+    independent of the worker count.  An exception raised in a block is
+    raised here."""
     sums = [np.zeros((P, 16, 16)) for _ in block_lists]
     tasks = [(L, sel, fn) for L, blocks in zip(sums, block_lists) for sel, fn in blocks]
-    pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks) + (first is not None)))
+    own = pool is None
+    if own:
+        pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks)))
     try:
-        head = [] if first is None else [pool.submit(first)]
         futures = [pool.submit(fn) for _, _, fn in tasks]
-        head = [fut.result() for fut in head]
         for (L, sel, _), fut in zip(tasks, futures):
             L[sel] += fut.result()
     finally:
-        pool.shutdown(cancel_futures=True)
-    return head + sums
+        if own:
+            pool.shutdown(cancel_futures=True)
+    return sums
 
 
 def _scatter(H, maps, forms, cols=None):
@@ -753,16 +735,23 @@ class AssembledForm:
         M[handled] = 0.0
         self.M = M
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
-        # on the calling thread, before the pool starts (peak RSS, _sum_blocks)
+        # on the calling thread, before the pool starts: on a worker, the
+        # freed temporaries would stay in that thread's malloc arena and
+        # raise the peak RSS
         ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn)
 
         self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
         coarse = _near_local_forms(grid, table.params, sigma, wfn, _COARSE_ORDERS)[3]
-        mid = functools.partial(_mid_pair_forms, grid, table.params, sigma, wfn)
-        mid, self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse, first=mid)
-        self.patch, self.basis, self.mga, self.mgb, self.KW = mid
+        # the mid ring goes on the pool ahead of the near-form blocks
+        pool = ThreadPoolExecutor(min(_cpu_count(), 1 + len(fine) + len(coarse)))
+        try:
+            mid = pool.submit(_mid_pair_forms, grid, table.params, sigma, wfn)
+            self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse, pool=pool)
+            self.patch, self.basis, self.mga, self.mgb, self.KW = mid.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
         # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms

@@ -476,17 +476,21 @@ def test_near_block_error_surfaces(monkeypatch):
     g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
     plain = energy.kernel_values
+    # the mid ring also runs on the pool: take it from a clean run, so the
+    # only tasks that fail are the near-form blocks
+    mid = energy._mid_pair_forms(g, tab.params, 0.75, None)
+    monkeypatch.setattr(energy, "_mid_pair_forms", lambda *args: mid)
 
     def failing(*args):
-        # the exterior forms call it on the calling thread, the mid ring and
-        # the near-form blocks on the pool's
+        # the exterior forms call it on the calling thread, the near-form
+        # blocks on the pool's
         if threading.current_thread() is not threading.main_thread():
-            raise DiagonalSingularity("raised on a pool thread")
+            raise DiagonalSingularity("raised in a near-form block")
         return plain(*args)
 
     monkeypatch.setattr(energy, "kernel_values", failing)
     before = threading.active_count()
-    with pytest.raises(DiagonalSingularity, match="pool thread"):
+    with pytest.raises(DiagonalSingularity, match="near-form block"):
         AssembledForm(g, tab, 0.75)
     assert threading.active_count() == before
 
