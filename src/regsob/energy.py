@@ -24,10 +24,11 @@ bitwise the same for any worker count.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,21 +65,22 @@ class EnergyBreakdown:
     quad_error_estimate: float
 
 
-def _weight_fn(weight):
-    if weight == "none":
-        return None
-    if weight == "gamma0":
-        return lambda xr, xz, yr, yz: (xz - yz) * (xr ** 2 - yr ** 2)
-    if isinstance(weight, tuple) and weight[0] == "power":
-        gamma = weight[1]
-        return lambda xr, xz, yr, yz, g=gamma: (xr ** 2 + yr ** 2) ** (g / 2.0)
-    raise InvalidParams(f"unknown weight spec {weight!r}")
-
-
-def _weight_key(weight):
-    if weight == "none" or weight == "gamma0":
-        return weight
-    return (weight[0], float(weight[1]))
+def _weight(spec):
+    """The one parser of pair-weight specs: (cache key, pair weight fn(xr, xz,
+    yr, yz) or None for "none", True unless the weight needs the curvature
+    table)."""
+    if spec == "none":
+        return "none", None, True
+    if spec == "gamma0":
+        return "gamma0", lambda xr, xz, yr, yz: (xz - yz) * (xr ** 2 - yr ** 2), False
+    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "power":
+        g = spec[1]
+        if isinstance(g, numbers.Real) and not isinstance(g, bool) and 0 <= g < np.inf:
+            g = float(g)
+            return ("power", g), lambda xr, xz, yr, yz: (xr**2 + yr**2) ** (g / 2), True
+    raise InvalidParams(
+        f'weight must be "none", "gamma0" or ("power", gamma >= 0), got {spec!r}'
+    )
 
 
 def _dual_edges(nodes):
@@ -706,7 +708,7 @@ class AssembledForm:
     def __init__(self, grid, table, sigma, weight="none"):
         if table.grid_hash != grid_signature(grid):
             raise GridMismatch("kernel table was built for a different grid")
-        wfn = _weight_fn(weight)
+        wfn = _weight(weight)[1]
         self.sphere = sphere_surface(grid.n - 2)
         rn, zn = grid.r_nodes, grid.z_nodes
         nr, nz = rn.size, zn.size
@@ -845,7 +847,7 @@ _CACHE_MAX = 8
 
 
 def assemble(grid, table, sigma, weight="none"):
-    key = (table.cache_key(), float(sigma), _weight_key(weight))
+    key = (table.params, table.grid_hash, float(sigma), _weight(weight)[0])
     if key not in _cache:
         if len(_cache) >= _CACHE_MAX:
             _cache.popitem(last=False)
@@ -866,6 +868,9 @@ def _check_pair(field, table, want_energy):
 
 def _ball_sel(form, lam):
     return (form.r_flat ** 2 + form.z_flat ** 2 <= lam * lam).astype(float)
+
+
+_TAIL_ROWS = 64  # tail-grid rows per kernel call in _tail_energy
 
 
 def _tail_energy(field, params):
@@ -901,50 +906,44 @@ def _tail_energy(field, params):
     zi = np.tile(np.arange(nz), nr)
     rr = np.repeat(r_ax, nz)
     zz = np.tile(z_ax, nr)
-    drr = np.abs(ri[:, None] - ri[None, :])
-    dzz = np.abs(zi[:, None] - zi[None, :])
-    ok = (drr > 1) | (dzz > 1)
-    # only pairs with at least one exterior point contribute to the tail
-    ok &= ~(inner[:, None] & inner[None, :])
-    ii, jj = np.where(ok)
-    KV_flat = kernel_values(rr[ii], rr[jj], zz[ii] - zz[jj], params)
-    diffs = (uf[ii] - uf[jj]) ** 2 - (ub[ii] - ub[jj]) ** 2
-    energy_tail = float(np.sum(wf[ii] * wf[jj] * KV_flat * diffs))
+    # blocks of rows bound the memory; one sum in row-major order keeps the bits
+    terms = []
+    for s in range(0, ri.size, _TAIL_ROWS):
+        rows = slice(s, s + _TAIL_ROWS)
+        ok = (np.abs(ri[rows, None] - ri) > 1) | (np.abs(zi[rows, None] - zi) > 1)
+        # only pairs with at least one exterior point contribute to the tail
+        ok &= ~(inner[rows, None] & inner)
+        ii, jj = np.where(ok)
+        ii += s
+        KV = kernel_values(rr[ii], rr[jj], zz[ii] - zz[jj], params)
+        diffs = (uf[ii] - uf[jj]) ** 2 - (ub[ii] - ub[jj]) ** 2
+        terms.append(wf[ii] * wf[jj] * KV * diffs)
+    energy_tail = float(np.sum(np.concatenate(terms)))
     return energy_tail * sphere_surface(grid.n - 2)
 
 
 def seminorm(field, table):
-    """Nonlocal energy of the field, split far/near/tail."""
-    _check_pair(field, table, want_energy=True)
-    form = assemble(field.grid, table, field.sigma)
-    far, near, nearc = form.parts(field.regular_values)
-    tail = 0.0
-    if field.tail is not None:
-        tail = _tail_energy(field, table.params)
-    qerr = abs(near - nearc)
-    return EnergyBreakdown(
-        total=far + near + tail,
-        far_part=far,
-        near_part=near,
-        tail_estimate=tail,
-        quad_error_estimate=qerr,
-    )
+    """Nonlocal energy of the field, split far/near/tail: the "none"
+    weighted_seminorm plus the energy of the tail model beyond the box (0
+    without a tail model)."""
+    bd = weighted_seminorm(field, table, "none")
+    tail = 0.0 if field.tail is None else _tail_energy(field, table.params)
+    return replace(bd, total=bd.total + tail, tail_estimate=tail)
 
 
 def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     """Energy with a pair weight; optional truncation to B_lambda pairs.
 
-    weight is ("power", gamma) or "gamma0"; with exterior=True the complement
-    of the B_lambda x B_lambda pair set is summed instead.
+    weight is "none", "gamma0" (which needs the curvature table) or
+    ("power", gamma) with gamma finite and >= 0; any other spec raises
+    InvalidParams.  With lam only the B_lambda x B_lambda pairs count, and
+    with exterior=True, which needs lam, the complement of that pair set.
+    No tail model enters.
     """
-    if weight == "gamma0":
-        _check_pair(field, table, want_energy=False)
-    else:
-        _check_pair(field, table, want_energy=True)
-        if weight != "none" and not (
-            isinstance(weight, tuple) and weight[0] == "power"
-        ):
-            raise InvalidParams(f"unknown weight {weight!r}")
+    _, _, energy_table = _weight(weight)
+    if exterior and lam is None:
+        raise InvalidParams("exterior=True needs lam")
+    _check_pair(field, table, want_energy=energy_table)
     form = assemble(field.grid, table, field.sigma, weight)
     vt = field.regular_values
     if lam is None:

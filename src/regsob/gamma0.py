@@ -130,6 +130,8 @@ def tail_bound(theta, lam, gamma, table=None):
     """Weighted energy of the pairs leaving B_lambda x B_lambda, power
     weight gamma; an upper bound for the curvature truncation remainder via
     pointwise domination at gamma = 1."""
+    if gamma < 0:
+        raise InvalidGamma(f"power weight needs gamma >= 0, got {gamma}")
     if gamma >= 2 * theta.sigma:
         raise InvalidGamma(
             f"tail bound needs gamma < 2*sigma, got {gamma} >= {2 * theta.sigma}"

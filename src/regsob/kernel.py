@@ -278,12 +278,6 @@ class KernelTable:
     grid_hash: str = ""
     t_tol: float = 0.0
 
-    def cache_key(self):
-        h = hashlib.sha256()
-        h.update(repr((self.params.n, self.params.sigma, self.params.p)).encode())
-        h.update(self.grid_hash.encode())
-        return h.hexdigest()[:16]
-
 
 def grid_signature(grid):
     h = hashlib.sha256()

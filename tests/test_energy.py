@@ -1,5 +1,7 @@
+import re
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from regsob.energy import (
 )
 from regsob.errors import (
     DiagonalSingularity,
+    InvalidParams,
     NonCompactSupport,
     PointTooCloseToEdge,
     TableExponentMismatch,
@@ -513,7 +516,7 @@ def test_mid_ring_error_surfaces(monkeypatch):
 
 
 def _near_forms(g, params, weight):
-    wfn = energy._weight_fn(weight)
+    wfn = energy._weight(weight)[1]
     fine, coarse = (
         energy._near_local_forms(g, params, 0.75, wfn, orders)
         for orders in (energy._FINE_ORDERS, energy._COARSE_ORDERS)
@@ -578,3 +581,107 @@ def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
             for e_x, e_y in ((2 * a, 0.0), (a, a), (0.0, 2 * a))
         )
         assert np.array_equal(xx, xy) and np.array_equal(xx, yy)
+
+
+_BAD_WEIGHTS = [
+    ("power",),
+    ("power", "x"),
+    ("power", float("nan")),
+    ("power", float("inf")),
+    ("power", -0.5),
+    ("power", True),
+    ["power", 1.0],
+    "bogus",
+]
+
+
+@pytest.mark.parametrize("weight", _BAD_WEIGHTS, ids=repr)
+def test_bad_weight_spec_fails_before_any_build(weight, setup4, monkeypatch):
+    g, tab, f = setup4
+    built = []
+    monkeypatch.setattr(energy, "AssembledForm", lambda *a: built.append(a))
+    cached = list(energy._cache)
+    with pytest.raises(InvalidParams, match=re.escape(repr(weight))):
+        weighted_seminorm(f, tab, weight)
+    with pytest.raises(InvalidParams, match=re.escape(repr(weight))):
+        assemble(g, tab, 0.75, weight)
+    assert built == [] and list(energy._cache) == cached
+
+
+def test_int_and_float_power_share_one_build(monkeypatch):
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    built = []
+    form_cls = energy.AssembledForm
+    monkeypatch.setattr(
+        energy, "AssembledForm", lambda *a: built.append(a) or form_cls(*a)
+    )
+    form = assemble(g, tab, 0.75, ("power", 1))
+    assert assemble(g, tab, 0.75, ("power", 1.0)) is form
+    assert len(built) == 1
+
+
+def test_exterior_needs_lam(setup4):
+    _, tab, f = setup4
+    with pytest.raises(InvalidParams, match="lam"):
+        weighted_seminorm(f, tab, ("power", 1.0), exterior=True)
+
+
+def _tail_energy_one_pass(field, params):
+    """The tail energy as one pass over all pairs of the tail grid: every
+    index-difference matrix and one kernel call at once (the reference for
+    energy._tail_energy, which walks the same pairs in blocks of rows)."""
+    grid = field.grid
+    R = grid.R_max
+    sub = max(1, (grid.r_nodes.size - 1) // 16)
+    r_in = grid.r_nodes[::sub]
+    z_in = grid.z_nodes[::sub]
+    if r_in[-1] != grid.r_nodes[-1]:
+        r_in = np.append(r_in, grid.r_nodes[-1])
+    if z_in[-1] != grid.z_nodes[-1]:
+        z_in = np.append(z_in, grid.z_nodes[-1])
+    ext = R * np.geomspace(1.0, 24.0, 15)[1:]
+    r_ax = np.concatenate([r_in, ext])
+    z_ax = np.concatenate([z_in, ext])
+    wr = energy._box_masses(r_ax, grid.n - 2)
+    wz = energy._box_masses(z_ax, 0)
+    RR, ZZ = np.meshgrid(r_ax, z_ax, indexing="ij")
+    inner = ((RR <= R) & (ZZ <= R)).ravel()
+    uf = eval_u(field, RR.ravel(), ZZ.ravel())
+    ub = np.where(inner, uf, 0.0)
+    wf = (wr[:, None] * wz[None, :]).ravel()
+    nr, nz = r_ax.size, z_ax.size
+    ri = np.repeat(np.arange(nr), nz)
+    zi = np.tile(np.arange(nz), nr)
+    rr = np.repeat(r_ax, nz)
+    zz = np.tile(z_ax, nr)
+    drr = np.abs(ri[:, None] - ri[None, :])
+    dzz = np.abs(zi[:, None] - zi[None, :])
+    ok = (drr > 1) | (dzz > 1)
+    ok &= ~(inner[:, None] & inner[None, :])
+    ii, jj = np.where(ok)
+    KV_flat = energy.kernel_values(rr[ii], rr[jj], zz[ii] - zz[jj], params)
+    diffs = (uf[ii] - uf[jj]) ** 2 - (ub[ii] - ub[jj]) ** 2
+    energy_tail = float(np.sum(wf[ii] * wf[jj] * KV_flat * diffs))
+    return energy_tail * energy.sphere_surface(grid.n - 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tail_energy_blocks_match_one_pass(n, monkeypatch):
+    # bit for bit, also for odd n, where the kernel reduces with BLAS
+    g = make_grid(n, 12.0, 12, 12, (2.0, 2.0))
+    f = attach_tail_model(synthesize_profile("envelope", g, 0.75))
+    params = KernelParams.energy(n, 0.75)
+    want = _tail_energy_one_pass(f, params)
+    plain = energy.kernel_values
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(energy, "kernel_values", counted)
+    got = energy._tail_energy(f, params)
+    assert len(calls) > 1  # the pairs went in several blocks
+    assert got == want and got != 0.0

@@ -73,6 +73,12 @@ def test_tail_bound_rejects_large_gamma(envelope12):
         tail_bound(f, 5.0, 2.0, table=tab)
 
 
+def test_tail_bound_rejects_negative_gamma(envelope12):
+    _, tab, f = envelope12
+    with pytest.raises(InvalidGamma):
+        tail_bound(f, 5.0, -0.5, table=tab)
+
+
 def test_tail_bound_monotone_in_lambda(bump12):
     _, tab, f = bump12
     vals = [tail_bound(f, l, 1.0, table=tab) for l in (2.0, 4.0, 6.0, 9.0)]
