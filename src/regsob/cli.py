@@ -103,18 +103,24 @@ def _merge(base, override, path=""):
     return out
 
 
+def _read_json(path, what):
+    """The JSON value in the file at path; ConfigError naming `what` and the
+    path when the file cannot be read or is not valid JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"{what} {path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+        )
+
+
 def load_config(path):
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"config {path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        )
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     return _merge(DEFAULT_CONFIG, raw)
@@ -223,16 +229,12 @@ def cmd_gamma0(args):
 
 
 def _load_gamma0(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    return Gamma0Report(
-        value=d["value"],
-        grid_extrapolation_error=d["grid_extrapolation_error"],
-        truncation_tail_bound=d["truncation_tail_bound"],
-        lambda_schedule=tuple(d["lambda_schedule"]),
-        sign_verdict=d["sign_verdict"],
-        theta_provenance=d.get("theta_provenance", ""),
-    )
+    """The Gamma0Report that `regsob gamma0` wrote to path; ConfigError
+    naming the path and any missing or unknown key."""
+    try:
+        return Gamma0Report(**_read_json(path, "gamma0 report"))
+    except TypeError as e:
+        raise ConfigError(f"gamma0 report {path}: {e}")
 
 
 def cmd_verify(args):
@@ -466,6 +468,9 @@ def main(argv=None):
         return 1
     except RegsobError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

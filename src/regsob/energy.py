@@ -8,7 +8,12 @@ integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
 Each family yields local quadratic forms in the nodal regular factor, built
 from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
-box moments and the mid ring, 4 for the near forms).  The forms are
+box moments and the mid ring, 4 for the near forms).  The quadrature rules
+are defined once each: kernel.gauss_nodes gives every Gauss-Legendre rule
+on intervals, _box_pairs enumerates the near and mid-ring box pairs,
+field.cell_of locates the cell under a point, and _node_rule gives the
+node-product rule (far part, tail, exterior mass, regional Laplacian);
+assemble checks grid, sigma and kernel order before its cache.  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
 the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  H is
 the only assembled matrix: the near part and its error estimate are sums
@@ -40,8 +45,9 @@ from .errors import (
     TableExponentMismatch,
     ZeroField,
 )
-from .field import eval_u
+from .field import cell_of, eval_u
 from .kernel import (
+    gauss_nodes,
     gauss_rule,
     grid_signature,
     kernel_values,
@@ -52,6 +58,11 @@ from .kernel import (
 
 _FINE_ORDERS = (6, 3, 3)  # rho, v, per-axis inner Gauss
 _COARSE_ORDERS = (4, 2, 2)
+_BOX_ORDER = 6  # per-axis Gauss order of the box moments
+_MID_ORDER = 3  # per-axis Gauss order of each mid-ring box
+_EXT_ORDER = 2  # per-axis Gauss order of each cell's exterior form
+_EXT_CHUNK = 200  # exterior boxes per kernel call
+_MASS_ORDER = 4  # per-axis Gauss order of the |u|^p cell rule
 
 
 @dataclass
@@ -94,33 +105,35 @@ def _box_masses(nodes, k):
     return (e[1:] ** (k + 1) - e[:-1] ** (k + 1)) / (k + 1)
 
 
-def _near_pair_list(nr, nz):
-    """Ordered near pairs (b lexicographically >= a) with multiplicity."""
-    offsets = [(0, 0, 1.0), (0, 1, 2.0), (1, -1, 2.0), (1, 0, 2.0), (1, 1, 2.0)]
-    ai, aj, bi, bj, mult = [], [], [], [], []
-    for di, dj, m in offsets:
-        ii, jj = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
-        ok = (ii + di < nr) & (jj + dj >= 0) & (jj + dj < nz)
-        ai.append(ii[ok])
-        aj.append(jj[ok])
-        bi.append(ii[ok] + di)
-        bj.append(jj[ok] + dj)
-        mult.append(np.full(ok.sum(), m))
-    return (
-        np.concatenate(ai),
-        np.concatenate(aj),
-        np.concatenate(bi),
-        np.concatenate(bj),
-        np.concatenate(mult),
-    )
+def _node_rule(r_ax, z_ax, n):
+    """The node-product rule on the tensor grid r_ax x z_ax, flat in
+    row-major node order: coordinates r, z and weights w, the product of the
+    dual-box masses of r^(n-2) dr and of dz."""
+    R, Z = np.meshgrid(r_ax, z_ax, indexing="ij")
+    W = _box_masses(r_ax, n - 2)[:, None] * _box_masses(z_ax, 0)[None, :]
+    return R.ravel(), Z.ravel(), W.ravel()
+
+
+def _box_pairs(nr, nz, ring_lo, ring_hi):
+    """Box pairs (a, b = a + (di, dj)) of an nr x nz box grid, b
+    lexicographically >= a, ring_lo <= max(di, |dj|) <= ring_hi.  Yields
+    (di, dj, I, J) offset by offset, di then dj increasing, with I, J the
+    indices of the boxes a in row-major order; empty offsets are skipped."""
+    for di in range(ring_hi + 1):
+        for dj in range(-ring_hi, ring_hi + 1):
+            if max(di, abs(dj)) < ring_lo or (di == 0 and dj < 0):
+                continue
+            ii = np.arange(nr - di)
+            jj = np.arange(max(0, -dj), min(nz, nz - dj))
+            if ii.size and jj.size:
+                yield di, dj, np.repeat(ii, jj.size), np.tile(jj, ii.size)
 
 
 def _interp_slots(nodes, base, x):
     """Local slot of the cell holding coordinate x and x's fraction across
     that cell, within the 3- or 4-node patch starting at base."""
-    c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    f = (x - nodes[c]) / (nodes[c + 1] - nodes[c])
-    return c - base, np.clip(f, 0.0, 1.0)
+    c, f = cell_of(nodes, x)
+    return c - base, f
 
 
 def _hat(c, f, width):
@@ -155,8 +168,6 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
                                               np.minimum(d_self, d_other)))
     h0 = np.minimum(far, width) if panels else width
 
-    xg, wg = gauss_rule(q)
-    fg = (xg + 1.0) / 2.0
     nodes = np.zeros((P, q * (panels + 1)))
     wts = np.zeros_like(nodes)
     for mask, expo, own_is_self in (
@@ -178,10 +189,7 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
         wts[mask, :q] = ww
     plain = ~(at_self | at_other)
     if np.any(plain):
-        zz = lo[plain, None] + h0[plain, None] * fg[None, :]
-        ww = h0[plain, None] * (wg[None, :] / 2.0)
-        if e_self:
-            ww = ww * zz ** e_self
+        zz, ww = gauss_nodes(lo[plain], h0[plain], q, power=e_self)
         if e_other:
             ww = ww * np.abs(zz + dz[plain, None]) ** e_other
         nodes[plain, :q] = zz
@@ -196,10 +204,7 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
         for k in range(panels):
             e1 = np.minimum(e0 * ratio, width)
             pw = np.maximum(e1 - e0, 0.0)
-            zz = lo[:, None] + e0[:, None] + pw[:, None] * fg[None, :]
-            ww = pw[:, None] * (wg[None, :] / 2.0)
-            if e_self:
-                ww = ww * zz ** e_self
+            zz, ww = gauss_nodes(lo + e0, pw, q, power=e_self)
             if e_other:
                 ww = ww * np.abs(zz + dz[:, None]) ** e_other
             sl = slice(q * (k + 1), q * (k + 2))
@@ -209,7 +214,7 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
     return nodes, wts
 
 
-def _box_moments(grid, sigma, q=6):
+def _box_moments(grid, sigma):
     """Exact-in-field first and second moments of u = z^(2 sigma - 1) times
     the bilinear interpolant over each dual box, measure r^(n-2) dr dz.
 
@@ -232,8 +237,7 @@ def _box_moments(grid, sigma, q=6):
 
     c1 = np.zeros((nr, nz, 3, 3))
     Q2 = np.zeros((nr, nz, 3, 3, 3, 3))
-    xg, wg = gauss_rule(q)
-    fg = (xg + 1.0) / 2.0
+    q = _BOX_ORDER
     # half-box s of a node lies in the cell whose corners are the node's
     # patch slots s and s + 1 along each axis
     for s_i in (0, 1):
@@ -241,8 +245,7 @@ def _box_moments(grid, sigma, q=6):
         ci = ii - 1 + s_i
         lo_r = er[ii] if s_i == 0 else rn[ii]
         hi_r = rn[ii] if s_i == 0 else er[ii + 1]
-        rq = lo_r[:, None] + (hi_r - lo_r)[:, None] * fg[None, :]
-        wr = (hi_r - lo_r)[:, None] * (wg[None, :] / 2.0) * rq ** npow
+        rq, wr = gauss_nodes(lo_r, hi_r - lo_r, q, power=npow)
         hr = _hat(s_i, (rq - rn[ci][:, None]) / (rn[ci + 1] - rn[ci])[:, None], 3)
         Ar = np.einsum("iq,iqa->ia", wr, hr)
         Br = np.einsum("iq,iqa,iqb->iab", wr, hr, hr)
@@ -268,7 +271,7 @@ def _box_moments(grid, sigma, q=6):
 _MID_RING = 8
 
 
-def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
+def _mid_pair_forms(grid, params, sigma, weight_fn):
     """Tensor Gauss rules for box pairs 2 to _MID_RING cells apart.
 
     There the kernel is smooth but still varies together with the squared
@@ -283,15 +286,11 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
     er, ez = _dual_edges(rn), _dual_edges(zn)
     a_exp = 2.0 * sigma - 1.0
     npow = grid.n - 2
-    xg, wg = gauss_rule(q)
-    fg = (xg + 1.0) / 2.0
-    hg = wg / 2.0
+    q = _MID_ORDER
 
     def axis_data(nodes, edges, power):
         m = nodes.size
-        wid = edges[1:] - edges[:-1]
-        Xq = edges[:-1, None] + wid[:, None] * fg[None, :]
-        Wq = wid[:, None] * hg[None, :] * Xq ** power
+        Xq, Wq = gauss_nodes(edges[:-1], edges[1:] - edges[:-1], q, power)
         base = np.clip(np.arange(m) - 1, 0, m - 3)
         B = _hat(*_interp_slots(nodes, base[:, None], Xq), 3)
         return Xq, Wq, base[:, None] + np.arange(3), B
@@ -301,25 +300,14 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
     patch = patch_r[:, None, :, None] * nz + patch_z[None, :, None, :]
     basis = np.einsum("iga,jz,jzb->ijgzab", BRr, ZQ ** a_exp, BZz)
 
-    offsets = []
-    for di in range(0, _MID_RING + 1):
-        for dj in range(-_MID_RING, _MID_RING + 1):
-            ring = max(di, abs(dj))
-            if ring < 2 or (di == 0 and dj < 0):
-                continue
-            ii = np.arange(0, nr - di)
-            jj = np.arange(max(0, -dj), min(nz, nz - dj))
-            if ii.size and jj.size:
-                offsets.append((di, dj, ii, jj))
+    offsets = list(_box_pairs(nr, nz, 2, _MID_RING))
     # filled offset by offset, so that KW is never held twice
-    P = sum(ii.size * jj.size for _, _, ii, jj in offsets)
+    P = sum(I.size for _, _, I, _ in offsets)
     ga = np.empty(P, dtype=np.int64)
     gb = np.empty(P, dtype=np.int64)
     KW = np.empty((P, q * q, q * q))
     s = 0
-    for di, dj, ii, jj in offsets:
-        I = np.repeat(ii, jj.size)
-        J = np.tile(jj, ii.size)
+    for di, dj, I, J in offsets:
         Ib, Jb = I + di, J + dj
         e = s + I.size
         ga[s:e], gb[s:e] = I * nz + J, Ib * nz + Jb
@@ -348,7 +336,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn, q=3):
     return patch.reshape(-1, 9), basis.reshape(-1, q * q, 9), ga, gb, KW
 
 
-def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
+def _exterior_forms(grid, params, sigma, weight_fn):
     """Cell-local quadratic forms coupling interior mass to the complement
     of the truncation cylinder, where the field itself is zero.
 
@@ -384,17 +372,15 @@ def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
     sm = np.diff(eext ** (npow + 1)) / (npow + 1)
     wc = 0.5 * (eext[1:] + eext[:-1])
     wm = np.diff(eext)
-    rin_c = rn
     rin_m = _box_masses(rn, npow)
-    zin_c = zn
     zin_m = _box_masses(zn, 0)
     # region A: s past R, any w; region B: s inside, w past R
-    wA_c = np.concatenate([zin_c, wc])
+    wA_c = np.concatenate([zn, wc])
     wA_m = np.concatenate([zin_m, wm])
     sb = np.concatenate(
-        [np.repeat(sc, wA_c.size), np.repeat(rin_c, wc.size)]
+        [np.repeat(sc, wA_c.size), np.repeat(rn, wc.size)]
     )
-    wb = np.concatenate([np.tile(wA_c, sc.size), np.tile(wc, rin_c.size)])
+    wb = np.concatenate([np.tile(wA_c, sc.size), np.tile(wc, rn.size)])
     mb = np.concatenate(
         [
             (sm[:, None] * wA_m[None, :]).ravel(),
@@ -402,14 +388,11 @@ def _exterior_forms(grid, params, sigma, weight_fn, q=2, chunk=200):
         ]
     )
 
-    xg, wg = gauss_rule(q)
-    fg = (xg + 1.0) / 2.0
+    q, chunk = _EXT_ORDER, _EXT_CHUNK
     hr = np.diff(rn)
     hz = np.diff(zn)
-    rg = rn[:-1, None] + hr[:, None] * fg[None, :]
-    wr = hr[:, None] * (wg[None, :] / 2.0) * rg ** npow
-    zg = zn[:-1, None] + hz[:, None] * fg[None, :]
-    wz = hz[:, None] * (wg[None, :] / 2.0) * zg ** (2.0 * a_exp)
+    rg, wr = gauss_nodes(rn[:-1], hr, q, power=npow)
+    zg, wz = gauss_nodes(zn[:-1], hz, q, power=2.0 * a_exp)
     fr = (rg - rn[:-1, None]) / hr[:, None]
     fz = (zg - zn[:-1, None]) / hz[:, None]
 
@@ -492,7 +475,13 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     nr, nz = rn.size, zn.size
     er_edges = _dual_edges(rn)
     ez_edges = _dual_edges(zn)
-    ai, aj, bi, bj, mult = _near_pair_list(nr, nz)
+    # boxes a and b of each pair and its multiplicity: 1 on the self pair,
+    # 2 elsewhere, where the pair stands for both of its orders
+    pairs = [
+        (I, J, I + di, J + dj, np.full(I.size, 1.0 if di == dj == 0 else 2.0))
+        for di, dj, I, J in _box_pairs(nr, nz, 0, 1)
+    ]
+    ai, aj, bi, bj, mult = map(np.concatenate, zip(*pairs))
     P = ai.size
     ga = ai * nz + aj
     gb = bi * nz + bj
@@ -514,12 +503,8 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     xr_j, wr_j = gauss_rule(n_rho, 0.0, beta)
     rho = (xr_j + 1.0) / 2.0
     w_rho = wr_j * 2.0 ** (-beta - 1.0) * rho ** (2.0 * sigma)
-    xv, wv = gauss_rule(n_v)
-    vv = (xv + 1.0) / 2.0
-    w_v = wv / 2.0
-    xg, wg = gauss_rule(n_x)
-    gg = (xg + 1.0) / 2.0
-    w_g = wg / 2.0
+    vv, w_v = gauss_nodes(0.0, 1.0, n_v)
+    gg, w_g = gauss_nodes(0.0, 1.0, n_x)
 
     npow = grid.n - 2
 
@@ -703,28 +688,18 @@ class AssembledForm:
     parts(v, sel) it keeps the near forms at the fine and coarse orders (L,
     L_coarse), the far moments and, for the mid ring, one Gauss basis per
     box (patch, basis) and one weighted kernel block KW per box pair (mga,
-    mgb)."""
+    mgb).  Build it through assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
-        if table.grid_hash != grid_signature(grid):
-            raise GridMismatch("kernel table was built for a different grid")
         wfn = _weight(weight)[1]
         self.sphere = sphere_surface(grid.n - 2)
-        rn, zn = grid.r_nodes, grid.z_nodes
-        nr, nz = rn.size, zn.size
+        nr, nz = grid.shape
         N = nr * nz
-        r_flat = np.repeat(rn, nz)
-        z_flat = np.tile(zn, nr)
-        self.r_flat, self.z_flat = r_flat, z_flat
-
-        wr = _box_masses(rn, grid.n - 2)
-        wz = _box_masses(zn, 0)
-        W = np.repeat(wr, nz) * np.tile(wz, nr)
-        self.node_weight = W
+        r_flat, z_flat, W = _node_rule(grid.r_nodes, grid.z_nodes, grid.n)
+        self.r_flat, self.z_flat, self.node_weight = r_flat, z_flat, W
 
         idx_t = t_index_map(table, grid)
-        ri = np.repeat(np.arange(nr), nz)
-        zi = np.tile(np.arange(nz), nr)
+        ri, zi = np.indices((nr, nz)).reshape(2, -1)
         K = table.values[ri[:, None], ri[None, :], idx_t[zi[:, None], zi[None, :]]]
         M = W[:, None] * W[None, :] * K
         if wfn is not None:
@@ -847,7 +822,12 @@ _CACHE_MAX = 8
 
 
 def assemble(grid, table, sigma, weight="none"):
-    key = (table.params, table.grid_hash, float(sigma), _weight(weight)[0])
+    """The AssembledForm of (grid, table, sigma, weight), from an LRU cache of
+    _CACHE_MAX forms.  Raises before the lookup unless table was built for
+    grid and sigma with the kernel order the weight needs."""
+    wkey, _, energy_table = _weight(weight)
+    _check_table(grid, table, sigma, energy_table)
+    key = (table.params, table.grid_hash, float(sigma), wkey)
     if key not in _cache:
         if len(_cache) >= _CACHE_MAX:
             _cache.popitem(last=False)
@@ -856,13 +836,15 @@ def assemble(grid, table, sigma, weight="none"):
     return _cache[key]
 
 
-def _check_pair(field, table, want_energy):
-    if table.grid_hash != grid_signature(field.grid):
-        raise GridMismatch("field grid does not match the kernel table grid")
-    if abs(field.sigma - table.params.sigma) > 1e-12:
-        raise InvalidParams("field and table disagree on sigma")
-    if want_energy is not None and table.params.is_energy != want_energy:
-        kind = "n + 2*sigma" if want_energy else "n + 2*sigma + 2"
+def _check_table(grid, table, sigma, energy_table):
+    """Raise unless table was built for grid and sigma, with p = n + 2*sigma
+    if energy_table, else p = n + 2*sigma + 2."""
+    if table.grid_hash != grid_signature(grid):
+        raise GridMismatch("kernel table was built for a different grid")
+    if abs(sigma - table.params.sigma) > 1e-12:
+        raise InvalidParams(f"sigma {sigma} differs from the table's sigma")
+    if table.params.is_energy != energy_table:
+        kind = "n + 2*sigma" if energy_table else "n + 2*sigma + 2"
         raise TableExponentMismatch(f"operation needs a table with p = {kind}")
 
 
@@ -885,27 +867,17 @@ def _tail_energy(field, params):
     grid = field.grid
     R = grid.R_max
     sub = max(1, (grid.r_nodes.size - 1) // 16)
-    r_in = grid.r_nodes[::sub]
-    z_in = grid.z_nodes[::sub]
-    if r_in[-1] != grid.r_nodes[-1]:
-        r_in = np.append(r_in, grid.r_nodes[-1])
-    if z_in[-1] != grid.z_nodes[-1]:
-        z_in = np.append(z_in, grid.z_nodes[-1])
     ext = R * np.geomspace(1.0, 24.0, 15)[1:]
-    r_ax = np.concatenate([r_in, ext])
-    z_ax = np.concatenate([z_in, ext])
-    wr = _box_masses(r_ax, grid.n - 2)
-    wz = _box_masses(z_ax, 0)
-    RR, ZZ = np.meshgrid(r_ax, z_ax, indexing="ij")
-    inner = ((RR <= R) & (ZZ <= R)).ravel()
-    uf = eval_u(field, RR.ravel(), ZZ.ravel())
+    # every sub-th node and the last one, then the exterior
+    r_ax, z_ax = (
+        np.concatenate([np.unique(np.append(x[::sub], x[-1])), ext])
+        for x in (grid.r_nodes, grid.z_nodes)
+    )
+    rr, zz, wf = _node_rule(r_ax, z_ax, grid.n)
+    inner = (rr <= R) & (zz <= R)
+    uf = eval_u(field, rr, zz)
     ub = np.where(inner, uf, 0.0)
-    wf = (wr[:, None] * wz[None, :]).ravel()
-    nr, nz = r_ax.size, z_ax.size
-    ri = np.repeat(np.arange(nr), nz)
-    zi = np.tile(np.arange(nz), nr)
-    rr = np.repeat(r_ax, nz)
-    zz = np.tile(z_ax, nr)
+    ri, zi = np.indices((r_ax.size, z_ax.size)).reshape(2, -1)
     # blocks of rows bound the memory; one sum in row-major order keeps the bits
     terms = []
     for s in range(0, ri.size, _TAIL_ROWS):
@@ -940,10 +912,8 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     with exterior=True, which needs lam, the complement of that pair set.
     No tail model enters.
     """
-    _, _, energy_table = _weight(weight)
     if exterior and lam is None:
         raise InvalidParams("exterior=True needs lam")
-    _check_pair(field, table, want_energy=energy_table)
     form = assemble(field.grid, table, field.sigma, weight)
     vt = field.regular_values
     if lam is None:
@@ -965,7 +935,7 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     )
 
 
-def _cell_quadrature(field, p, q):
+def _cell_quadrature(field, p):
     """Cell-wise tensor Gauss rule for |u|^p on the bilinear interpolant of
     the regular factor: returns (WR, WZ, fr, fz, vals) with the
     z^((2*sigma-1)*p) boundary factor folded into WZ through a Jacobi rule
@@ -975,14 +945,12 @@ def _cell_quadrature(field, p, q):
     grid = field.grid
     ap = (2 * field.sigma - 1) * p
     vt = field.regular_values
-    xg, wg = gauss_rule(q)
+    q = _MASS_ORDER
     ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
-    RQ = ra[:, None] + (rb - ra)[:, None] * (xg[None, :] + 1) / 2
-    WR = (rb - ra)[:, None] / 2 * wg[None, :] * RQ ** (grid.n - 2)
+    RQ, WR = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
     fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
     za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ZQ = za[:, None] + (zb - za)[:, None] * (xg[None, :] + 1) / 2
-    WZ = (zb - za)[:, None] / 2 * wg[None, :] * ZQ ** ap
+    ZQ, WZ = gauss_nodes(za, zb - za, q, power=ap)
     xj, wj = gauss_rule(q, 0.0, ap)
     h0 = zb[0] - za[0]
     ZQ[0] = h0 * (xj + 1) / 2
@@ -999,18 +967,18 @@ def _cell_quadrature(field, p, q):
     return WR[:, :, None, None], WZ[None, None, :, :], fr_, fz_, vals
 
 
-def _interior_mass(field, p, q=4):
+def _interior_mass(field, p):
     """Integral of |u|^p over the truncation box, cell-wise tensor Gauss on
     the interpolant with the z^((2*sigma-1)*p) boundary factor integrated by
     a Jacobi rule in the first z cell."""
-    WR, WZ, _, _, vals = _cell_quadrature(field, p, q)
+    WR, WZ, _, _, vals = _cell_quadrature(field, p)
     return float(np.sum(WR * WZ * np.abs(vals) ** p))
 
 
-def _interior_mass_grad(field, p, q=4):
+def _interior_mass_grad(field, p):
     """(_interior_mass, its exact gradient in the node values), from one
     quadrature."""
-    WR, WZ, fr_, fz_, vals = _cell_quadrature(field, p, q)
+    WR, WZ, fr_, fz_, vals = _cell_quadrature(field, p)
     mass = float(np.sum(WR * WZ * np.abs(vals) ** p))
     G = p * WR * WZ * np.abs(vals) ** (p - 1) * np.sign(vals)
     out = np.zeros(field.grid.shape)
@@ -1028,12 +996,9 @@ def _exterior_mass(field, p):
     ext = R * np.geomspace(1.0, 32.0, 60)[1:]
     r_ax = np.concatenate([grid.r_nodes, ext])
     z_ax = np.concatenate([grid.z_nodes, ext])
-    wr = _box_masses(r_ax, grid.n - 2)
-    wz = _box_masses(z_ax, 0)
-    RR, ZZ = np.meshgrid(r_ax, z_ax, indexing="ij")
-    U = eval_u(field, RR.ravel(), ZZ.ravel()).reshape(RR.shape)
-    W = wr[:, None] * wz[None, :]
-    outer = (RR > R) | (ZZ > R)
+    rr, zz, W = _node_rule(r_ax, z_ax, grid.n)
+    U = eval_u(field, rr, zz)
+    outer = (rr > R) | (zz > R)
     return float(np.sum(W[outer] * np.abs(U[outer]) ** p))
 
 
@@ -1065,7 +1030,7 @@ def regional_laplacian(field, point, table, pv_radius):
 
     Two exclusion radii and Richardson extrapolation with the interior rate
     2 - 2*sigma; returns (value, extrapolation_error)."""
-    _check_pair(field, table, want_energy=True)
+    _check_table(field.grid, table, field.sigma, True)
     r0, z0 = point
     grid = field.grid
     R = grid.R_max
@@ -1074,19 +1039,12 @@ def regional_laplacian(field, point, table, pv_radius):
         raise PointTooCloseToEdge(
             f"pv radius {pv_radius} too large for point {point}"
         )
-    wr = _box_masses(grid.r_nodes, grid.n - 2)
-    wz = _box_masses(grid.z_nodes, 0)
-    RR, ZZ = np.meshgrid(grid.r_nodes, grid.z_nodes, indexing="ij")
-    W = wr[:, None] * wz[None, :]
-    zpow = np.where(grid.z_nodes > 0, grid.z_nodes, 1.0) ** (2 * field.sigma - 1)
-    zpow[grid.z_nodes == 0.0] = 0.0
-    U = field.regular_values * zpow[None, :]
+    rr, zz, W = _node_rule(grid.r_nodes, grid.z_nodes, grid.n)
+    U = eval_u(field, rr, zz)
     u0 = float(eval_u(field, r0, z0))
 
     def pv_value(eps):
-        kv = kernel_values_excluded(
-            np.full(RR.size, r0), RR.ravel(), ZZ.ravel() - z0, table.params, eps * eps
-        ).reshape(RR.shape)
+        kv = kernel_values_excluded(r0, rr, zz - z0, table.params, eps * eps)
         return 2.0 * float(np.sum(W * kv * (u0 - U)))
 
     v1 = pv_value(pv_radius)
@@ -1123,11 +1081,10 @@ def el_residual(field, table):
     """Sup over a test bank of the weak-form defect, normalized by the
     energy norms of both the test function and the field itself, so the
     result is dimensionless and dilation invariant."""
-    _check_pair(field, table, want_energy=True)
-    if not np.any(field.regular_values):
-        return 0.0
     grid = field.grid
     form = assemble(grid, table, field.sigma)
+    if not np.any(field.regular_values):
+        return 0.0
     p = critical_p(grid.n, field.sigma)
     e_u = form.energy(field.regular_values)
     # mass and its variation use the same cell-wise Gauss quadrature as the

@@ -94,16 +94,17 @@ class RadialField:
         return replace(self, regular_values=values, **kw)
 
 
+def cell_of(nodes, x):
+    """The cell [nodes[c], nodes[c + 1]] that holds each x and x's fraction
+    across it: c is clipped to the first and last cells and the fraction to
+    [0, 1], so points outside the nodes take the nearest end value."""
+    c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    return c, np.clip((x - nodes[c]) / (nodes[c + 1] - nodes[c]), 0.0, 1.0)
+
+
 def _bilinear(grid, values, r, z):
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    rn, zn = grid.r_nodes, grid.z_nodes
-    i = np.clip(np.searchsorted(rn, r, side="right") - 1, 0, rn.size - 2)
-    j = np.clip(np.searchsorted(zn, z, side="right") - 1, 0, zn.size - 2)
-    fr = (r - rn[i]) / (rn[i + 1] - rn[i])
-    fz = (z - zn[j]) / (zn[j + 1] - zn[j])
-    fr = np.clip(fr, 0.0, 1.0)
-    fz = np.clip(fz, 0.0, 1.0)
+    i, fr = cell_of(grid.r_nodes, np.asarray(r, dtype=float))
+    j, fz = cell_of(grid.z_nodes, np.asarray(z, dtype=float))
     v00 = values[i, j]
     v10 = values[i + 1, j]
     v01 = values[i, j + 1]

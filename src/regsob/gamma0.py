@@ -33,7 +33,10 @@ class Gamma0Report:
     truncation_tail_bound: float
     lambda_schedule: tuple
     sign_verdict: str
-    theta_provenance: str
+    theta_provenance: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambda_schedule", tuple(self.lambda_schedule))
 
     def to_json(self):
         return {

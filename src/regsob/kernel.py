@@ -38,6 +38,22 @@ def gauss_rule(q, a=None, b=None):
     return x, w
 
 
+def gauss_nodes(lo, width, q, power=0):
+    """The q-point Gauss-Legendre rule on each interval [lo, lo + width]:
+    nodes x = lo + width (xg + 1)/2 and weights w = width wg/2, times
+    x**power when power is nonzero, each of shape lo.shape + (q,).  It takes
+    the width, not the right end, because a caller's width need not equal
+    hi - lo in floating point."""
+    xg, wg = gauss_rule(q)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    width = np.asarray(width, dtype=float)[..., None]
+    x = lo + width * ((xg + 1.0) / 2.0)
+    w = width * (wg / 2.0)
+    if power:
+        w = w * x ** power
+    return x, w
+
+
 def sphere_surface(d):
     """Surface measure of the unit sphere S^d in R^(d+1)."""
     if d < 0:
@@ -81,11 +97,23 @@ class KernelParams:
         return abs(self.p - (self.n + 2 * self.sigma)) < 1e-12
 
 
-def _closed_form_d2(p, c, rs):
-    """Exact angle integral over S^2: elementary antiderivative in m."""
+def _separations(r, s, t):
+    """r, s, t broadcast against each other, with c = r^2 + s^2 + t^2,
+    rs = r s and the range [m0, m1] of the squared separation over the
+    angle."""
+    r, s, t = np.broadcast_arrays(
+        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    )
+    c = r * r + s * s + t * t
+    m0 = (r - s) ** 2 + t * t
+    m1 = (r + s) ** 2 + t * t
+    return r, s, t, c, r * s, m0, m1
+
+
+def _closed_form_d2(p, lo, hi, rs):
+    """Exact angle integral over S^2 of m^(-p/2) for squared separations m
+    in [lo, hi]: elementary antiderivative in m."""
     q = p / 2.0
-    lo = c - 2.0 * rs
-    hi = c + 2.0 * rs
     return (2.0 * np.pi) * (lo ** (1.0 - q) - hi ** (1.0 - q)) / ((q - 1.0) * 2.0 * rs)
 
 
@@ -146,15 +174,8 @@ def _composite_moment(p, m0, m1, alpha):
 def kernel_values(r, s, t, params):
     """Vectorized K_p on broadcasted arrays; the caller guarantees that no
     element sits exactly on the diagonal singularity."""
-    r, s, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    )
-    n, p = params.n, params.p
-    d = n - 2
-    c = r * r + s * s + t * t
-    rs = r * s
-    m0 = (r - s) ** 2 + t * t
-    m1 = (r + s) ** 2 + t * t
+    r, s, t, c, rs, m0, m1 = _separations(r, s, t)
+    p, d = params.p, params.n - 2
     if np.any(m0 == 0.0):
         raise DiagonalSingularity("kernel evaluated at r = s, t = 0")
 
@@ -167,7 +188,8 @@ def kernel_values(r, s, t, params):
         if d == 0:
             out[rest] = m0[rest] ** (-p / 2.0) + m1[rest] ** (-p / 2.0)
         elif d == 2:
-            out[rest] = _closed_form_d2(p, c[rest], rs[rest])
+            cr, rsr = c[rest], rs[rest]
+            out[rest] = _closed_form_d2(p, cr - 2.0 * rsr, cr + 2.0 * rsr, rsr)
         else:
             alpha = (d - 2) / 2.0
             J = _composite_moment(p, m0[rest], m1[rest], alpha)
@@ -194,15 +216,8 @@ def kernel_values_excluded(r, s, t, params, m_lo):
     """K_p restricted to squared separations >= m_lo (used for the
     principal-value exclusion ball).  Vectorized; elements whose full range
     lies below m_lo contribute 0."""
-    r, s, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    )
-    n, p = params.n, params.p
-    d = n - 2
-    c = r * r + s * s + t * t
-    rs = r * s
-    m1 = (r + s) ** 2 + t * t
-    m0 = (r - s) ** 2 + t * t
+    r, s, t, c, rs, m0, m1 = _separations(r, s, t)
+    p, d = params.p, params.n - 2
     out = np.zeros_like(c)
 
     gone = m1 <= m_lo
@@ -212,29 +227,20 @@ def kernel_values_excluded(r, s, t, params, m_lo):
         out[keep_full] = kernel_values(r[keep_full], s[keep_full], t[keep_full], params)
     part = ~full & ~gone
     if np.any(part):
-        rp, sp, tp = r[part], s[part], t[part]
-        cp = c[part]
-        rsp = rs[part]
+        rsp, m0p, m1p = rs[part], m0[part], m1[part]
+        lo = np.maximum(m0p, m_lo)
         # angle range with separation >= sqrt(m_lo): cos(phi) <= (c - m_lo)/(2 r s)
         if d == 0:
-            out[part] = np.where(m1[part] >= m_lo, m1[part] ** (-p / 2.0), 0.0)
+            out[part] = np.where(m1p >= m_lo, m1p ** (-p / 2.0), 0.0)
         elif d == 2:
-            q = p / 2.0
-            lo = np.maximum(m0[part], m_lo)
-            hi = m1[part]
-            out[part] = (
-                2.0 * np.pi * (lo ** (1.0 - q) - hi ** (1.0 - q)) / ((q - 1.0) * 2.0 * rsp)
-            )
+            out[part] = _closed_form_d2(p, lo, m1p, rsp)
         else:
             # the shifted lower endpoint kills the left singular weight:
             # dyadic panels graded away from m0 cover [lo, mid], and a last
             # Gauss-Jacobi panel [mid, m1] carries (m1 - m)^alpha
             alpha = (d - 2) / 2.0
-            lo = np.maximum(m0[part], m_lo)
-            vals = np.zeros_like(cp)
+            vals = np.zeros_like(rsp)
             xg, wg = gauss_rule(_PANEL_NODES)
-            m0p = m0[part]
-            m1p = m1[part]
             gap0 = lo - m0p
             mid = 0.5 * (lo + m1p)
             for k in range(_MAX_PANELS):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularAtZeroSeparation
-from .kernel import KernelParams, gauss_rule, kernel_values, sphere_surface
+from .kernel import KernelParams, gauss_nodes, kernel_values, sphere_surface
 
 __all__ = [
     "SliceProfile",
@@ -62,10 +62,8 @@ def slice_interaction(f, g, t, n, sigma, q=6):
 
     def points(profile):
         r = profile.radii
-        xg, wg = gauss_rule(q)
         a, b = r[:-1], r[1:]
-        x = a[:, None] + (b - a)[:, None] * (xg[None, :] + 1) / 2
-        wq = (b - a)[:, None] / 2 * wg[None, :] * x ** k
+        x, wq = gauss_nodes(a, b - a, q, power=k)
         frac = (x - a[:, None]) / np.maximum((b - a)[:, None], 1e-300)
         vals = profile.values[:-1, None] * (1 - frac) + profile.values[1:, None] * frac
         return x.ravel(), wq.ravel(), vals.ravel()
@@ -77,10 +75,7 @@ def slice_interaction(f, g, t, n, sigma, q=6):
         edges = R + (1.0 + R) * np.concatenate(
             [[0.0], np.geomspace(1e-4, 2e4, 48)]
         )
-        xg, wg = gauss_rule(4)
-        a, b = edges[:-1], edges[1:]
-        x = a[:, None] + (b - a)[:, None] * (xg[None, :] + 1) / 2
-        wq = (b - a)[:, None] / 2 * wg[None, :] * x ** k
+        x, wq = gauss_nodes(edges[:-1], np.diff(edges), 4, power=k)
         return x.ravel(), wq.ravel()
 
     xf, wf, vf = points(f)

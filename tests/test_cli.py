@@ -5,7 +5,7 @@ import pytest
 from regsob import cli
 from regsob.cli import DEFAULT_CONFIG, _threads, load_config, main
 from regsob.errors import ConfigError
-from regsob.field import make_grid
+from regsob.field import make_grid, save_field, synthesize_profile
 from regsob.kernel import KernelParams, build_kernel_table, save_table
 
 MINI = {
@@ -158,3 +158,58 @@ def test_gamma0_rejects_kernel_table_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "UnknownKind" in err and str(tab) in err
     assert not out.exists()
+
+
+@pytest.fixture
+def small_theta(tmp_path):
+    path = tmp_path / "theta.rsob"
+    save_field(synthesize_profile("envelope", make_grid(4, 4.0, 6, 6), 0.75), path)
+    return str(path)
+
+
+def _verify_with_report(tmp_path, theta, text):
+    report = tmp_path / "g0.json"
+    if text is not None:
+        report.write_text(text)
+    out = tmp_path / "v"
+    rc = main(["verify", "--theta", theta, "--gamma0", str(report), "--out", str(out)])
+    assert not (tmp_path / "v.manifest.json").exists()
+    return rc, str(report)
+
+
+def test_verify_report_missing_key_is_config_error(tmp_path, small_theta, capsys):
+    text = json.dumps(
+        {"value": 1.0, "lambda_schedule": [2.0], "sign_verdict": "positive"}
+    )
+    rc, report = _verify_with_report(tmp_path, small_theta, text)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and report in err
+    assert "grid_extrapolation_error" in err and "truncation_tail_bound" in err
+
+
+def test_verify_report_invalid_json_is_config_error(tmp_path, small_theta, capsys):
+    rc, report = _verify_with_report(tmp_path, small_theta, '{"value": 1.0,')
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and report in err and "invalid JSON" in err
+
+
+def test_verify_report_missing_file_exits_1(tmp_path, small_theta, capsys):
+    rc, report = _verify_with_report(tmp_path, small_theta, None)
+    assert rc == 1
+    assert report in capsys.readouterr().err
+
+
+def test_gamma0_missing_theta_exits_1(tmp_path, capsys):
+    theta = str(tmp_path / "absent.rsob")
+    out = tmp_path / "g0.json"
+    assert main(["gamma0", "--theta", theta, "--out", str(out)]) == 1
+    assert theta in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma0_report_round_trips():
+    rep = cli.Gamma0Report(1.0, 0.1, 0.2, [2.0, 3.0], "positive")
+    assert rep.lambda_schedule == (2.0, 3.0) and rep.theta_provenance == ""
+    assert cli.Gamma0Report(**rep.to_json()) == rep

@@ -23,6 +23,7 @@ from regsob.energy import (
 )
 from regsob.errors import (
     DiagonalSingularity,
+    GridMismatch,
     InvalidParams,
     NonCompactSupport,
     PointTooCloseToEdge,
@@ -685,3 +686,93 @@ def test_tail_energy_blocks_match_one_pass(n, monkeypatch):
     got = energy._tail_energy(f, params)
     assert len(calls) > 1  # the pairs went in several blocks
     assert got == want and got != 0.0
+
+
+def _near_pairs_reference(nr, nz):
+    """The near pairs as enumerated before _box_pairs: (ga, gb, mult)."""
+    offsets = [(0, 0, 1.0), (0, 1, 2.0), (1, -1, 2.0), (1, 0, 2.0), (1, 1, 2.0)]
+    ga, gb, mult = [], [], []
+    for di, dj, m in offsets:
+        ii, jj = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
+        ok = (ii + di < nr) & (jj + dj >= 0) & (jj + dj < nz)
+        ga.append(ii[ok] * nz + jj[ok])
+        gb.append((ii[ok] + di) * nz + jj[ok] + dj)
+        mult.append(np.full(ok.sum(), m))
+    return tuple(np.concatenate(a) for a in (ga, gb, mult))
+
+
+def _mid_pairs_reference(nr, nz, ring):
+    """The mid-ring pairs as enumerated before _box_pairs: (ga, gb)."""
+    ga, gb = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for di in range(0, ring + 1):
+        for dj in range(-ring, ring + 1):
+            if max(di, abs(dj)) < 2 or (di == 0 and dj < 0):
+                continue
+            ii = np.arange(0, nr - di)
+            jj = np.arange(max(0, -dj), min(nz, nz - dj))
+            if ii.size and jj.size:
+                I, J = np.repeat(ii, jj.size), np.tile(jj, ii.size)
+                ga.append(I * nz + J)
+                gb.append((I + di) * nz + J + dj)
+    return np.concatenate(ga), np.concatenate(gb)
+
+
+def _pairs(nr, nz, ring_lo, ring_hi):
+    """(ga, gb, mult) from _box_pairs, mult 1 on the self pair, else 2."""
+    ga, gb = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    mult = [np.zeros(0)]
+    for di, dj, I, J in energy._box_pairs(nr, nz, ring_lo, ring_hi):
+        ga.append(I * nz + J)
+        gb.append((I + di) * nz + J + dj)
+        mult.append(np.full(I.size, 1.0 if di == dj == 0 else 2.0))
+    return tuple(np.concatenate(a) for a in (ga, gb, mult))
+
+
+# square, non-square and tiny box grids; on the tiny ones some offsets (or
+# all of the mid ring) are empty
+_BOX_GRIDS = [(17, 17), (9, 23), (23, 6), (5, 5), (2, 3), (3, 1), (1, 4)]
+
+
+@pytest.mark.parametrize("nr,nz", _BOX_GRIDS)
+def test_box_pairs_match_the_former_enumerations(nr, nz):
+    ga, gb, mult = _pairs(nr, nz, 0, 1)
+    for got, want in zip((ga, gb, mult), _near_pairs_reference(nr, nz)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    ga, gb, _ = _pairs(nr, nz, 2, energy._MID_RING)
+    for got, want in zip((ga, gb), _mid_pairs_reference(nr, nz, energy._MID_RING)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_near_and_mid_forms_take_their_pairs_from_box_pairs():
+    g = make_grid(3, 1.0, 4, 11, (1.0, 1.5))
+    nr, nz = g.shape
+    sigma = 0.75
+    params = KernelParams.energy(3, sigma)
+    ga, gb, _ = _near_pairs_reference(nr, nz)
+    _, near_ga, near_gb, _ = energy._near_local_forms(g, params, sigma, None, (2, 1, 1))
+    assert np.array_equal(near_ga, ga) and np.array_equal(near_gb, gb)
+    ga, gb = _mid_pairs_reference(nr, nz, energy._MID_RING)
+    _, _, mid_ga, mid_gb, _ = energy._mid_pair_forms(g, params, sigma, None)
+    assert np.array_equal(mid_ga, ga) and np.array_equal(mid_gb, gb)
+
+
+def test_assemble_checks_its_inputs_before_the_cache(monkeypatch):
+    g8 = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    g6 = make_grid(4, 1.0, 6, 6, (1.0, 1.5))
+    tab_e = build_kernel_table(g8, KernelParams.energy(4, 0.75))
+    tab_c = build_kernel_table(g8, KernelParams.curvature(4, 0.75))
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    form = assemble(g8, tab_e, 0.75)  # a cached form a bad call could hit
+    cached = dict(energy._cache)
+    built = []
+    monkeypatch.setattr(energy, "AssembledForm", lambda *a: built.append(a))
+    with pytest.raises(GridMismatch):
+        assemble(g6, tab_e, 0.75)
+    with pytest.raises(InvalidParams, match="sigma"):
+        assemble(g8, tab_e, 0.6)
+    with pytest.raises(TableExponentMismatch):
+        assemble(g8, tab_e, 0.75, "gamma0")
+    with pytest.raises(TableExponentMismatch):
+        assemble(g8, tab_c, 0.75)
+    assert built == [] and dict(energy._cache) == cached
+    assert assemble(g8, tab_e, 0.75) is form

@@ -9,6 +9,7 @@ from regsob.kernel import (
     KernelParams,
     angular_kernel,
     build_kernel_table,
+    gauss_nodes,
     gauss_rule,
     kernel_values,
     kernel_values_excluded,
@@ -202,3 +203,41 @@ def test_gauss_rule_is_scipy_rule_read_only(args):
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# every (q, power) the energy and rearrangement code asks gauss_nodes for at
+# n = 2..6, sigma = 0.75: r^(n-2), z^a and z^(2a) with a = 2*sigma - 1, and
+# z^(a p) with p the critical exponent at n = 3, 4
+_NODE_ORDERS = (2, 3, 4, 6)
+_NODE_POWERS = (0, 1, 2, 3, 4, 0.5, 1.0, 1.6, 2.0)
+
+
+@pytest.mark.parametrize("q", _NODE_ORDERS)
+def test_gauss_nodes_match_the_inline_rules_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    lo = rng.uniform(0.0, 5.0, 40)
+    width = rng.uniform(0.0, 2.0, 40)
+    width[0] = 0.0  # an empty panel, as _z_rule makes past the interval
+    xg, wg = gauss_rule(q)
+    for power in _NODE_POWERS:
+        x, w = gauss_nodes(lo, width, q, power=power)
+        # the two forms the callers wrote by hand: a scaled node fraction
+        # with halved weights, or the scaled node and the width halved after
+        xa = lo[:, None] + width[:, None] * ((xg[None, :] + 1.0) / 2.0)
+        wa = width[:, None] * (wg[None, :] / 2.0) * xa ** power
+        xb = lo[:, None] + width[:, None] * (xg[None, :] + 1) / 2
+        wb = width[:, None] / 2 * wg[None, :] * xb ** power
+        for want_x, want_w in ((xa, wa), (xb, wb)):
+            assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("q", _NODE_ORDERS)
+def test_gauss_nodes_integrate_polynomials_below_degree_2q(q):
+    lo = np.array([0.0, 0.3, 1.7])
+    width = np.array([1.0, 0.45, 2.2])
+    x, w = gauss_nodes(lo, width, q)
+    assert x.shape == w.shape == (3, q)
+    hi = lo + width
+    for k in range(2 * q):
+        want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert np.allclose((w * x ** k).sum(axis=1), want, rtol=1e-14, atol=0.0)

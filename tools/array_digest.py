@@ -1,0 +1,123 @@
+"""Print SHA-256 digests of the operator build's arrays and outputs.
+
+    python3 tools/array_digest.py [CHECKOUT]
+
+imports `regsob` from CHECKOUT/src (default: this script's checkout) and
+prints one sorted JSON object: the SHA-256 of every array an
+`AssembledForm` holds for five configurations, of the n=3 N=24 kernel
+table the `tables_n3` benchmark workload builds, and of a set of scalar
+outputs (norms, seminorms, ball sums, the slice interaction, the regional
+Laplacian, the Euler-Lagrange residual and the kernel at n = 2..6).  Two
+checkouts whose printouts are equal produce the same bits for these
+inputs; diff the two printouts to compare a change with its parent.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _forms(out):
+    from regsob import energy
+    from regsob.kernel import KernelParams, build_kernel_table
+    from regsob.field import make_grid
+
+    configs = {
+        "n4_N13_gamma0_graded": (4, 13, (1.0, 1.5), "curvature", "gamma0"),
+        "n4_N16_none": (4, 16, (2.0, 2.0), "energy", "none"),
+        "n4_N16_power1": (4, 16, (2.0, 2.0), "energy", ("power", 1.0)),
+        "n3_N12_none": (3, 12, (2.0, 2.0), "energy", "none"),
+        "n5_N10_none": (5, 10, (2.0, 2.0), "energy", "none"),
+    }
+    for name, (n, N, grading, order, weight) in configs.items():
+        grid = make_grid(n, 20.0, N, N, grading)
+        params = getattr(KernelParams, order)(n, 0.75)
+        form = energy.assemble(grid, build_kernel_table(grid, params), 0.75, weight)
+        for k, v in vars(form).items():
+            if hasattr(v, "shape"):
+                out[f"form.{name}.{k}"] = _digest(v)
+            else:
+                out[f"form.{name}.{k}"] = float(v).hex()
+
+
+def _outputs(out):
+    from regsob import energy
+    from regsob.field import attach_tail_model, eval_vt, make_grid, synthesize_profile
+    from regsob.kernel import (
+        KernelParams,
+        build_kernel_table,
+        kernel_values,
+        kernel_values_excluded,
+    )
+    from regsob.rearrange import SliceProfile, slice_interaction
+
+    sigma = 0.75
+    tab3 = build_kernel_table(make_grid(3, 20.0, 24, 24), KernelParams.energy(3, sigma))
+    out["table.n3_N24.values"] = _digest(tab3.values)
+
+    grid = make_grid(4, 20.0, 16, 16)
+    fld = attach_tail_model(synthesize_profile("interior-bubble", grid, sigma))
+    tab = build_kernel_table(grid, KernelParams.energy(4, sigma))
+    p = energy.critical_p(4, sigma)
+    out["lp_norm"] = energy.lp_norm(fld, p).hex()
+    mass, grad = energy._interior_mass_grad(fld, p)
+    out["mass"] = mass.hex()
+    out["mass_grad"] = _digest(grad)
+    pts = np.linspace(0.0, 30.0, 41)
+    out["eval_vt"] = _digest(eval_vt(fld, pts, pts[::-1]))
+    bd = energy.seminorm(fld, tab)
+    out["seminorm.tail"] = [float(x).hex() for x in vars(bd).values()]
+    for ext in (False, True):
+        bd = energy.weighted_seminorm(fld, tab, "none", lam=6.0, exterior=ext)
+        out[f"ball.exterior={ext}"] = [float(x).hex() for x in vars(bd).values()]
+    out["regional_laplacian"] = [
+        float(x).hex() for x in energy.regional_laplacian(fld, (2.0, 3.0), tab, 0.5)
+    ]
+    out["el_residual"] = float(energy.el_residual(fld, tab)).hex()
+
+    grid3 = make_grid(3, 20.0, 16, 16)
+    fld3 = synthesize_profile("interior-bubble", grid3, sigma)
+    tab3 = build_kernel_table(grid3, KernelParams.energy(3, sigma))
+    bd = energy.seminorm(fld3, tab3)
+    out["seminorm.n3"] = [float(x).hex() for x in vars(bd).values()]
+
+    radii = np.linspace(0.0, 2.0, 9)
+    for n in (3, 4):
+        f = SliceProfile(radii, np.exp(-radii ** 2) - np.exp(-4.0), n - 2)
+        g = SliceProfile(radii, (1.0 - radii / 2.0) ** 2, n - 2)
+        out[f"slice_interaction.n{n}"] = float(
+            slice_interaction(f, g, 0.3, n, sigma)
+        ).hex()
+
+    rng = np.random.default_rng(7)
+    r, s, t = rng.uniform(0.0, 3.0, (3, 400))
+    for n in range(2, 7):
+        for order in ("energy", "curvature"):
+            params = getattr(KernelParams, order)(n, sigma)
+            out[f"kernel_values.n{n}.{order}"] = _digest(kernel_values(r, s, t, params))
+            out[f"kernel_values_excluded.n{n}.{order}"] = _digest(
+                kernel_values_excluded(r, s, t, params, 0.5)
+            )
+
+
+def main(argv):
+    root = argv[1] if len(argv) > 1 else os.path.dirname(os.path.dirname(__file__))
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    out = {}
+    _forms(out)
+    _outputs(out)
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main(sys.argv)
