@@ -21,9 +21,11 @@ of the per-pair near forms, and for sums restricted to the pairs inside a
 ball B_lambda the mid ring keeps one Gauss basis per box and one weighted
 kernel block per pair.
 
-The near-form blocks and the mid ring run on a thread pool, one worker per
-CPU, and are added up in a fixed order, so every assembled array is
-bitwise the same for any worker count.
+The mid ring, the exterior forms' kernel sums (in blocks of rows) and the
+near-form blocks run on a thread pool, one worker per CPU, and are
+combined in a fixed order; the kernel gives each point the same bits in
+any batch, so every assembled array is bitwise the same for any worker
+count.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _BOX_ORDER = 6  # per-axis Gauss order of the box moments
 _MID_ORDER = 3  # per-axis Gauss order of each mid-ring box
 _EXT_ORDER = 2  # per-axis Gauss order of each cell's exterior form
 _EXT_CHUNK = 200  # exterior boxes per kernel call
+_EXT_ROWS = 8  # radial Gauss points of the cells per exterior task
 _MASS_ORDER = 4  # per-axis Gauss order of the |u|^p cell rule
 
 
@@ -147,6 +150,16 @@ def _hat(c, f, width):
 _Z_PANELS = 10
 
 
+def _z_weights(zz, w, dz, e_self, e_other):
+    """Plain Gauss weights w at the z nodes zz times the algebraic weight,
+    multiplied in this order: w z^e_self, then |z + dz|^e_other."""
+    if e_self:
+        w = w * zz ** e_self
+    if e_other:
+        w = w * np.abs(zz + dz[:, None]) ** e_other
+    return w
+
+
 def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
     """Nodes and weights for the inner vertical integral with the algebraic
     weight z^e_self (z + dz)^e_other on [lo, hi], vectorized over pairs.
@@ -189,11 +202,9 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
         wts[mask, :q] = ww
     plain = ~(at_self | at_other)
     if np.any(plain):
-        zz, ww = gauss_nodes(lo[plain], h0[plain], q, power=e_self)
-        if e_other:
-            ww = ww * np.abs(zz + dz[plain, None]) ** e_other
+        zz, ww = gauss_nodes(lo[plain], h0[plain], q)
         nodes[plain, :q] = zz
-        wts[plain, :q] = ww
+        wts[plain, :q] = _z_weights(zz, ww, dz[plain], e_self, e_other)
     if panels:
         ratio = np.where(
             width > 0,
@@ -204,12 +215,10 @@ def _z_rule(lo, hi, dz, e_self, e_other, q, panels=0):
         for k in range(panels):
             e1 = np.minimum(e0 * ratio, width)
             pw = np.maximum(e1 - e0, 0.0)
-            zz, ww = gauss_nodes(lo + e0, pw, q, power=e_self)
-            if e_other:
-                ww = ww * np.abs(zz + dz[:, None]) ** e_other
+            zz, ww = gauss_nodes(lo + e0, pw, q)
             sl = slice(q * (k + 1), q * (k + 2))
             nodes[:, sl] = zz
-            wts[:, sl] = ww
+            wts[:, sl] = _z_weights(zz, ww, dz, e_self, e_other)
             e0 = e1
     return nodes, wts
 
@@ -336,14 +345,18 @@ def _mid_pair_forms(grid, params, sigma, weight_fn):
     return patch.reshape(-1, 9), basis.reshape(-1, q * q, 9), ga, gb, KW
 
 
-def _exterior_forms(grid, params, sigma, weight_fn):
+def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
     """Cell-local quadratic forms coupling interior mass to the complement
     of the truncation cylinder, where the field itself is zero.
 
     For each grid cell a 4x4 form X gives vt_loc . X . vt_loc ~
     2 int_cell u(x)^2 kext(x) dmu, with kext(x) the kernel mass seen from x
     in the exterior, accumulated over a geometrically graded exterior tiling
-    out to 4000 R.  Tail models add their own terms elsewhere."""
+    out to 4000 R.  Tail models add their own terms elsewhere.  kext is
+    summed in tasks of _EXT_ROWS radial Gauss points, run on pool if given,
+    else on the calling thread; each task adds its rows over the exterior
+    box chunks in chunk order, and the rows are joined in order, so X is
+    bitwise the same either way."""
     rn, zn = grid.r_nodes, grid.z_nodes
     nr, nz = rn.size, zn.size
     R = grid.R_max
@@ -398,24 +411,23 @@ def _exterior_forms(grid, params, sigma, weight_fn):
 
     rp = rg.ravel()
     zp = zg.ravel()
-    kext = np.zeros((rp.size, zp.size))
-    for s0 in range(0, sb.size, chunk):
-        s1 = min(s0 + chunk, sb.size)
-        kv = kernel_values(
-            rp[:, None, None],
-            sb[None, None, s0:s1],
-            zp[None, :, None] - wb[None, None, s0:s1],
-            params,
-        )
-        if weight_fn is not None:
-            kv = kv * weight_fn(
-                rp[:, None, None],
-                zp[None, :, None],
-                sb[None, None, s0:s1],
-                wb[None, None, s0:s1],
-            )
-        kext += kv @ mb[s0:s1]
 
+    def rows(i0):
+        # small tasks keep the temporaries, and so the pool threads' malloc
+        # arenas, small
+        ri = rp[i0 : i0 + _EXT_ROWS, None, None]
+        acc = np.zeros((ri.shape[0], zp.size))
+        for s0 in range(0, sb.size, chunk):
+            sj = sb[None, None, s0 : s0 + chunk]
+            wj = wb[None, None, s0 : s0 + chunk]
+            kv = kernel_values(ri, sj, zp[None, :, None] - wj, params)
+            if weight_fn is not None:
+                kv = kv * weight_fn(ri, zp[None, :, None], sj, wj)
+            acc += kv @ mb[s0 : s0 + chunk]
+        return acc
+
+    starts = range(0, rp.size, _EXT_ROWS)
+    kext = np.concatenate(list((map if pool is None else pool.map)(rows, starts)))
     kext = kext.reshape(nr - 1, q, nz - 1, q)
     br = np.stack([1.0 - fr, fr])  # (2, nr-1, q)
     bz = np.stack([1.0 - fz, fz])
@@ -551,14 +563,10 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
             wid_r = np.maximum(hi_r - lo_r, 0.0)
             hi_z = np.maximum(hi_z, lo_z)
             w_pair = w_sel * w_rho_s[ch, None] * w_v_s[ch, None]
-            # radial inner nodes; the kernel needs only these.  One call per
-            # sample: for odd n the kernel reduces with BLAS, whose rounding
-            # depends on the call size
+            # radial inner nodes; the kernel needs only these
             xr = lo_r[..., None] + wid_r[..., None] * gg
             yr = xr + dr[..., None]
-            kv = np.stack(
-                [kernel_values(xr[i], yr[i], dz[i, :, None], params) for i in range(c)]
-            )
+            kv = kernel_values(xr, yr, dz[..., None], params)
             wc = (
                 w_pair[..., None] * wid_r[..., None] * w_g * kv * xr ** npow * yr ** npow
             )
@@ -567,12 +575,17 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
                 "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
             }
             lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
+            if not npan:
+                # interior pairs have no Jacobi head panel, so all three
+                # terms share one plain Gauss rule in z and their rows
+                z_plain, w_plain = _z_rule(lo_z, hi_z, dzf, 0.0, 0.0, n_z)
             parts = []
             for t, (e_x, e_y, coef, sides) in enumerate(terms):
-                zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
+                if npan:
+                    zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
+                else:
+                    zz, zw = z_plain, _z_weights(z_plain, w_plain, dzf, e_x, e_y)
                 if npan or t == 0:
-                    # interior pairs have no Jacobi head panel, so all three
-                    # terms share the plain Gauss z nodes and their rows
                     zz = zz.reshape(c, Ps, nzt)
                     zq = {"x": zz, "y": zz + dz[..., None]}
                     wf = None
@@ -712,19 +725,16 @@ class AssembledForm:
         M[handled] = 0.0
         self.M = M
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
-        # on the calling thread, before the pool starts: on a worker, the
-        # freed temporaries would stay in that thread's malloc arena and
-        # raise the peak RSS
-        ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn)
 
         self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
         coarse = _near_local_forms(grid, table.params, sigma, wfn, _COARSE_ORDERS)[3]
-        # the mid ring goes on the pool ahead of the near-form blocks
+        # the mid ring, then the exterior tasks, then the near-form blocks
         pool = ThreadPoolExecutor(min(_cpu_count(), 1 + len(fine) + len(coarse)))
         try:
             mid = pool.submit(_mid_pair_forms, grid, table.params, sigma, wfn)
+            ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn, pool)
             self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse, pool=pool)
             self.patch, self.basis, self.mga, self.mgb, self.KW = mid.result()
         finally:

@@ -6,7 +6,11 @@ interaction |xi - zeta|^(-p) reduces to a three-variable kernel
     K_p(r, s, t) = integral over S^(n-2) of (r^2 + s^2 - 2 r s w_1 + t^2)^(-p/2)
 
 where r, s are horizontal radii and t is the vertical difference.  The module
-evaluates K_p for any dimension n >= 2 and tabulates it on a grid.
+evaluates K_p for any dimension n >= 2 and tabulates it on a grid.  For n = 2
+and 4 the angle integral has a closed form; for other n it is summed on
+dyadic Gauss panels, node by node for each point, so every value depends
+only on its own (r, s, t): the same point gets the same bits alone, in any
+batch and from any thread.
 """
 
 from __future__ import annotations
@@ -98,16 +102,21 @@ class KernelParams:
 
 
 def _separations(r, s, t):
-    """r, s, t broadcast against each other, with c = r^2 + s^2 + t^2,
-    rs = r s and the range [m0, m1] of the squared separation over the
-    angle."""
+    """r, s, t broadcast against each other, with their broadcast shape, c =
+    r^2 + s^2 + t^2, rs = r s and the range [m0, m1] of the squared
+    separation over the angle.  A 0-d point is taken as a 1-element array:
+    numpy's scalar pow rounds unlike its array pow, and a point alone must
+    get the bits it gets in a batch."""
     r, s, t = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     )
+    shape = r.shape
+    if not shape:
+        r, s, t = r.reshape(1), s.reshape(1), t.reshape(1)
     c = r * r + s * s + t * t
     m0 = (r - s) ** 2 + t * t
     m1 = (r + s) ** 2 + t * t
-    return r, s, t, c, r * s, m0, m1
+    return shape, r, s, t, c, r * s, m0, m1
 
 
 def _closed_form_d2(p, lo, hi, rs):
@@ -117,11 +126,23 @@ def _closed_form_d2(p, lo, hi, rs):
     return (2.0 * np.pi) * (lo ** (1.0 - q) - hi ** (1.0 - q)) / ((q - 1.0) * 2.0 * rs)
 
 
+def _node_sum(f, w):
+    """sum_j w[j] f[j] over the node axis 0, taken in node order.  Each
+    point's sum reads its own column only, so its bits do not depend on the
+    other points of the call (a BLAS f @ w rounds by call size)."""
+    out = f[0] * w[0]
+    for j in range(1, w.size):
+        out += f[j] * w[j]
+    return out
+
+
 def _composite_moment(p, m0, m1, alpha):
     """integral_{m0}^{m1} m^(-p/2) ((m - m0)(m1 - m))^alpha dm, vectorized.
 
     Splits dyadically away from the peak at m = m0; the singular endpoint
     factors are absorbed into Gauss-Jacobi weights on the first/last panels.
+    Arrays are (node, point), and each point's value depends on that point
+    alone.
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
@@ -136,45 +157,50 @@ def _composite_moment(p, m0, m1, alpha):
         a = m0[mild]
         tt = T[mild]
         x, w = gauss_rule(_PANEL_NODES, alpha, alpha)
-        tau = tt[:, None] * (x[None, :] + 1.0) / 2.0
-        g = (a[:, None] + tau) ** (-q)
-        out[mild] = (tt / 2.0) ** (2.0 * alpha + 1.0) * (g @ w)
+        tau = tt * (x[:, None] + 1.0) / 2.0
+        g = (a + tau) ** (-q)
+        out[mild] = (tt / 2.0) ** (2.0 * alpha + 1.0) * _node_sum(g, w)
 
     if np.any(peaked):
         a = m0[peaked]
         tt = T[peaked]
-        acc = np.zeros_like(a)
         # first panel [0, m0]: left-endpoint weight tau^alpha
         xj, wj = gauss_rule(_PANEL_NODES, 0.0, alpha)
         h = a
-        tau = h[:, None] * (xj[None, :] + 1.0) / 2.0
-        f = (a[:, None] + tau) ** (-q) * (tt[:, None] - tau) ** alpha
-        acc += (h / 2.0) ** (alpha + 1.0) * (f @ wj)
-        # dyadic middle panels [m0 2^k, m0 2^(k+1)] clipped to [m0, T/2]
+        tau = h * (xj[:, None] + 1.0) / 2.0
+        f = (a + tau) ** (-q) * (tt - tau) ** alpha
+        acc = (h / 2.0) ** (alpha + 1.0) * _node_sum(f, wj)
+        # dyadic middle panels [m0 2^k, m0 2^(k+1)] clipped to [m0, T/2],
+        # over the points whose panel k starts below T/2
         xg, wg = gauss_rule(_PANEL_NODES)
         half = tt / 2.0
+        live, a_l, t_l, h_l = np.arange(a.size), a, tt, half
         for k in range(_MAX_PANELS):
-            lo = np.minimum(a * 2.0 ** k, half)
-            hi = np.minimum(a * 2.0 ** (k + 1), half)
-            width = hi - lo
-            if not np.any(width > 0):
-                break
-            tau = lo[:, None] + width[:, None] * (xg[None, :] + 1.0) / 2.0
-            f = tau ** alpha * (tt[:, None] - tau) ** alpha * (a[:, None] + tau) ** (-q)
-            acc += (width / 2.0) * (f @ wg)
+            lo = np.minimum(a_l * 2.0 ** k, h_l)
+            keep = lo < h_l
+            if not keep.all():
+                live, a_l, t_l, h_l, lo = (v[keep] for v in (live, a_l, t_l, h_l, lo))
+                if not live.size:
+                    break
+            width = np.minimum(a_l * 2.0 ** (k + 1), h_l) - lo
+            tau = lo + width * (xg[:, None] + 1.0) / 2.0
+            f = tau ** alpha * (t_l - tau) ** alpha * (a_l + tau) ** (-q)
+            acc[live] += (width / 2.0) * _node_sum(f, wg)
         # last panel [T/2, T]: right-endpoint weight (T - tau)^alpha
         xj, wj = gauss_rule(_PANEL_NODES, alpha, 0.0)
-        tau = half[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
-        f = tau ** alpha * (a[:, None] + tau) ** (-q)
-        acc += (half / 2.0) ** (alpha + 1.0) * (f @ wj)
+        tau = half + half * (xj[:, None] + 1.0) / 2.0
+        f = tau ** alpha * (a + tau) ** (-q)
+        acc += (half / 2.0) ** (alpha + 1.0) * _node_sum(f, wj)
         out[peaked] = acc
     return out
 
 
 def kernel_values(r, s, t, params):
     """Vectorized K_p on broadcasted arrays; the caller guarantees that no
-    element sits exactly on the diagonal singularity."""
-    r, s, t, c, rs, m0, m1 = _separations(r, s, t)
+    element sits exactly on the diagonal singularity.  Each value depends
+    only on its own (r, s, t): a point gets the same bits alone, in any
+    batch and in any order."""
+    shape, r, s, t, c, rs, m0, m1 = _separations(r, s, t)
     p, d = params.p, params.n - 2
     if np.any(m0 == 0.0):
         raise DiagonalSingularity("kernel evaluated at r = s, t = 0")
@@ -196,7 +222,7 @@ def kernel_values(r, s, t, params):
             out[rest] = (
                 sphere_surface(d - 1) * (2.0 * rs[rest]) ** (-(d - 1)) * J
             )
-    return out
+    return out.reshape(shape)
 
 
 def angular_kernel(r, s, t, params):
@@ -214,9 +240,10 @@ def angular_kernel(r, s, t, params):
 
 def kernel_values_excluded(r, s, t, params, m_lo):
     """K_p restricted to squared separations >= m_lo (used for the
-    principal-value exclusion ball).  Vectorized; elements whose full range
-    lies below m_lo contribute 0."""
-    r, s, t, c, rs, m0, m1 = _separations(r, s, t)
+    principal-value exclusion ball).  Vectorized, each value depending only
+    on its own point; elements whose full range lies below m_lo contribute
+    0."""
+    shape, r, s, t, c, rs, m0, m1 = _separations(r, s, t)
     p, d = params.p, params.n - 2
     out = np.zeros_like(c)
 
@@ -237,32 +264,36 @@ def kernel_values_excluded(r, s, t, params, m_lo):
         else:
             # the shifted lower endpoint kills the left singular weight:
             # dyadic panels graded away from m0 cover [lo, mid], and a last
-            # Gauss-Jacobi panel [mid, m1] carries (m1 - m)^alpha
+            # Gauss-Jacobi panel [mid, m1] carries (m1 - m)^alpha; arrays
+            # are (node, point)
             alpha = (d - 2) / 2.0
             vals = np.zeros_like(rsp)
             xg, wg = gauss_rule(_PANEL_NODES)
             gap0 = lo - m0p
             mid = 0.5 * (lo + m1p)
+            # panel k over the points where it starts below mid
+            live, lo_l, gap_l, mid_l = np.arange(rsp.size), lo, gap0, mid
+            m0_l, m1_l = m0p, m1p
             for k in range(_MAX_PANELS):
-                a_k = np.minimum(lo + gap0 * (2.0 ** k - 1.0), mid)
-                b_k = np.minimum(lo + gap0 * (2.0 ** (k + 1) - 1.0), mid)
-                width = b_k - a_k
-                if not np.any(width > 0):
-                    break
-                m = a_k[:, None] + width[:, None] * (xg[None, :] + 1.0) / 2.0
-                f = (
-                    m ** (-p / 2.0)
-                    * (m - m0p[:, None]) ** alpha
-                    * (m1p[:, None] - m) ** alpha
-                )
-                vals += (width / 2.0) * (f @ wg)
+                a_k = np.minimum(lo_l + gap_l * (2.0 ** k - 1.0), mid_l)
+                keep = a_k < mid_l
+                if not keep.all():
+                    live, lo_l, gap_l, mid_l, m0_l, m1_l, a_k = (
+                        v[keep] for v in (live, lo_l, gap_l, mid_l, m0_l, m1_l, a_k)
+                    )
+                    if not live.size:
+                        break
+                width = np.minimum(lo_l + gap_l * (2.0 ** (k + 1) - 1.0), mid_l) - a_k
+                m = a_k + width * (xg[:, None] + 1.0) / 2.0
+                f = m ** (-p / 2.0) * (m - m0_l) ** alpha * (m1_l - m) ** alpha
+                vals[live] += (width / 2.0) * _node_sum(f, wg)
             xj, wj = gauss_rule(_PANEL_NODES, alpha, 0.0)
             half = m1p - mid
-            m = mid[:, None] + half[:, None] * (xj[None, :] + 1.0) / 2.0
-            f = m ** (-p / 2.0) * (m - m0p[:, None]) ** alpha
-            vals += (half / 2.0) ** (alpha + 1.0) * (f @ wj)
+            m = mid + half * (xj[:, None] + 1.0) / 2.0
+            f = m ** (-p / 2.0) * (m - m0p) ** alpha
+            vals += (half / 2.0) ** (alpha + 1.0) * _node_sum(f, wj)
             out[part] = sphere_surface(d - 1) * (2.0 * rsp) ** (-(d - 1)) * vals
-    return out
+    return out.reshape(shape)
 
 
 @dataclass

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularAtZeroSeparation
+from .errors import InvalidParams, SingularAtZeroSeparation
 from .kernel import KernelParams, gauss_nodes, kernel_values, sphere_surface
 
 __all__ = [
@@ -54,9 +54,17 @@ def slice_interaction(f, g, t, n, sigma, q=6):
     (f(x') - g(y'))^2 (|x'-y'|^2 + t^2)^(-(n+2*sigma)/2), reduced by the
     angular kernel.  f and g are piecewise linear on their radii and extend
     constantly by their last value beyond the final radius, so the integral
-    runs over the whole hyperplane (equal constants give exactly zero)."""
+    runs over the whole hyperplane.  Both must end at the same value (equal
+    constants give exactly zero); with unequal ends the integral diverges,
+    and InvalidParams is raised."""
     if t <= 0:
         raise SingularAtZeroSeparation("slice interaction needs t > 0")
+    cf, cg = float(f.values[-1]), float(g.values[-1])
+    if cf != cg:
+        raise InvalidParams(
+            f"slice interaction diverges: the profiles end at {cf!r} and {cg!r}, "
+            "and their constant continuations differ"
+        )
     par = KernelParams.energy(n, sigma)
     k = f.measure_exponent
 
@@ -84,14 +92,10 @@ def slice_interaction(f, g, t, n, sigma, q=6):
     diff2 = (vf[:, None] - vg[None, :]) ** 2
     total = float(np.sum(wf[:, None] * wg_[None, :] * K * diff2))
 
-    cf, cg = float(f.values[-1]), float(g.values[-1])
     se_g, we_g = ext_points(g)
     Kfe = kernel_values(xf[:, None], se_g[None, :], float(t), par)
     total += float(np.sum(wf * (vf - cg) ** 2 * (Kfe @ we_g)))
     se_f, we_f = ext_points(f)
     Kge = kernel_values(xg_[:, None], se_f[None, :], float(t), par)
     total += float(np.sum(wg_ * (vg - cf) ** 2 * (Kge @ we_f)))
-    if cf != cg:
-        Kee = kernel_values(se_f[:, None], se_g[None, :], float(t), par)
-        total += (cf - cg) ** 2 * float(we_f @ Kee @ we_g)
     return sphere_surface(n - 2) * total

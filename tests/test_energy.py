@@ -2,6 +2,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -439,20 +440,28 @@ def test_table_order_checked(setup4, setup_gamma0):
         weighted_seminorm(f, tab_e, "gamma0")
 
 
-@pytest.mark.parametrize("name", ["setup4", "setup_graded"])
+@pytest.mark.parametrize("name", ["setup4", "setup_graded", "n3"])
 def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
-    # the mid ring and the near-form blocks run on a thread pool, and the
-    # block sums are taken in one fixed order, so one worker and several
-    # give the same bits
-    g, tab, _ = request.getfixturevalue(name)
-    weight = _FAMILY_SUMS[name]["weight"]
+    # the mid ring, the exterior rows and the near-form blocks run on a
+    # thread pool and are combined in one fixed order, so one worker and
+    # several give the same bits in every array; for n = 3 this also needs
+    # kernel values that do not depend on the batch they come in
+    if name == "n3":
+        g = make_grid(3, 1.0, 10, 10, (1.0, 1.5))
+        tab = build_kernel_table(g, KernelParams.energy(3, 0.75))
+        weight = ("power", 1.0)
+    else:
+        g, tab, _ = request.getfixturevalue(name)
+        weight = _FAMILY_SUMS[name]["weight"]
     forms = []
     for workers in (1, max(2, energy._cpu_count())):
         monkeypatch.setattr(energy, "_cpu_count", lambda w=workers: w)
-        forms.append(AssembledForm(g, tab, 0.75, weight))
-    for attr in ("L", "L_coarse", "H", "KW", "basis", "patch", "mga", "mgb", "M",
-                 "c1", "Q2"):
-        assert np.array_equal(getattr(forms[0], attr), getattr(forms[1], attr)), attr
+        forms.append(vars(AssembledForm(g, tab, 0.75, weight)))
+    one, many = forms
+    arrays = [k for k, v in one.items() if isinstance(v, np.ndarray)]
+    assert {"H", "M", "L", "L_coarse", "KW", "basis"} <= set(arrays)
+    for k in arrays:
+        assert np.array_equal(one[k], many[k]), k
 
 
 def test_near_block_sums_follow_block_order(monkeypatch):
@@ -479,24 +488,59 @@ def test_near_block_sums_follow_block_order(monkeypatch):
 def test_near_block_error_surfaces(monkeypatch):
     g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
-    plain = energy.kernel_values
-    # the mid ring also runs on the pool: take it from a clean run, so the
-    # only tasks that fail are the near-form blocks
+    # the mid ring and the exterior forms also run on the pool: take them
+    # from a clean run, so the only tasks that fail are the near-form blocks
     mid = energy._mid_pair_forms(g, tab.params, 0.75, None)
+    ext = energy._exterior_forms(g, tab.params, 0.75, None)
     monkeypatch.setattr(energy, "_mid_pair_forms", lambda *args: mid)
+    monkeypatch.setattr(energy, "_exterior_forms", lambda *args: ext)
 
     def failing(*args):
-        # the exterior forms call it on the calling thread, the near-form
-        # blocks on the pool's
-        if threading.current_thread() is not threading.main_thread():
-            raise DiagonalSingularity("raised in a near-form block")
-        return plain(*args)
+        raise DiagonalSingularity("raised in a near-form block")
 
     monkeypatch.setattr(energy, "kernel_values", failing)
     before = threading.active_count()
     with pytest.raises(DiagonalSingularity, match="near-form block"):
         AssembledForm(g, tab, 0.75)
     assert threading.active_count() == before
+
+
+def test_exterior_error_surfaces(monkeypatch):
+    # the exterior tasks are waited for before the near-form blocks are
+    # submitted, so theirs is the error that surfaces
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    mid = energy._mid_pair_forms(g, tab.params, 0.75, None)
+    monkeypatch.setattr(energy, "_mid_pair_forms", lambda *args: mid)
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise DiagonalSingularity("raised in an exterior task")
+
+    monkeypatch.setattr(energy, "kernel_values", failing)
+    before = threading.active_count()
+    with pytest.raises(DiagonalSingularity, match="exterior"):
+        AssembledForm(g, tab, 0.75)
+    assert threading.active_count() == before
+    assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exterior_row_tasks_match_one_task(n, monkeypatch):
+    # tasks of _EXT_ROWS Gauss-point rows on a pool give the bits of one
+    # task over every row on the calling thread: kv @ mb keeps its bits per
+    # row, and for n = 3 each kernel value depends on its own point only
+    g = make_grid(n, 1.0, 12, 12, (1.0, 1.5))
+    params = KernelParams.energy(n, 0.75)
+    wfn = energy._weight(("power", 1.0))[1]
+    rows = (g.shape[0] - 1) * energy._EXT_ORDER
+    assert rows > 2 * energy._EXT_ROWS  # three tasks or more
+    with ThreadPoolExecutor(2) as pool:
+        maps, X = energy._exterior_forms(g, params, 0.75, wfn, pool)
+    monkeypatch.setattr(energy, "_EXT_ROWS", 10 ** 6)
+    maps1, X1 = energy._exterior_forms(g, params, 0.75, wfn)
+    assert np.array_equal(maps, maps1) and np.array_equal(X, X1)
 
 
 def test_mid_ring_error_surfaces(monkeypatch):
@@ -528,37 +572,43 @@ def _near_forms(g, params, weight):
 @pytest.mark.parametrize("name", ["setup4", "setup_graded", "n3"])
 def test_near_forms_independent_of_batch_budget(name, request, monkeypatch):
     # a budget of 1 takes one (tri, k, m) sample per chunk, the unchunked
-    # loop; for n = 3 the kernel reduces with BLAS, whose rounding changes
-    # if kernel_values is called once per chunk and not once per sample
+    # loop, and so one kernel_values call per sample; the default budget
+    # takes one call per chunk of samples
     if name == "n3":
         g = make_grid(3, 1.0, 8, 8, (1.0, 1.5))
         params, weight = KernelParams.energy(3, 0.75), "none"
     else:
         g, tab, _ = request.getfixturevalue(name)
         params, weight = tab.params, _FAMILY_SUMS[name]["weight"]
-    z_rule = energy._z_rule
     calls = []
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return z_rule(*args, **kw)
+    def counted(fn):
+        def call(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
 
-    monkeypatch.setattr(energy, "_z_rule", counted)
+        return call
+
+    for fn in (energy._z_rule, energy.kernel_values):
+        monkeypatch.setattr(energy, fn.__name__, counted(fn))
     got = []
     for budget in (energy._NEAR_CHUNK, 1):
         monkeypatch.setattr(energy, "_NEAR_CHUNK", budget)
         calls.clear()
-        got.append((_near_forms(g, params, weight), len(calls)))
+        forms = _near_forms(g, params, weight)
+        got.append((forms, (calls.count("_z_rule"), calls.count("kernel_values"))))
     (chunked, n_chunked), (single, n_single) = got
-    assert n_chunked < n_single  # some blocks took several samples per chunk
+    # some blocks took several samples per chunk
+    assert all(a < b for a, b in zip(n_chunked, n_single))
     for a, b in zip(chunked, single):
         assert np.array_equal(a, b)
 
 
 def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
-    # interior near-form blocks build the rows of the three terms of
-    # (z_x^a p_x - z_y^a p_y)^2 from the first term's z nodes, which holds
-    # only while _z_rule gives all three the same nodes there
+    # interior near-form blocks take one plain z rule per chunk for the
+    # three terms of (z_x^a p_x - z_y^a p_y)^2, build their rows from its
+    # nodes and derive their weights with _z_weights, which holds bit for
+    # bit only while each term's own _z_rule has those nodes and weights
     g, tab, _ = setup_graded
     z_rule = energy._z_rule
     seen = []
@@ -577,11 +627,11 @@ def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
     a = 2 * 0.75 - 1
     assert seen
     for lo, hi, dz, q in seen:
-        xx, xy, yy = (
-            z_rule(lo, hi, dz, e_x, e_y, q, panels=0)[0]
-            for e_x, e_y in ((2 * a, 0.0), (a, a), (0.0, 2 * a))
-        )
-        assert np.array_equal(xx, xy) and np.array_equal(xx, yy)
+        zz, w = z_rule(lo, hi, dz, 0.0, 0.0, q)
+        for e_x, e_y in ((2 * a, 0.0), (a, a), (0.0, 2 * a)):
+            want_z, want_w = z_rule(lo, hi, dz, e_x, e_y, q, panels=0)
+            assert np.array_equal(zz, want_z)
+            assert np.array_equal(energy._z_weights(zz, w, dz, e_x, e_y), want_w)
 
 
 _BAD_WEIGHTS = [
@@ -670,7 +720,7 @@ def _tail_energy_one_pass(field, params):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tail_energy_blocks_match_one_pass(n, monkeypatch):
-    # bit for bit, also for odd n, where the kernel reduces with BLAS
+    # bit for bit, also for odd n, where the kernel is summed on panels
     g = make_grid(n, 12.0, 12, 12, (2.0, 2.0))
     f = attach_tail_model(synthesize_profile("envelope", g, 0.75))
     params = KernelParams.energy(n, 0.75)

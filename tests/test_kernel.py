@@ -241,3 +241,59 @@ def test_gauss_nodes_integrate_polynomials_below_degree_2q(q):
     for k in range(2 * q):
         want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
         assert np.allclose((w * x ** k).sum(axis=1), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("order", ["energy", "curvature"])
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_kernel_values_depend_only_on_their_point(n, order):
+    # a batch, shuffled subsets of it and single 0-d points give the same
+    # bits: the panel sums run node by node for each point, and a lone
+    # point is taken as a 1-element array
+    par = getattr(KernelParams, order)(n, 0.75)
+    rng = np.random.default_rng(n)
+    r, s, t = rng.uniform(0.0, 3.0, (3, 600))
+    # near-diagonal points take many dyadic panels, axis points none
+    r[:40] = s[:40] * (1.0 + rng.uniform(-1e-6, 1e-6, 40))
+    t[:40] = rng.uniform(0.0, 1e-5, 40)
+    r[40:50] = 0.0
+    # two points whose (r - s)^2 and (r + s)^2 numpy's scalar pow rounds
+    # unlike its array pow
+    r[50:52], s[50:52], t[50:52] = (
+        (2.83618985112866, 0.9871307965206845),
+        (0.5857068374129966, 1.2286107326517166),
+        (1.2006425604984778, 0.8884297025314182),
+    )
+    evals = {
+        "kernel_values": lambda a, b, c: kernel_values(a, b, c, par),
+        "kernel_values_excluded": lambda a, b, c: kernel_values_excluded(
+            a, b, c, par, 0.5
+        ),
+    }
+    for name, fn in evals.items():
+        full = fn(r, s, t)
+        sub = np.empty_like(full)
+        for part in np.array_split(rng.permutation(r.size), 7):
+            sub[part] = fn(r[part], s[part], t[part])
+        single = [fn(r[i], s[i], t[i]) for i in range(r.size)]
+        assert all(v.shape == () for v in single), name
+        assert np.array_equal(sub, full), name
+        assert np.array_equal(np.array(single), full), name
+        grid = fn(r.reshape(20, 30), s.reshape(20, 30), t.reshape(20, 30))
+        assert np.array_equal(grid.ravel(), full), name
+
+
+def test_n3_table_entries_are_the_pointwise_kernel_bit_for_bit():
+    par = KernelParams.energy(3, 0.75)
+    grid = make_grid(3, 2.0, 6, 6, (2.0, 2.0))
+    tab = build_kernel_table(grid, par)
+    r = grid.r_nodes
+    seen = 0
+    for k in np.flatnonzero(tab.t_nodes >= 0.0):
+        t = tab.t_nodes[k]
+        for i in range(r.size):
+            for j in range(r.size):
+                if r[i] == r[j] and t == 0.0:
+                    continue
+                assert tab.values[i, j, k] == angular_kernel(r[i], r[j], t, par)
+                seen += 1
+    assert seen > 900

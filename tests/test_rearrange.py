@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regsob.energy import critical_p, seminorm
-from regsob.errors import SingularAtZeroSeparation
+from regsob.errors import InvalidParams, SingularAtZeroSeparation
 from regsob.field import make_grid, synthesize_profile
 from regsob.kernel import KernelParams, build_kernel_table
 from regsob.rearrange import (
@@ -86,11 +86,27 @@ def test_interaction_constant_profiles_zero():
 def test_interaction_symmetry():
     rng = np.random.default_rng(1)
     radii = np.linspace(0.0, 1.0, 12)
-    f = SliceProfile(radii, rng.uniform(0, 1, 12), 2)
-    g = SliceProfile(radii, rng.uniform(0, 1, 12), 2)
+    vf, vg = rng.uniform(0, 1, (2, 12))
+    vg[-1] = vf[-1]  # equal ends: the interaction is finite
+    f = SliceProfile(radii, vf, 2)
+    g = SliceProfile(radii, vg, 2)
     a = slice_interaction(f, g, 0.2, 4, 0.75)
     b = slice_interaction(g, f, 0.2, 4, 0.75)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_interaction_unequal_ends_raise(n):
+    # with unequal constant continuations the exterior-exterior term
+    # diverges; the cut-off of the continuation must not pick a value
+    radii = np.linspace(0.0, 2.0, 9)
+    f = SliceProfile(radii, np.exp(-radii ** 2), n - 2)
+    g = SliceProfile(radii, (1.0 - radii / 4.0) ** 2, n - 2)
+    ends = (repr(float(f.values[-1])), repr(float(g.values[-1])))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(InvalidParams, match="diverges") as err:
+            slice_interaction(a, b, 0.3, n, 0.75)
+        assert all(e in str(err.value) for e in ends)
 
 
 def test_interaction_zero_separation_raises():
