@@ -21,11 +21,19 @@ of the per-pair near forms, and for sums restricted to the pairs inside a
 ball B_lambda the mid ring keeps one Gauss basis per box and one weighted
 kernel block per pair.
 
+A form builds each family when a caller first reads it.  The build makes
+what every caller reads: the far kernel M, the box moments, the fine near
+forms and the mid ring.  H, with the exterior forms that only H holds, is
+built on the first full energy, gradient or bilinear form, and the coarse
+near forms on the first parts() call, which only quad_error_estimate
+reads; callers that need only a total (_total) never build them.  Ball sums
+read no H, so the curvature operators of estimate_gamma0 never build it.
+
 The mid ring, the exterior forms' kernel sums (in blocks of rows) and the
 near-form blocks run on a thread pool, one worker per CPU, and are
 combined in a fixed order; the kernel gives each point the same bits in
 any batch, so every assembled array is bitwise the same for any worker
-count.
+count and for any order in which the families are read.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ _BOX_ORDER = 6  # per-axis Gauss order of the box moments
 _MID_ORDER = 3  # per-axis Gauss order of each mid-ring box
 _EXT_ORDER = 2  # per-axis Gauss order of each cell's exterior form
 _EXT_CHUNK = 200  # exterior boxes per kernel call
-_EXT_ROWS = 8  # radial Gauss points of the cells per exterior task
+_EXT_ROWS = 4  # radial Gauss points of the cells per exterior task
 _MASS_ORDER = 4  # per-axis Gauss order of the |u|^p cell rule
 
 
@@ -701,13 +709,16 @@ class AssembledForm:
     parts(v, sel) it keeps the near forms at the fine and coarse orders (L,
     L_coarse), the far moments and, for the mid ring, one Gauss basis per
     box (patch, basis) and one weighted kernel block KW per box pair (mga,
-    mgb).  Build it through assemble, which checks the inputs."""
+    mgb).  The constructor builds M, the far moments, L and the mid ring;
+    H (with the exterior forms) and L_coarse are cached properties, each
+    built on its first read on a pool of its own.  Build it through
+    assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         wfn = _weight(weight)[1]
+        self._inputs = (grid, table.params, sigma, wfn)
         self.sphere = sphere_surface(grid.n - 2)
         nr, nz = grid.shape
-        N = nr * nz
         r_flat, z_flat, W = _node_rule(grid.r_nodes, grid.z_nodes, grid.n)
         self.r_flat, self.z_flat, self.node_weight = r_flat, z_flat, W
 
@@ -729,20 +740,38 @@ class AssembledForm:
         self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
-        coarse = _near_local_forms(grid, table.params, sigma, wfn, _COARSE_ORDERS)[3]
-        # the mid ring, then the exterior tasks, then the near-form blocks
-        pool = ThreadPoolExecutor(min(_cpu_count(), 1 + len(fine) + len(coarse)))
+        # the mid ring, then the near-form blocks
+        pool = ThreadPoolExecutor(min(_cpu_count(), 1 + len(fine)))
         try:
             mid = pool.submit(_mid_pair_forms, grid, table.params, sigma, wfn)
-            ext_maps, X = _exterior_forms(grid, table.params, sigma, wfn, pool)
-            self.L, self.L_coarse = _sum_blocks(self.ga.size, fine, coarse, pool=pool)
+            (self.L,) = _sum_blocks(self.ga.size, fine, pool=pool)
             self.patch, self.basis, self.mga, self.mgb, self.KW = mid.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    @functools.cached_property
+    def L_coarse(self):
+        """The near forms at the coarse orders, built on the first read."""
+        grid, params, sigma, wfn = self._inputs
+        coarse = _near_local_forms(grid, params, sigma, wfn, _COARSE_ORDERS)[3]
+        return _sum_blocks(self.ga.size, coarse)[0]
+
+    @functools.cached_property
+    def H(self):
+        """The whole form as one symmetric N x N matrix, built on the first
+        read together with the exterior forms it alone holds."""
+        grid, params, sigma, wfn = self._inputs
+        pool = ThreadPoolExecutor(_cpu_count())
+        try:
+            ext_maps, X = _exterior_forms(grid, params, sigma, wfn, pool)
         finally:
             pool.shutdown(cancel_futures=True)
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
         # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms
-        Wp = np.maximum(W, 1e-300)
+        M = self.M
+        N = M.shape[0]
+        Wp = np.maximum(self.node_weight, 1e-300)
         C = np.bincount(
             (np.arange(N)[:, None] * N + self.map9).ravel(),
             (self.c1 / Wp[:, None]).ravel(),
@@ -760,11 +789,17 @@ class AssembledForm:
         np.add.at(D, ma, self.KW.sum(axis=2))
         np.add.at(D, mb, self.KW.sum(axis=1))
         _scatter(H_far, self.patch, 2.0 * np.einsum("nga,ng,ngb->nab", B, D, B))
-        step = 1 << 14
+        step, sub = 1 << 14, 1 << 10
         for s in range(0, ma.size, step):
-            a, b = ma[s : s + step], mb[s : s + step]
-            cross = B[a].transpose(0, 2, 1) @ self.KW[s : s + step] @ B[b]
-            _scatter(H_far, self.patch[a], -4.0 * cross, self.patch[b])
+            a, b, KW = ma[s : s + step], mb[s : s + step], self.KW[s : s + step]
+            # each pair's product alone has the same bits, so sub-chunks of
+            # products cut the peak RSS; the scatter keeps its chunks and bits
+            cross = np.empty((a.size, 9, 9))
+            for t in range(0, a.size, sub):
+                k = slice(t, t + sub)
+                cross[k] = B[a[k]].transpose(0, 2, 1) @ KW[k] @ B[b[k]]
+            cross *= -4.0
+            _scatter(H_far, self.patch[a], cross, self.patch[b])
         _scatter(H_far, ext_maps, X)
         H_near = np.zeros((N, N))
         _scatter(H_near, self.maps, self.L)
@@ -773,7 +808,7 @@ class AssembledForm:
             A += A.T
             A *= 0.5 * self.sphere
         H_far += H_near
-        self.H = H_far
+        return H_far
 
     def _far(self, v, sel):
         """Far-moment part over the pairs with both boxes in sel."""
@@ -786,6 +821,19 @@ class AssembledForm:
         row = self.M @ sel
         return 2.0 * (np.dot(row, S) - np.dot(P, self.M @ P))
 
+    def _far_near(self, vt, sel=None):
+        """(far, near) of parts(vt, sel), without the coarse near sum."""
+        v = vt.ravel()
+        near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
+        if sel is None:
+            return self.energy(vt) - near, near
+        U = np.einsum("nga,na->ng", self.basis, v[self.patch])
+        keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
+        d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
+        mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
+        far = (self._far(v, sel) + mid) * self.sphere
+        return float(far), near
+
     def parts(self, vt, sel=None):
         """(far, near, near_coarse) including the angular prefactor; far
         includes the coupling to the exterior of the truncation cylinder.
@@ -797,20 +845,12 @@ class AssembledForm:
         since H has lost which pair an entry came from.  It has no exterior
         term: a pair that leaves the truncation cylinder also leaves any
         interior cap."""
-        v = vt.ravel()
-        near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
+        far, near = self._far_near(vt, sel)
         nearc = (
-            _pair_sum(v, self.maps, self.ga, self.gb, self.L_coarse, sel)
+            _pair_sum(vt.ravel(), self.maps, self.ga, self.gb, self.L_coarse, sel)
             * self.sphere
         )
-        if sel is None:
-            return self.energy(vt) - near, near, nearc
-        U = np.einsum("nga,na->ng", self.basis, v[self.patch])
-        keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
-        d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
-        mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
-        far = (self._far(v, sel) + mid) * self.sphere
-        return float(far), near, nearc
+        return far, near, nearc
 
     def energy(self, vt):
         v = vt.ravel()
@@ -909,8 +949,36 @@ def seminorm(field, table):
     weighted_seminorm plus the energy of the tail model beyond the box (0
     without a tail model)."""
     bd = weighted_seminorm(field, table, "none")
-    tail = 0.0 if field.tail is None else _tail_energy(field, table.params)
+    tail = _tail(field, table.params)
     return replace(bd, total=bd.total + tail, tail_estimate=tail)
+
+
+def _tail(field, params):
+    return 0.0 if field.tail is None else _tail_energy(field, params)
+
+
+def _sums(field, table, weight, lam, exterior, coarse):
+    """(far, near), and near_coarse after them if coarse, of
+    weighted_seminorm."""
+    if exterior and lam is None:
+        raise InvalidParams("exterior=True needs lam")
+    form = assemble(field.grid, table, field.sigma, weight)
+    vt = field.regular_values
+    parts = form.parts if coarse else form._far_near
+    if lam is None:
+        return parts(vt)
+    sel = _ball_sel(form, lam)
+    if not exterior:
+        return parts(vt, sel)
+    return tuple(a - b for a, b in zip(parts(vt), parts(vt, sel)))
+
+
+def _total(field, table, weight="none", lam=None, exterior=False, tail=False):
+    """weighted_seminorm(field, table, weight, lam, exterior).total, and with
+    tail=True seminorm(field, table).total, bit for bit, without the coarse
+    near forms that only quad_error_estimate reads."""
+    far, near = _sums(field, table, weight, lam, exterior, False)
+    return far + near + _tail(field, table.params) if tail else far + near
 
 
 def weighted_seminorm(field, table, weight, lam=None, exterior=False):
@@ -922,20 +990,7 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     with exterior=True, which needs lam, the complement of that pair set.
     No tail model enters.
     """
-    if exterior and lam is None:
-        raise InvalidParams("exterior=True needs lam")
-    form = assemble(field.grid, table, field.sigma, weight)
-    vt = field.regular_values
-    if lam is None:
-        far, near, nearc = form.parts(vt)
-    else:
-        sel = _ball_sel(form, lam)
-        if exterior:
-            fa, na, nca = form.parts(vt)
-            fi, ni, nci = form.parts(vt, sel)
-            far, near, nearc = fa - fi, na - ni, nca - nci
-        else:
-            far, near, nearc = form.parts(vt, sel)
+    far, near, nearc = _sums(field, table, weight, lam, exterior, True)
     return EnergyBreakdown(
         total=far + near,
         far_part=far,
@@ -1032,7 +1087,7 @@ def rayleigh_quotient(field, table):
     if not np.any(field.regular_values):
         raise ZeroField("quotient undefined for the zero field")
     den = lp_norm(field, critical_p(field.grid.n, field.sigma))
-    return seminorm(field, table).total / den ** 2
+    return _total(field, table, tail=True) / den ** 2
 
 
 def regional_laplacian(field, point, table, pv_radius):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import weighted_seminorm
+from .energy import _total
 from .errors import InsufficientConvergence, InvalidGamma
 from .field import make_grid, resample
 from .kernel import KernelParams, build_kernel_table
@@ -65,10 +65,12 @@ def _lambda_fit(lams, vals, sigma):
 def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     """Truncated weighted pair sums on each (grid, lambda), extrapolated.
 
-    The truncation remainder is fitted against the proven lambda^(1-2*sigma)
-    tail scaling; the grid error is a two-level difference of the
-    lambda-extrapolated values.  The verdict claims a sign only when the
-    value clears the combined budget.
+    The grids must strictly increase; they default to (max(8, 2N/3), N) for
+    theta's N, so a theta with N <= 8 needs them given.  The truncation
+    remainder is fitted against the proven lambda^(1-2*sigma) tail scaling;
+    the grid error is a two-level difference of the lambda-extrapolated
+    values.  The verdict claims a sign only when the value clears the
+    combined budget.
     """
     g = theta.grid
     sigma = theta.sigma
@@ -80,15 +82,19 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     if grids is None:
         N0 = g.r_nodes.size - 1
         grids = (max(8, (2 * N0) // 3), N0)
+        where = f" (the default for theta's N = {N0})"
+    else:
+        where = ""
+    grids = tuple(int(N) for N in grids)
+    if any(a >= b for a, b in zip(grids, grids[1:])):
+        raise InvalidGamma(f"grids must strictly increase, got {grids}{where}")
 
     per_grid = []
     finest = None
     for N in grids:
-        fld = _on_grid(theta, int(N))
+        fld = _on_grid(theta, N)
         tab = build_kernel_table(fld.grid, KernelParams.curvature(g.n, sigma))
-        vals = [
-            weighted_seminorm(fld, tab, "gamma0", lam=l).total for l in schedule
-        ]
+        vals = [_total(fld, tab, "gamma0", lam=l) for l in schedule]
         per_grid.append(_lambda_fit(schedule, vals, sigma))
         finest = (fld, vals)
     value = per_grid[-1][0]
@@ -143,9 +149,7 @@ def tail_bound(theta, lam, gamma, table=None):
         table = build_kernel_table(
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
         )
-    return weighted_seminorm(
-        theta, table, ("power", float(gamma)), lam=float(lam), exterior=True
-    ).total
+    return _total(theta, table, ("power", float(gamma)), lam=float(lam), exterior=True)
 
 
 def interior_weighted_growth(theta, lam, gamma, table=None):
@@ -161,4 +165,4 @@ def interior_weighted_growth(theta, lam, gamma, table=None):
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
         )
     lam = None if lam is None else float(lam)
-    return weighted_seminorm(theta, table, ("power", float(gamma)), lam=lam).total
+    return _total(theta, table, ("power", float(gamma)), lam=lam)

@@ -1,7 +1,7 @@
 import re
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,6 +39,7 @@ from regsob.field import (
     make_grid,
     synthesize_profile,
 )
+from regsob.gamma0 import estimate_gamma0, tail_bound
 from regsob.kernel import KernelParams, build_kernel_table
 
 
@@ -424,6 +425,8 @@ def test_assembled_form_keeps_two_dense_matrices(setup4):
     g, tab, _ = setup4
     N = g.shape[0] * g.shape[1]
     form = assemble(g, tab, 0.75)
+    # every family, the ones built on their first read too
+    _ = form.H, form.L_coarse
     dense = sorted(
         k for k, a in vars(form).items()
         if isinstance(a, np.ndarray) and a.shape == (N, N)
@@ -456,7 +459,11 @@ def test_near_forms_independent_of_worker_count(name, request, monkeypatch):
     forms = []
     for workers in (1, max(2, energy._cpu_count())):
         monkeypatch.setattr(energy, "_cpu_count", lambda w=workers: w)
-        forms.append(vars(AssembledForm(g, tab, 0.75, weight)))
+        form = AssembledForm(g, tab, 0.75, weight)
+        # H (with the exterior forms) and L_coarse are built on their first
+        # read, on a pool of their own
+        _ = form.H, form.L_coarse
+        forms.append(vars(form))
     one, many = forms
     arrays = [k for k, v in one.items() if isinstance(v, np.ndarray)]
     assert {"H", "M", "L", "L_coarse", "KW", "basis"} <= set(arrays)
@@ -488,12 +495,11 @@ def test_near_block_sums_follow_block_order(monkeypatch):
 def test_near_block_error_surfaces(monkeypatch):
     g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
-    # the mid ring and the exterior forms also run on the pool: take them
-    # from a clean run, so the only tasks that fail are the near-form blocks
+    # the mid ring also runs on the pool: take it from a clean run, so the
+    # only tasks that fail are the near-form blocks (the exterior forms are
+    # built with H, on its first read)
     mid = energy._mid_pair_forms(g, tab.params, 0.75, None)
-    ext = energy._exterior_forms(g, tab.params, 0.75, None)
     monkeypatch.setattr(energy, "_mid_pair_forms", lambda *args: mid)
-    monkeypatch.setattr(energy, "_exterior_forms", lambda *args: ext)
 
     def failing(*args):
         raise DiagonalSingularity("raised in a near-form block")
@@ -506,12 +512,12 @@ def test_near_block_error_surfaces(monkeypatch):
 
 
 def test_exterior_error_surfaces(monkeypatch):
-    # the exterior tasks are waited for before the near-form blocks are
-    # submitted, so theirs is the error that surfaces
+    # the exterior forms are built with H on its first read, after the rest
+    # of the form, and their tasks run on a pool of their own; a failed
+    # read leaves H unset, so the next read builds it again
     g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
-    mid = energy._mid_pair_forms(g, tab.params, 0.75, None)
-    monkeypatch.setattr(energy, "_mid_pair_forms", lambda *args: mid)
+    form = AssembledForm(g, tab, 0.75)
     threads = []
 
     def failing(*args):
@@ -521,9 +527,12 @@ def test_exterior_error_surfaces(monkeypatch):
     monkeypatch.setattr(energy, "kernel_values", failing)
     before = threading.active_count()
     with pytest.raises(DiagonalSingularity, match="exterior"):
-        AssembledForm(g, tab, 0.75)
+        form.H
     assert threading.active_count() == before
     assert threads and threading.main_thread() not in threads
+    assert "H" not in vars(form)
+    monkeypatch.undo()
+    assert np.array_equal(form.H, AssembledForm(g, tab, 0.75).H)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -826,3 +835,84 @@ def test_assemble_checks_its_inputs_before_the_cache(monkeypatch):
         assemble(g8, tab_c, 0.75)
     assert built == [] and dict(energy._cache) == cached
     assert assemble(g8, tab_e, 0.75) is form
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty operator cache, and a Counter of the families the builds
+    that follow make: fine and coarse near forms, and exterior forms."""
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    built = Counter()
+    near, exterior = energy._near_local_forms, energy._exterior_forms
+
+    def counted_near(grid, params, sigma, wfn, orders):
+        built["coarse" if orders == energy._COARSE_ORDERS else "fine"] += 1
+        return near(grid, params, sigma, wfn, orders)
+
+    def counted_exterior(*args):
+        built["exterior"] += 1
+        return exterior(*args)
+
+    monkeypatch.setattr(energy, "_near_local_forms", counted_near)
+    monkeypatch.setattr(energy, "_exterior_forms", counted_exterior)
+    return built
+
+
+def test_gamma0_builds_neither_coarse_nor_exterior_forms(builds):
+    # two curvature operators read only their ball sums, and the one power
+    # operator of tail_bound reads H, so the exterior forms, for its
+    # exterior pairs; no call reads quad_error_estimate
+    g = make_grid(4, 12.0, 10, 10, (2.0, 2.0))
+    theta = attach_tail_model(synthesize_profile("envelope", g, 0.75))
+    estimate_gamma0(theta, grids=(8, 10))
+    assert builds == {"fine": 3, "exterior": 1}
+
+
+def test_tail_bound_and_quotient_build_no_coarse_forms(setup_graded, builds):
+    g, tab, f = setup_graded
+    tail_bound(f, 0.6, 1.0, table=tab)
+    assert builds == {"fine": 1, "exterior": 1}
+    builds.clear()
+    rayleigh_quotient(f, tab)
+    assert builds == {"fine": 1, "exterior": 1}
+
+
+def test_seminorm_builds_every_family(setup4, builds):
+    _, tab, f = setup4
+    seminorm(f, tab)
+    assert builds == {"fine": 1, "coarse": 1, "exterior": 1}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
+def test_read_order_keeps_the_bits(name, request):
+    # ball sums read the per-pair forms, the full energy reads H and its
+    # exterior forms: each family has the same bits whichever is read first
+    g, tab, f = request.getfixturevalue(name)
+    weight = _FAMILY_SUMS[name]["weight"]
+    v = f.regular_values
+    sel = energy._ball_sel(assemble(g, tab, 0.75, weight), 0.6)
+    ball_first = AssembledForm(g, tab, 0.75, weight)
+    got_b = (ball_first.parts(v, sel), ball_first.energy(v), ball_first.parts(v))
+    energy_first = AssembledForm(g, tab, 0.75, weight)
+    e = energy_first.energy(v)
+    got_e = (energy_first.parts(v, sel), e, energy_first.parts(v))
+    assert got_b == got_e
+    one, other = vars(ball_first), vars(energy_first)
+    assert set(one) == set(other)
+    for k, a in one.items():
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, other[k]), k
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
+def test_total_is_the_breakdown_total(name, request):
+    # the callers that read only .total skip the coarse near forms and get
+    # the same bits
+    _, tab, f = request.getfixturevalue(name)
+    weight = _FAMILY_SUMS[name]["weight"]
+    for lam, ext in ((None, False), (0.6, False), (0.6, True)):
+        want = weighted_seminorm(f, tab, weight, lam=lam, exterior=ext).total
+        assert energy._total(f, tab, weight, lam=lam, exterior=ext) == want
+    if weight == "none":
+        for fld in (f, attach_tail_model(f)):
+            assert energy._total(fld, tab, tail=True) == seminorm(fld, tab).total

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,3 +126,19 @@ def test_interior_growth_bounded_below_threshold(envelope12):
     ]
     assert vals[-1] <= vals[-2] * 1.2
     assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
+
+
+@pytest.mark.parametrize("N, want", [(6, (8, 6)), (8, (8, 8))])
+def test_default_grids_must_increase(N, want):
+    # the default (max(8, 2N/3), N) does not increase for N <= 8: (8, 8)
+    # gave a zero grid error, and (8, 6) made the coarser grid the "finest"
+    theta = synthesize_profile("envelope", make_grid(4, 4.0, N, N), 0.75)
+    with pytest.raises(InvalidGamma, match=re.escape(f"{want} (the default")):
+        estimate_gamma0(theta)
+
+
+@pytest.mark.parametrize("grids", [(12, 10), (10, 10)])
+def test_given_grids_must_increase(envelope12, grids):
+    _, _, f = envelope12
+    with pytest.raises(InvalidGamma, match=re.escape(f"got {grids}")):
+        estimate_gamma0(f, grids=grids)
