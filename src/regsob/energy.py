@@ -25,8 +25,8 @@ A form builds each family when a caller first reads it.  The build makes
 what every caller reads: the far kernel M, the box moments, the fine near
 forms and the mid ring.  H, with the exterior forms that only H holds, is
 built on the first full energy, gradient or bilinear form, and the coarse
-near forms on the first parts() call, which only quad_error_estimate
-reads; callers that need only a total (_total) never build them.  Ball sums
+near forms on the first seminorm, the one reader of quad_error_estimate;
+weighted_seminorm returns only the total and never builds them.  Ball sums
 read no H, so the curvature operators of estimate_gamma0 never build it.
 
 The mid ring, the exterior forms' kernel sums (in blocks of rows) and the
@@ -43,7 +43,7 @@ import numbers
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -706,13 +706,13 @@ class AssembledForm:
 
     The whole form is one symmetric matrix H, so that energy(v) = v.Hv and
     grad(v) = 2Hv; H and the far kernel M are its only N x N arrays.  For
-    parts(v, sel) it keeps the near forms at the fine and coarse orders (L,
-    L_coarse), the far moments and, for the mid ring, one Gauss basis per
-    box (patch, basis) and one weighted kernel block KW per box pair (mga,
-    mgb).  The constructor builds M, the far moments, L and the mid ring;
-    H (with the exterior forms) and L_coarse are cached properties, each
-    built on its first read on a pool of its own.  Build it through
-    assemble, which checks the inputs."""
+    parts(v, sel) it keeps the fine near forms L, the far moments and, for
+    the mid ring, one Gauss basis per box (patch, basis) and one weighted
+    kernel block KW per box pair (mga, mgb); seminorm's quadrature error
+    estimate reads the coarse near forms L_coarse.  The constructor builds
+    M, the far moments, L and the mid ring; H (with the exterior forms) and
+    L_coarse are cached properties, each built on its first read on a pool
+    of its own.  Build it through assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         wfn = _weight(weight)[1]
@@ -821,8 +821,16 @@ class AssembledForm:
         row = self.M @ sel
         return 2.0 * (np.dot(row, S) - np.dot(P, self.M @ P))
 
-    def _far_near(self, vt, sel=None):
-        """(far, near) of parts(vt, sel), without the coarse near sum."""
+    def parts(self, vt, sel=None):
+        """(far, near) including the angular prefactor; far includes the
+        coupling to the exterior of the truncation cylinder.  near is the sum
+        of the per-pair near forms, and without sel far is energy(v) - near.
+
+        With sel (the 0/1 indicator of the nodes in B_lambda) only the pairs
+        with both boxes in B_lambda count; that sum needs the per-pair forms,
+        since H has lost which pair an entry came from.  It has no exterior
+        term: a pair that leaves the truncation cylinder also leaves any
+        interior cap."""
         v = vt.ravel()
         near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
         if sel is None:
@@ -833,24 +841,6 @@ class AssembledForm:
         mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
         far = (self._far(v, sel) + mid) * self.sphere
         return float(far), near
-
-    def parts(self, vt, sel=None):
-        """(far, near, near_coarse) including the angular prefactor; far
-        includes the coupling to the exterior of the truncation cylinder.
-        near and near_coarse are sums of the per-pair near forms at the fine
-        and the coarse orders, and without sel far is energy(v) - near.
-
-        With sel (the 0/1 indicator of the nodes in B_lambda) only the pairs
-        with both boxes in B_lambda count; that sum needs the per-pair forms,
-        since H has lost which pair an entry came from.  It has no exterior
-        term: a pair that leaves the truncation cylinder also leaves any
-        interior cap."""
-        far, near = self._far_near(vt, sel)
-        nearc = (
-            _pair_sum(vt.ravel(), self.maps, self.ga, self.gb, self.L_coarse, sel)
-            * self.sphere
-        )
-        return far, near, nearc
 
     def energy(self, vt):
         v = vt.ravel()
@@ -947,38 +937,36 @@ def _tail_energy(field, params):
 def seminorm(field, table):
     """Nonlocal energy of the field, split far/near/tail: the "none"
     weighted_seminorm plus the energy of the tail model beyond the box (0
-    without a tail model)."""
-    bd = weighted_seminorm(field, table, "none")
+    without a tail model).  Its quadrature error estimate, the near part at
+    the fine less the coarse orders, is the one read of the coarse forms."""
+    form = assemble(field.grid, table, field.sigma)
+    vt = field.regular_values
+    far, near = form.parts(vt)
+    nearc = _pair_sum(vt.ravel(), form.maps, form.ga, form.gb, form.L_coarse)
     tail = _tail(field, table.params)
-    return replace(bd, total=bd.total + tail, tail_estimate=tail)
+    return EnergyBreakdown(
+        total=far + near + tail,
+        far_part=far,
+        near_part=near,
+        tail_estimate=tail,
+        quad_error_estimate=abs(near - nearc * form.sphere),
+    )
+
+
+def _seminorm_total(field, table):
+    """seminorm(field, table).total, bit for bit, without the coarse near
+    forms."""
+    return weighted_seminorm(field, table, "none") + _tail(field, table.params)
 
 
 def _tail(field, params):
     return 0.0 if field.tail is None else _tail_energy(field, params)
 
 
-def _sums(field, table, weight, lam, exterior, coarse):
-    """(far, near), and near_coarse after them if coarse, of
-    weighted_seminorm."""
-    if exterior and lam is None:
-        raise InvalidParams("exterior=True needs lam")
-    form = assemble(field.grid, table, field.sigma, weight)
-    vt = field.regular_values
-    parts = form.parts if coarse else form._far_near
-    if lam is None:
-        return parts(vt)
-    sel = _ball_sel(form, lam)
-    if not exterior:
-        return parts(vt, sel)
-    return tuple(a - b for a, b in zip(parts(vt), parts(vt, sel)))
-
-
-def _total(field, table, weight="none", lam=None, exterior=False, tail=False):
-    """weighted_seminorm(field, table, weight, lam, exterior).total, and with
-    tail=True seminorm(field, table).total, bit for bit, without the coarse
-    near forms that only quad_error_estimate reads."""
-    far, near = _sums(field, table, weight, lam, exterior, False)
-    return far + near + _tail(field, table.params) if tail else far + near
+def _check_lam(lam):
+    """Raise unless the ball radius lam is a finite real number > 0."""
+    if not (isinstance(lam, numbers.Real) and 0 < lam < np.inf):
+        raise InvalidParams(f"lam must be finite and > 0, got {lam}")
 
 
 def weighted_seminorm(field, table, weight, lam=None, exterior=False):
@@ -986,18 +974,22 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
 
     weight is "none", "gamma0" (which needs the curvature table) or
     ("power", gamma) with gamma finite and >= 0; any other spec raises
-    InvalidParams.  With lam only the B_lambda x B_lambda pairs count, and
-    with exterior=True, which needs lam, the complement of that pair set.
-    No tail model enters.
+    InvalidParams.  With lam, finite and > 0, only the B_lambda x B_lambda
+    pairs count, and with exterior=True, which needs lam, the complement of
+    that pair set.  No tail model enters.  Returns the total as a float; the
+    far/near split and the quadrature error estimate are seminorm's.
     """
-    far, near, nearc = _sums(field, table, weight, lam, exterior, True)
-    return EnergyBreakdown(
-        total=far + near,
-        far_part=far,
-        near_part=near,
-        tail_estimate=0.0,
-        quad_error_estimate=abs(near - nearc),
-    )
+    if lam is not None:
+        _check_lam(lam)
+    elif exterior:
+        raise InvalidParams("exterior=True needs lam")
+    form = assemble(field.grid, table, field.sigma, weight)
+    vt = field.regular_values
+    far, near = form.parts(vt, None if lam is None else _ball_sel(form, lam))
+    if exterior:
+        far_all, near_all = form.parts(vt)
+        far, near = far_all - far, near_all - near
+    return float(far + near)
 
 
 def _cell_quadrature(field, p):
@@ -1069,8 +1061,8 @@ def _exterior_mass(field, p):
 
 def lp_norm(field, p):
     """L^p norm of u over the half-space, including the angular factor."""
-    if p <= 0:
-        raise InvalidParams(f"p must be positive, got {p}")
+    if not 0 < p < np.inf:
+        raise InvalidParams(f"p must be finite and > 0, got {p}")
     grid = field.grid
     mass = _interior_mass(field, p)
     if field.tail is not None:
@@ -1087,7 +1079,7 @@ def rayleigh_quotient(field, table):
     if not np.any(field.regular_values):
         raise ZeroField("quotient undefined for the zero field")
     den = lp_norm(field, critical_p(field.grid.n, field.sigma))
-    return _total(field, table, tail=True) / den ** 2
+    return _seminorm_total(field, table) / den ** 2
 
 
 def regional_laplacian(field, point, table, pv_radius):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import _total, critical_p, lp_norm
+from .energy import _seminorm_total, critical_p, lp_norm, weighted_seminorm
 from .errors import (
     CoincidentPoints,
     InvalidParams,
@@ -359,14 +359,14 @@ def _reference(theta):
     n, sigma = theta.grid.n, theta.sigma
     p = critical_p(n, sigma)
     tab = build_kernel_table(theta.grid, KernelParams.energy(n, sigma))
-    return tab, _total(theta, tab, tail=True), lp_norm(theta, p) ** p
+    return tab, _seminorm_total(theta, tab), lp_norm(theta, p) ** p
 
 
 def _cutoff_deficit(theta, lam, ref):
     tab, e_ref, m_ref = ref
     cut = cutoff_profile(theta, lam)
     p = critical_p(theta.grid.n, theta.sigma)
-    e_cut = _total(cut, tab, tail=True)
+    e_cut = _seminorm_total(cut, tab)
     m_cut = lp_norm(cut, p) ** p
     return {
         "numerator_bound_terms": {
@@ -428,10 +428,10 @@ def curvature_term(theta, lam, bg, gamma0_report=None, table=None):
         )
         / lam
     )
-    ext = _total(theta, table, "gamma0", lam=lam, exterior=True)
+    ext = weighted_seminorm(theta, table, "gamma0", lam=lam, exterior=True)
     fd = q * abs(H) * abs(ext) / lam
     cut = cutoff_profile(theta, lam)
-    ext_cut = _total(cut, table, "gamma0", lam=lam, exterior=True)
+    ext_cut = weighted_seminorm(cut, table, "gamma0", lam=lam, exterior=True)
     co = q * abs(H) * abs(ext_cut) / lam
     return CurvatureTerm(
         value=float(value),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _total
+from .energy import _check_lam, weighted_seminorm
 from .errors import InsufficientConvergence, InvalidGamma
 from .field import make_grid, resample
 from .kernel import KernelParams, build_kernel_table
@@ -77,8 +77,10 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     if schedule is None:
         schedule = tuple(g.R_max * np.array([0.3, 0.45, 0.65, 0.95]))
     schedule = tuple(float(l) for l in schedule)
-    if list(schedule) != sorted(schedule):
-        raise InvalidGamma(f"truncation schedule must increase, got {schedule}")
+    if not all(0 < l < np.inf for l in schedule) or list(schedule) != sorted(schedule):
+        raise InvalidGamma(
+            f"truncation radii must be finite, > 0 and increasing, got {schedule}"
+        )
     if grids is None:
         N0 = g.r_nodes.size - 1
         grids = (max(8, (2 * N0) // 3), N0)
@@ -94,7 +96,7 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     for N in grids:
         fld = _on_grid(theta, N)
         tab = build_kernel_table(fld.grid, KernelParams.curvature(g.n, sigma))
-        vals = [_total(fld, tab, "gamma0", lam=l) for l in schedule]
+        vals = [weighted_seminorm(fld, tab, "gamma0", lam=l) for l in schedule]
         per_grid.append(_lambda_fit(schedule, vals, sigma))
         finest = (fld, vals)
     value = per_grid[-1][0]
@@ -145,11 +147,12 @@ def tail_bound(theta, lam, gamma, table=None):
         raise InvalidGamma(
             f"tail bound needs gamma < 2*sigma, got {gamma} >= {2 * theta.sigma}"
         )
+    _check_lam(lam)
     if table is None:
         table = build_kernel_table(
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
         )
-    return _total(theta, table, ("power", float(gamma)), lam=float(lam), exterior=True)
+    return weighted_seminorm(theta, table, ("power", float(gamma)), lam, exterior=True)
 
 
 def interior_weighted_growth(theta, lam, gamma, table=None):
@@ -160,9 +163,10 @@ def interior_weighted_growth(theta, lam, gamma, table=None):
         raise InvalidGamma(f"power weight needs gamma >= 0, got {gamma}")
     if gamma == 2 * theta.sigma:
         raise InvalidGamma("gamma = 2*sigma is the excluded borderline case")
+    if lam is not None:
+        _check_lam(lam)
     if table is None:
         table = build_kernel_table(
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
         )
-    lam = None if lam is None else float(lam)
-    return _total(theta, table, ("power", float(gamma)), lam=lam)
+    return weighted_seminorm(theta, table, ("power", float(gamma)), lam=lam)

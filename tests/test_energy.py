@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from regsob import energy
+from regsob import energy, gamma0
 from regsob.energy import (
     AssembledForm,
     _hat,
@@ -25,6 +25,7 @@ from regsob.energy import (
 from regsob.errors import (
     DiagonalSingularity,
     GridMismatch,
+    InvalidGamma,
     InvalidParams,
     NonCompactSupport,
     PointTooCloseToEdge,
@@ -156,9 +157,11 @@ def test_oracle_refuses_noncompact():
 def test_power_weight_zero_matches_seminorm(setup4):
     g, tab, f = setup4
     plain = seminorm(f, tab)
-    weighted = weighted_seminorm(f, tab, ("power", 0.0))
-    assert weighted.far_part == pytest.approx(plain.far_part, rel=1e-12)
-    assert weighted.near_part == pytest.approx(plain.near_part, rel=1e-12)
+    far, near = assemble(g, tab, 0.75, ("power", 0.0)).parts(f.regular_values)
+    assert far == pytest.approx(plain.far_part, rel=1e-12)
+    assert near == pytest.approx(plain.near_part, rel=1e-12)
+    total = weighted_seminorm(f, tab, ("power", 0.0))
+    assert total == pytest.approx(plain.total, rel=1e-12)
 
 
 def test_gamma0_weight_swap_symmetry(setup_gamma0):
@@ -174,8 +177,8 @@ def test_gamma0_weight_swap_symmetry(setup_gamma0):
     b1 = form.bilinear(v, w)
     b2 = form.bilinear(w, v)
     assert b1 == pytest.approx(b2, rel=1e-12)
-    bd = weighted_seminorm(f, tab, "gamma0")
-    assert np.isfinite(bd.total)
+    total = weighted_seminorm(f, tab, "gamma0")
+    assert type(total) is float and np.isfinite(total)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0])
@@ -188,7 +191,7 @@ def test_exterior_power_weight_decay_exponent(gamma):
     f = synthesize_profile("envelope", g, sigma)
     lams = np.geomspace(40.0, 140.0, 5)
     vals = [
-        weighted_seminorm(f, tab, ("power", gamma), lam=l, exterior=True).total
+        weighted_seminorm(f, tab, ("power", gamma), lam=l, exterior=True)
         for l in lams
     ]
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
@@ -392,16 +395,20 @@ def test_assembled_matrix_matches_family_sums(name, request):
     form = assemble(g, tab, 0.75, weight)
     v = f.regular_values
     w = np.random.default_rng(0).uniform(-1, 1, g.shape)
-    bd = weighted_seminorm(f, tab, weight)
+    far, near = form.parts(v)
+    # seminorm's quadrature error estimate, taken here for every weight
+    nearc = energy._pair_sum(v.ravel(), form.maps, form.ga, form.gb, form.L_coarse)
     got = dict(
         energy=form.energy(v),
-        far=bd.far_part,
-        near=bd.near_part,
-        qerr=bd.quad_error_estimate,
+        far=far,
+        near=near,
+        qerr=abs(near - nearc * form.sphere),
         grad_w=float(form.grad(v) @ w.ravel()),
         bilinear=form.bilinear(v, w),
-        ball=weighted_seminorm(f, tab, weight, lam=0.6).total,
+        ball=weighted_seminorm(f, tab, weight, lam=0.6),
     )
+    if weight == "none":
+        assert seminorm(f, tab).quad_error_estimate == got["qerr"]
     for key, val in got.items():
         assert val == pytest.approx(want[key], rel=1e-12), key
     assert form.bilinear(v, w) == form.bilinear(w, v)
@@ -415,9 +422,9 @@ def test_full_parts_are_ball_parts_over_every_node(name, request):
     g, tab, f = request.getfixturevalue(name)
     form = assemble(g, tab, 0.75, _FAMILY_SUMS[name]["weight"])
     v = f.regular_values
-    far, near, nearc = form.parts(v)
-    _, near1, nearc1 = form.parts(v, np.ones(g.shape[0] * g.shape[1]))
-    assert (near, nearc) == (near1, nearc1)
+    far, near = form.parts(v)
+    _, near1 = form.parts(v, np.ones(g.shape[0] * g.shape[1]))
+    assert near == near1
     assert far + near == pytest.approx(form.energy(v), rel=1e-13)
 
 
@@ -883,6 +890,45 @@ def test_seminorm_builds_every_family(setup4, builds):
     assert builds == {"fine": 1, "coarse": 1, "exterior": 1}
 
 
+_BAD_RADII = [-0.6, 0.0, float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("lam", _BAD_RADII)
+def test_bad_ball_radius_fails_before_any_build(lam, setup_graded, builds, monkeypatch):
+    # a negative radius used to give the sums of |lam|, and NaN an empty ball
+    g, tab, f = setup_graded
+    tables = []
+    monkeypatch.setattr(gamma0, "build_kernel_table", lambda *a: tables.append(a))
+    for ext in (False, True):
+        with pytest.raises(InvalidParams, match=f"lam .* got {lam}"):
+            weighted_seminorm(f, tab, ("power", 1.0), lam=lam, exterior=ext)
+    with pytest.raises(InvalidParams, match=f"lam .* got {lam}"):
+        tail_bound(f, lam, 1.0)
+    with pytest.raises(InvalidParams, match=f"lam .* got {lam}"):
+        gamma0.interior_weighted_growth(f, lam, 1.0)
+    assert builds == {} and not energy._cache and tables == []
+
+
+@pytest.mark.parametrize("bad", _BAD_RADII)
+def test_bad_truncation_radius_fails_before_any_build(bad, builds, monkeypatch):
+    # a negative radius used to reach the fit, where LAPACK failed untyped
+    g = make_grid(4, 12.0, 10, 10, (2.0, 2.0))
+    theta = attach_tail_model(synthesize_profile("envelope", g, 0.75))
+    tables = []
+    monkeypatch.setattr(gamma0, "build_kernel_table", lambda *a: tables.append(a))
+    schedule = (bad, 4.0, 5.0, 7.0)
+    with pytest.raises(InvalidGamma, match=re.escape(f"got {schedule}")):
+        estimate_gamma0(theta, schedule=schedule, grids=(8, 10))
+    assert builds == {} and not energy._cache and tables == []
+
+
+@pytest.mark.parametrize("p", [0.0, -2.0, float("nan"), float("inf")])
+def test_lp_norm_needs_finite_positive_p(p, setup4):
+    _, _, f = setup4
+    with pytest.raises(InvalidParams, match=f"got {p}"):
+        lp_norm(f, p)
+
+
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
 def test_read_order_keeps_the_bits(name, request):
     # ball sums read the per-pair forms, the full energy reads H and its
@@ -905,14 +951,22 @@ def test_read_order_keeps_the_bits(name, request):
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
-def test_total_is_the_breakdown_total(name, request):
-    # the callers that read only .total skip the coarse near forms and get
-    # the same bits
-    _, tab, f = request.getfixturevalue(name)
+def test_totals_are_the_parts_totals(name, request):
+    # weighted_seminorm is far + near of parts() in each of its three modes,
+    # and _seminorm_total is seminorm's total without the coarse near forms
+    g, tab, f = request.getfixturevalue(name)
     weight = _FAMILY_SUMS[name]["weight"]
-    for lam, ext in ((None, False), (0.6, False), (0.6, True)):
-        want = weighted_seminorm(f, tab, weight, lam=lam, exterior=ext).total
-        assert energy._total(f, tab, weight, lam=lam, exterior=ext) == want
+    form = assemble(g, tab, 0.75, weight)
+    v = f.regular_values
+    (fa, na), (fb, nb) = form.parts(v), form.parts(v, energy._ball_sel(form, 0.6))
+    want = {
+        (None, False): fa + na,
+        (0.6, False): fb + nb,
+        (0.6, True): (fa - fb) + (na - nb),
+    }
+    for (lam, ext), total in want.items():
+        got = weighted_seminorm(f, tab, weight, lam=lam, exterior=ext)
+        assert type(got) is float and got == total
     if weight == "none":
         for fld in (f, attach_tail_model(f)):
-            assert energy._total(fld, tab, tail=True) == seminorm(fld, tab).total
+            assert energy._seminorm_total(fld, tab) == seminorm(fld, tab).total
