@@ -137,12 +137,17 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     )
 
 
+def _check_gamma(gamma):
+    """Raise unless the power weight gamma is finite and >= 0 (NaN fails)."""
+    if not 0 <= gamma < np.inf:
+        raise InvalidGamma(f"power weight needs a finite gamma >= 0, got {gamma}")
+
+
 def tail_bound(theta, lam, gamma, table=None):
     """Weighted energy of the pairs leaving B_lambda x B_lambda, power
     weight gamma; an upper bound for the curvature truncation remainder via
     pointwise domination at gamma = 1."""
-    if gamma < 0:
-        raise InvalidGamma(f"power weight needs gamma >= 0, got {gamma}")
+    _check_gamma(gamma)
     if gamma >= 2 * theta.sigma:
         raise InvalidGamma(
             f"tail bound needs gamma < 2*sigma, got {gamma} >= {2 * theta.sigma}"
@@ -159,8 +164,7 @@ def interior_weighted_growth(theta, lam, gamma, table=None):
     """Weighted energy of the B_lambda x B_lambda pairs, power weight gamma;
     bounded in lambda for gamma < 2*sigma and growing like
     lambda^(gamma-2*sigma) above."""
-    if gamma < 0:
-        raise InvalidGamma(f"power weight needs gamma >= 0, got {gamma}")
+    _check_gamma(gamma)
     if gamma == 2 * theta.sigma:
         raise InvalidGamma("gamma = 2*sigma is the excluded borderline case")
     if lam is not None:

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -298,3 +300,84 @@ def test_verify_builds_each_table_once(envelope16, monkeypatch):
     assert [v.lam for v in verdicts] == list(lams)
     # one energy and one curvature table serve the whole lambda scan
     assert built == [KernelParams.energy(4, 0.75), KernelParams.curvature(4, 0.75)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, 0.0])
+def test_verify_rejects_bad_lambda_before_any_table(envelope16, monkeypatch, bad):
+    built = []
+
+    def counting_build(grid, params):
+        built.append(params)
+        return build_kernel_table(grid, params)
+
+    monkeypatch.setattr(expansion, "build_kernel_table", counting_build)
+    flat = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
+    cfg = MCConfig(batches=2, samples_per_batch=200, seed=0, max_rel_stderr=1.0)
+    with pytest.raises(InvalidParams, match=f"got {bad}$"):
+        verify_upper_bound(envelope16, make_report(5.0), flat, (2.0, bad), cfg)
+    assert built == []
+
+
+def _cap_batch(theta, lam, m, seed=3):
+    # the quadratic-taper term breaks the one-sided Taylor inequality on
+    # some samples, so taylor_bad is not trivially 0
+    bg = BoundaryGraph(
+        alpha=(0.05, 0.05, 0.05), g_kind="quadratic-taper", g_coeffs=(0.3,)
+    )
+    tabs = expansion._radial_cdf(bg.n, theta.sigma, 3.0 * lam)
+    return expansion._mc_batch(theta, lam, bg, seed, m, *tabs)
+
+
+def test_mc_batch_chunks_match_one_pass(envelope16, monkeypatch):
+    m = 40000
+    monkeypatch.setattr(expansion, "_MC_CHUNK", m)
+    sums, sq, bad = _cap_batch(envelope16, 2.0, m)
+    assert bad > 0
+    # a chunk that does not divide m, the default chunk (< m) and one > m:
+    # each sample keeps its bits, so only the order of the sums moves
+    for chunk in (777, expansion._MC_CHUNK, 10 * m):
+        monkeypatch.setattr(expansion, "_MC_CHUNK", chunk)
+        got_sums, got_sq, got_bad = _cap_batch(envelope16, 2.0, m)
+        assert got_bad == bad
+        assert np.allclose(got_sums, sums, rtol=1e-13, atol=0.0)
+        assert np.allclose(got_sq, sq, rtol=1e-13, atol=0.0)
+
+
+def test_mc_batch_peak_memory(envelope16):
+    # the whole-batch draws take 15 MiB at m = 200000, n = 4; unchunked, the
+    # batch-length temporaries took the peak to 118 MiB
+    tracemalloc.start()
+    try:
+        _cap_batch(envelope16, 5.0, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
+
+
+def test_verify_cap_independent_of_worker_count(envelope16, monkeypatch):
+    pools = []
+    pool_class = expansion.ThreadPoolExecutor
+
+    def counting_pool(*args, **kw):
+        pools.append(kw.get("max_workers"))
+        return pool_class(*args, **kw)
+
+    monkeypatch.setattr(expansion, "ThreadPoolExecutor", counting_pool)
+    cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
+    got = []
+    for workers in (1, 2):
+        cfg = MCConfig(
+            batches=4,
+            samples_per_batch=3000,
+            seed=5,
+            max_rel_stderr=1.0,
+            workers=workers,
+        )
+        verdicts = verify_upper_bound(
+            envelope16, make_report(5.0), cap, (2.0, 3.0), cfg
+        )
+        got.append([v.to_json() for v in verdicts])
+    assert got[0] == got[1]
+    # one sampler pool per call serves every lambda
+    assert pools == [1, 2]

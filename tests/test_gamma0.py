@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from regsob import gamma0
 from regsob.energy import seminorm
 from regsob.errors import InvalidGamma
 from regsob.field import attach_tail_model, make_grid, synthesize_profile
@@ -142,3 +144,19 @@ def test_given_grids_must_increase(envelope12, grids):
     _, _, f = envelope12
     with pytest.raises(InvalidGamma, match=re.escape(f"got {grids}")):
         estimate_gamma0(f, grids=grids)
+
+
+@pytest.mark.parametrize("fn", [tail_bound, interior_weighted_growth])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_non_finite_gamma_raises_before_any_table(envelope12, monkeypatch, fn, gamma):
+    _, _, f = envelope12
+    built = []
+
+    def counting_build(grid, params):
+        built.append(params)
+        return build_kernel_table(grid, params)
+
+    monkeypatch.setattr(gamma0, "build_kernel_table", counting_build)
+    with pytest.raises(InvalidGamma, match=f"got {gamma}$"):
+        fn(f, 2.0, gamma)
+    assert built == []

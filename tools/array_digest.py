@@ -7,7 +7,8 @@ prints one sorted JSON object: the SHA-256 of every array an
 `AssembledForm` holds for five configurations, of the n=3 N=24 kernel
 table the `tables_n3` benchmark workload builds, and of a set of scalar
 outputs (norms, seminorms, ball sums, the slice interaction, the regional
-Laplacian, the Euler-Lagrange residual and the kernel at n = 2..6).  Two
+Laplacian, the Euler-Lagrange residual, the kernel at n = 2..6 and one
+cap Monte Carlo batch: its sums, squares and Taylor count).  Two
 checkouts whose printouts are equal produce the same bits for these
 inputs; diff the two printouts to compare a change with its parent.
 """
@@ -56,6 +57,7 @@ def _forms(out):
 
 def _outputs(out):
     from regsob import energy
+    from regsob.expansion import BoundaryGraph, _mc_batch, _radial_cdf
     from regsob.field import attach_tail_model, eval_vt, make_grid, synthesize_profile
     from regsob.kernel import (
         KernelParams,
@@ -89,6 +91,10 @@ def _outputs(out):
         float(x).hex() for x in energy.regional_laplacian(fld, (2.0, 3.0), tab, 0.5)
     ]
     out["el_residual"] = float(energy.el_residual(fld, tab)).hex()
+    # m is below one chunk, so the batch sums in the order of no chunking
+    cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
+    sums, sq, bad = _mc_batch(fld, 5.0, cap, 16, 5000, *_radial_cdf(4, sigma, 15.0))
+    out["mc_batch.cap_lam5"] = _digest(np.concatenate([sums, sq, [bad]]))
 
     grid3 = make_grid(3, 20.0, 16, 16)
     fld3 = synthesize_profile("interior-bubble", grid3, sigma)
