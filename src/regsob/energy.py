@@ -12,7 +12,7 @@ box moments and the mid ring, 4 for the near forms).  The quadrature rules
 are defined once each: kernel.gauss_nodes gives every Gauss-Legendre rule
 on intervals, _box_pairs enumerates the near and mid-ring box pairs,
 field.cell_of locates the cell under a point, and _node_rule gives the
-node-product rule (far part, tail, exterior mass, regional Laplacian);
+node-product rule (far part, tail, exterior mass);
 assemble checks grid, sigma and kernel order before its cache.  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
 the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  H is
@@ -51,7 +51,6 @@ from .errors import (
     GridMismatch,
     InvalidParams,
     NonCompactSupport,
-    PointTooCloseToEdge,
     TableExponentMismatch,
     ZeroField,
 )
@@ -61,7 +60,6 @@ from .kernel import (
     gauss_rule,
     grid_signature,
     kernel_values,
-    kernel_values_excluded,
     sphere_surface,
     t_index_map,
 )
@@ -1080,35 +1078,6 @@ def rayleigh_quotient(field, table):
         raise ZeroField("quotient undefined for the zero field")
     den = lp_norm(field, critical_p(field.grid.n, field.sigma))
     return _seminorm_total(field, table) / den ** 2
-
-
-def regional_laplacian(field, point, table, pv_radius):
-    """Principal-value nonlocal operator at an interior point.
-
-    Two exclusion radii and Richardson extrapolation with the interior rate
-    2 - 2*sigma; returns (value, extrapolation_error)."""
-    _check_table(field.grid, table, field.sigma, True)
-    r0, z0 = point
-    grid = field.grid
-    R = grid.R_max
-    margin = min(z0, R - z0, R - r0)
-    if pv_radius <= 0 or pv_radius >= 0.9 * margin:
-        raise PointTooCloseToEdge(
-            f"pv radius {pv_radius} too large for point {point}"
-        )
-    rr, zz, W = _node_rule(grid.r_nodes, grid.z_nodes, grid.n)
-    U = eval_u(field, rr, zz)
-    u0 = float(eval_u(field, r0, z0))
-
-    def pv_value(eps):
-        kv = kernel_values_excluded(r0, rr, zz - z0, table.params, eps * eps)
-        return 2.0 * float(np.sum(W * kv * (u0 - U)))
-
-    v1 = pv_value(pv_radius)
-    v2 = pv_value(pv_radius / 2.0)
-    theta = 2.0 ** -(2.0 - 2.0 * field.sigma)
-    extrap = (v2 - theta * v1) / (1.0 - theta)
-    return extrap, abs(extrap - v2)
 
 
 def _test_bank(grid, sigma):

@@ -33,10 +33,6 @@ class ZeroField(RegsobError):
     pass
 
 
-class PointTooCloseToEdge(RegsobError):
-    pass
-
-
 class NonCompactSupport(RegsobError):
     pass
 

@@ -82,9 +82,14 @@ class BoundaryGraph:
             raise InvalidParams("need at least one principal curvature")
         if self.g_kind not in _G_KINDS:
             raise UnknownKind(f"unknown perturbation kind {self.g_kind!r}")
+        for name in ("alpha", "g_coeffs"):
+            vals = getattr(self, name)
+            if not np.all(np.isfinite(vals)):
+                raise InvalidParams(f"{name} entries must be finite, got {vals}")
         for name in ("R0", "delta0", "epsilon0", "mu"):
-            if getattr(self, name) <= 0:
-                raise InvalidParams(f"{name} must be positive")
+            val = getattr(self, name)
+            if not 0 < val < np.inf:
+                raise InvalidParams(f"{name} must be finite and > 0, got {val}")
 
     @property
     def n(self):
@@ -146,8 +151,8 @@ class BoundaryGraph:
 
 def dilate_graph(bg, mu):
     """The mu-dilated graph: x_n = mu*h(x'/mu), chart radius scaled by mu."""
-    if mu <= 0:
-        raise InvalidParams(f"dilation factor must be positive, got {mu}")
+    if not 0 < mu < np.inf:
+        raise InvalidParams(f"dilation factor mu must be finite and > 0, got {mu}")
     return replace(bg, mu=bg.mu * mu, R0=bg.R0 * mu, delta0=bg.delta0 * mu)
 
 
@@ -352,8 +357,8 @@ def cutoff_profile(theta, lam):
     rule is relative to the grid, so both equal their values for the field
     on the exactly dilated grid (field.dilate_exact) up to rounding; no grid
     or kernel table has to be rebuilt per lambda."""
-    if lam <= 0:
-        raise InvalidParams(f"dilation factor must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
     R, Z = np.meshgrid(theta.grid.r_nodes, theta.grid.z_nodes, indexing="ij")
     eta = cutoff(np.hypot(R, Z) / lam)
     return theta.with_values(theta.regular_values * eta, tail=None)

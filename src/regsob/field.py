@@ -188,8 +188,8 @@ def dilate_exact(fld, lam):
     lam^((n-2*sigma)/2 + 2*sigma - 1), so the dilated field is represented
     exactly, with no interpolation.
     """
-    if lam <= 0:
-        raise InvalidParams(f"dilation factor must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
     grid = fld.grid
     n, sigma = grid.n, fld.sigma
     q = (n - 2 * sigma) / 2.0 + 2 * sigma - 1.0

@@ -101,24 +101,6 @@ class KernelParams:
         return abs(self.p - (self.n + 2 * self.sigma)) < 1e-12
 
 
-def _separations(r, s, t):
-    """r, s, t broadcast against each other, with their broadcast shape, c =
-    r^2 + s^2 + t^2, rs = r s and the range [m0, m1] of the squared
-    separation over the angle.  A 0-d point is taken as a 1-element array:
-    numpy's scalar pow rounds unlike its array pow, and a point alone must
-    get the bits it gets in a batch."""
-    r, s, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    )
-    shape = r.shape
-    if not shape:
-        r, s, t = r.reshape(1), s.reshape(1), t.reshape(1)
-    c = r * r + s * s + t * t
-    m0 = (r - s) ** 2 + t * t
-    m1 = (r + s) ** 2 + t * t
-    return shape, r, s, t, c, r * s, m0, m1
-
-
 def _closed_form_d2(p, lo, hi, rs):
     """Exact angle integral over S^2 of m^(-p/2) for squared separations m
     in [lo, hi]: elementary antiderivative in m."""
@@ -196,11 +178,26 @@ def _composite_moment(p, m0, m1, alpha):
 
 
 def kernel_values(r, s, t, params):
-    """Vectorized K_p on broadcasted arrays; the caller guarantees that no
-    element sits exactly on the diagonal singularity.  Each value depends
-    only on its own (r, s, t): a point gets the same bits alone, in any
-    batch and in any order."""
-    shape, r, s, t, c, rs, m0, m1 = _separations(r, s, t)
+    """Vectorized K_p on broadcasted arrays, 0-d for scalar arguments.
+
+    Symmetric in (r, s) and even in t; scales as lambda^(-p) under joint
+    dilation.  Raises DiagonalSingularity if any element sits at r = s,
+    t = 0.  Each value depends only on its own (r, s, t): a point gets the
+    same bits alone, in any batch and in any order."""
+    r, s, t = np.broadcast_arrays(
+        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    )
+    shape = r.shape
+    # a 0-d point is taken as a 1-element array: numpy's scalar pow rounds
+    # unlike its array pow, and a point alone must get the bits it gets in a
+    # batch
+    if not shape:
+        r, s, t = r.reshape(1), s.reshape(1), t.reshape(1)
+    c = r * r + s * s + t * t
+    rs = r * s
+    # the range [m0, m1] of the squared separation over the angle
+    m0 = (r - s) ** 2 + t * t
+    m1 = (r + s) ** 2 + t * t
     p, d = params.p, params.n - 2
     if np.any(m0 == 0.0):
         raise DiagonalSingularity("kernel evaluated at r = s, t = 0")
@@ -222,77 +219,6 @@ def kernel_values(r, s, t, params):
             out[rest] = (
                 sphere_surface(d - 1) * (2.0 * rs[rest]) ** (-(d - 1)) * J
             )
-    return out.reshape(shape)
-
-
-def angular_kernel(r, s, t, params):
-    """Angle-averaged interaction kernel K_p(r, s, t).
-
-    Symmetric in (r, s) and even in t; scales as lambda^(-p) under joint
-    dilation.  Raises DiagonalSingularity at r = s, t = 0.
-    """
-    if r < 0 or s < 0:
-        raise InvalidParams("radii must be nonnegative")
-    if (r - s) ** 2 + t * t == 0.0:
-        raise DiagonalSingularity(f"(r, s, t) = ({r}, {s}, {t}) is on the diagonal")
-    return float(kernel_values(r, s, t, params))
-
-
-def kernel_values_excluded(r, s, t, params, m_lo):
-    """K_p restricted to squared separations >= m_lo (used for the
-    principal-value exclusion ball).  Vectorized, each value depending only
-    on its own point; elements whose full range lies below m_lo contribute
-    0."""
-    shape, r, s, t, c, rs, m0, m1 = _separations(r, s, t)
-    p, d = params.p, params.n - 2
-    out = np.zeros_like(c)
-
-    gone = m1 <= m_lo
-    full = m0 >= m_lo
-    keep_full = full & ~gone
-    if np.any(keep_full):
-        out[keep_full] = kernel_values(r[keep_full], s[keep_full], t[keep_full], params)
-    part = ~full & ~gone
-    if np.any(part):
-        rsp, m0p, m1p = rs[part], m0[part], m1[part]
-        lo = np.maximum(m0p, m_lo)
-        # angle range with separation >= sqrt(m_lo): cos(phi) <= (c - m_lo)/(2 r s)
-        if d == 0:
-            out[part] = np.where(m1p >= m_lo, m1p ** (-p / 2.0), 0.0)
-        elif d == 2:
-            out[part] = _closed_form_d2(p, lo, m1p, rsp)
-        else:
-            # the shifted lower endpoint kills the left singular weight:
-            # dyadic panels graded away from m0 cover [lo, mid], and a last
-            # Gauss-Jacobi panel [mid, m1] carries (m1 - m)^alpha; arrays
-            # are (node, point)
-            alpha = (d - 2) / 2.0
-            vals = np.zeros_like(rsp)
-            xg, wg = gauss_rule(_PANEL_NODES)
-            gap0 = lo - m0p
-            mid = 0.5 * (lo + m1p)
-            # panel k over the points where it starts below mid
-            live, lo_l, gap_l, mid_l = np.arange(rsp.size), lo, gap0, mid
-            m0_l, m1_l = m0p, m1p
-            for k in range(_MAX_PANELS):
-                a_k = np.minimum(lo_l + gap_l * (2.0 ** k - 1.0), mid_l)
-                keep = a_k < mid_l
-                if not keep.all():
-                    live, lo_l, gap_l, mid_l, m0_l, m1_l, a_k = (
-                        v[keep] for v in (live, lo_l, gap_l, mid_l, m0_l, m1_l, a_k)
-                    )
-                    if not live.size:
-                        break
-                width = np.minimum(lo_l + gap_l * (2.0 ** (k + 1) - 1.0), mid_l) - a_k
-                m = a_k + width * (xg[:, None] + 1.0) / 2.0
-                f = m ** (-p / 2.0) * (m - m0_l) ** alpha * (m1_l - m) ** alpha
-                vals[live] += (width / 2.0) * _node_sum(f, wg)
-            xj, wj = gauss_rule(_PANEL_NODES, alpha, 0.0)
-            half = m1p - mid
-            m = mid + half * (xj[:, None] + 1.0) / 2.0
-            f = m ** (-p / 2.0) * (m - m0p) ** alpha
-            vals += (half / 2.0) ** (alpha + 1.0) * _node_sum(f, wj)
-            out[part] = sphere_surface(d - 1) * (2.0 * rsp) ** (-(d - 1)) * vals
     return out.reshape(shape)
 
 

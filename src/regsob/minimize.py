@@ -76,6 +76,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol_quotient <= 0 or self.tol_residual <= 0:
             raise InvalidParams("stopping tolerances must be positive")
+        if not self.schedule:
+            raise InvalidParams("grid schedule must name at least one grid")
         if list(self.schedule) != sorted(self.schedule):
             raise InvalidParams(
                 f"grid schedule must be coarse to fine, got {self.schedule}"
@@ -285,8 +287,8 @@ def scale_field(theta, lam):
     """Dilation u_lam(x) = lam^((n-2*sigma)/2) u(lam x) resampled onto the
     same grid; the critical-norm and the quotient are invariant up to
     resampling error."""
-    if lam <= 0:
-        raise InvalidParams(f"dilation factor must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
     if lam == 1.0:
         return theta
     return resample(dilate_exact(theta, lam), theta.grid)

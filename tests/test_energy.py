@@ -18,7 +18,6 @@ from regsob.energy import (
     el_residual,
     lp_norm,
     rayleigh_quotient,
-    regional_laplacian,
     seminorm,
     weighted_seminorm,
 )
@@ -28,7 +27,6 @@ from regsob.errors import (
     InvalidGamma,
     InvalidParams,
     NonCompactSupport,
-    PointTooCloseToEdge,
     TableExponentMismatch,
     ZeroField,
 )
@@ -240,45 +238,6 @@ def test_rayleigh_dilation_invariance(setup4):
     assert rayleigh_quotient(f2, tab2) == pytest.approx(
         rayleigh_quotient(f, tab), rel=5e-3
     )
-
-
-def test_regional_laplacian_constant_zero(setup4):
-    g, tab, f = setup4
-    zpos = np.where(g.z_nodes > 0, g.z_nodes, 1.0)
-    const_u = f.with_values(
-        np.broadcast_to(zpos ** (1 - 2 * 0.75), g.shape).copy()
-    )
-    val, err = regional_laplacian(const_u, (0.3, 0.55), tab, 0.05)
-    ref, _ = regional_laplacian(f, (0.3, 0.55), tab, 0.05)
-    assert abs(val) < 0.02 * abs(ref) + 5 * err
-
-
-def test_regional_laplacian_linearity(setup4):
-    g, tab, f = setup4
-    rng = np.random.default_rng(8)
-    other = f.with_values(rng.uniform(0, 1, g.shape))
-    combo = f.with_values(2.0 * f.regular_values - 0.5 * other.regular_values)
-    pt, eps = (0.3, 0.55), 0.05
-    v1, _ = regional_laplacian(f, pt, tab, eps)
-    v2, _ = regional_laplacian(other, pt, tab, eps)
-    v3, _ = regional_laplacian(combo, pt, tab, eps)
-    assert v3 == pytest.approx(2.0 * v1 - 0.5 * v2, rel=1e-10)
-
-
-def test_regional_laplacian_positive_at_bump_max(setup4):
-    g, tab, f = setup4
-    zpow = np.where(g.z_nodes > 0, g.z_nodes, 1.0) ** 0.5
-    zpow[g.z_nodes == 0.0] = 0.0
-    U = f.regular_values * zpow[None, :]
-    i, j = np.unravel_index(np.argmax(U), U.shape)
-    val, _ = regional_laplacian(f, (g.r_nodes[i], g.z_nodes[j]), tab, 0.04)
-    assert val > 0
-
-
-def test_regional_laplacian_edge_guard(setup4):
-    g, tab, f = setup4
-    with pytest.raises(PointTooCloseToEdge):
-        regional_laplacian(f, (0.3, 0.01), tab, 0.05)
 
 
 def test_el_residual_zero_field(setup4):

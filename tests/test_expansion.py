@@ -72,6 +72,17 @@ def test_graph_validation():
         BoundaryGraph(alpha=(0.1,), g_kind="wiggle")
     with pytest.raises(InvalidParams):
         BoundaryGraph(alpha=(0.1,), R0=-1.0)
+    # a JSON boundary section may carry NaN or Infinity
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("R0", "delta0", "epsilon0", "mu"):
+            with pytest.raises(InvalidParams, match=name):
+                BoundaryGraph(alpha=(0.05,) * 3, **{name: bad})
+        with pytest.raises(InvalidParams, match="alpha"):
+            BoundaryGraph(alpha=(0.05, bad, 0.05))
+        with pytest.raises(InvalidParams, match="g_coeffs"):
+            BoundaryGraph(alpha=(0.05,) * 3, g_kind="polynomial", g_coeffs=(0.01, bad))
+        with pytest.raises(InvalidParams, match="dilation factor mu"):
+            dilate_graph(BoundaryGraph(alpha=(0.05,) * 3), bad)
 
 
 def test_flatten_identity_and_roundtrip():
@@ -227,8 +238,9 @@ def test_cutoff_profile_on_theta_grid(envelope16):
         cut.regular_values[0, near], envelope16.regular_values[0, near]
     )
     assert np.all(cut.regular_values[-1] == 0.0)
-    with pytest.raises(InvalidParams):
-        cutoff_profile(envelope16, 0.0)
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(InvalidParams, match="dilation factor lam"):
+            cutoff_profile(envelope16, bad)
 
 
 def test_curvature_term_basics(envelope16):

@@ -280,5 +280,6 @@ def test_dilate_exact_pointwise_and_tail():
     assert d.tail.amplitude == pytest.approx(
         f.tail.amplitude * lam ** (q - f.tail.exponent)
     )
-    with pytest.raises(InvalidParams):
-        dilate_exact(f, 0.0)
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(InvalidParams, match="dilation factor lam"):
+            dilate_exact(f, bad)

@@ -7,12 +7,10 @@ from regsob.errors import DiagonalSingularity, InvalidParams, OutOfMemoryEstimat
 from regsob.field import make_grid
 from regsob.kernel import (
     KernelParams,
-    angular_kernel,
     build_kernel_table,
     gauss_nodes,
     gauss_rule,
     kernel_values,
-    kernel_values_excluded,
     sphere_surface,
     t_index_map,
 )
@@ -44,15 +42,15 @@ def test_params_validation():
 def test_axis_value_closed_form():
     # r s = 0 makes the angular integrand constant
     par = KernelParams.energy(4, 0.75)
-    got = angular_kernel(0.0, 1.0, 1.0, par)
+    got = float(kernel_values(0.0, 1.0, 1.0, par))
     assert got == pytest.approx(4 * np.pi * 2 ** (-par.p / 2), rel=1e-14)
 
 
 def test_symmetries():
     par = KernelParams.energy(5, 0.8)
-    a = angular_kernel(0.7, 1.9, 0.4, par)
-    assert angular_kernel(1.9, 0.7, 0.4, par) == pytest.approx(a, rel=1e-14)
-    assert angular_kernel(0.7, 1.9, -0.4, par) == pytest.approx(a, rel=1e-14)
+    a = float(kernel_values(0.7, 1.9, 0.4, par))
+    assert float(kernel_values(1.9, 0.7, 0.4, par)) == pytest.approx(a, rel=1e-14)
+    assert float(kernel_values(0.7, 1.9, -0.4, par)) == pytest.approx(a, rel=1e-14)
 
 
 def test_n2_two_point_sum():
@@ -61,19 +59,19 @@ def test_n2_two_point_sum():
     expect = ((r - s) ** 2 + t * t) ** (-par.p / 2) + ((r + s) ** 2 + t * t) ** (
         -par.p / 2
     )
-    assert angular_kernel(r, s, t, par) == pytest.approx(expect, rel=1e-14)
+    assert float(kernel_values(r, s, t, par)) == pytest.approx(expect, rel=1e-14)
 
 
 def test_n4_closed_form_vs_quadrature_oracle():
     par = KernelParams.energy(4, 0.75)
-    got = angular_kernel(1.0, 1.0, 1.0, par)
+    got = float(kernel_values(1.0, 1.0, 1.0, par))
     assert got == pytest.approx(direct_sphere_quad(4, par.p, 1.0, 1.0, 1.0), rel=1e-10)
 
 
 @pytest.mark.parametrize("n,r,s,t", [(3, 0.3, 2.1, 0.05), (5, 1.2, 0.7, 0.3), (6, 0.5, 0.55, 0.01)])
 def test_general_n_vs_quadrature_oracle(n, r, s, t):
     par = KernelParams.energy(n, 0.75)
-    got = angular_kernel(r, s, t, par)
+    got = float(kernel_values(r, s, t, par))
     assert got == pytest.approx(direct_sphere_quad(n, par.p, r, s, t), rel=1e-9)
 
 
@@ -83,16 +81,16 @@ def test_scaling_law():
         par = KernelParams.energy(n, 0.65)
         for _ in range(5):
             r, s, t = rng.uniform(0.05, 3.0, 3)
-            base = angular_kernel(r, s, t, par)
+            base = float(kernel_values(r, s, t, par))
             for lam in (0.5, 2.0):
-                got = angular_kernel(lam * r, lam * s, lam * t, par)
+                got = float(kernel_values(lam * r, lam * s, lam * t, par))
                 assert got == pytest.approx(lam ** (-par.p) * base, rel=1e-9)
 
 
 def test_diagonal_singularity_raises():
     par = KernelParams.energy(4, 0.75)
     with pytest.raises(DiagonalSingularity):
-        angular_kernel(1.0, 1.0, 0.0, par)
+        float(kernel_values(1.0, 1.0, 0.0, par))
 
 
 def test_monotone_decreasing_in_abs_t():
@@ -116,29 +114,7 @@ def test_reduction_matches_full_dimension_monte_carlo():
     samples = dist2 ** (-par.p / 2)
     est = samples.mean() * sphere_surface(n - 2)
     err = samples.std(ddof=1) / np.sqrt(m) * sphere_surface(n - 2)
-    assert abs(est - angular_kernel(r, s, t, par)) < 3 * err
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_excluded_range_partial_integral(n):
-    # odd n: the range ends at m1 with an integrable (m1 - m)^alpha factor
-    par = KernelParams.energy(n, 0.75)
-    r, s, t, m_lo = 1.0, 1.2, 0.1, 0.5
-    c = r * r + s * s + t * t
-    # separations >= sqrt(m_lo) are the angles past the cut
-    cut = np.arccos((c - m_lo) / (2 * r * s))
-
-    def f(phi):
-        return np.sin(phi) ** (n - 3) * (c - 2 * r * s * np.cos(phi)) ** (-par.p / 2)
-
-    ref, _ = quad(f, cut, np.pi, limit=400, epsabs=0.0, epsrel=1e-13)
-    ref *= sphere_surface(n - 3)
-    got = float(kernel_values_excluded(r, s, t, par, m_lo))
-    assert got == pytest.approx(ref, rel=1e-10)
-    # removing the exclusion recovers the full kernel
-    assert float(kernel_values_excluded(r, s, t, par, 0.0)) == pytest.approx(
-        angular_kernel(r, s, t, par), rel=1e-12
-    )
+    assert abs(est - float(kernel_values(r, s, t, par))) < 3 * err
 
 
 def test_table_shape_and_mask_contract():
@@ -162,7 +138,7 @@ def test_table_values_match_pointwise_kernel():
         t = tab.t_nodes[idx[jz, lz]]
         if (grid.r_nodes[i] - grid.r_nodes[j]) ** 2 + t * t == 0:
             continue
-        want = angular_kernel(grid.r_nodes[i], grid.r_nodes[j], t, par)
+        want = float(kernel_values(grid.r_nodes[i], grid.r_nodes[j], t, par))
         assert tab.values[i, j, idx[jz, lz]] == pytest.approx(want, rel=1e-13)
 
 
@@ -263,23 +239,16 @@ def test_kernel_values_depend_only_on_their_point(n, order):
         (0.5857068374129966, 1.2286107326517166),
         (1.2006425604984778, 0.8884297025314182),
     )
-    evals = {
-        "kernel_values": lambda a, b, c: kernel_values(a, b, c, par),
-        "kernel_values_excluded": lambda a, b, c: kernel_values_excluded(
-            a, b, c, par, 0.5
-        ),
-    }
-    for name, fn in evals.items():
-        full = fn(r, s, t)
-        sub = np.empty_like(full)
-        for part in np.array_split(rng.permutation(r.size), 7):
-            sub[part] = fn(r[part], s[part], t[part])
-        single = [fn(r[i], s[i], t[i]) for i in range(r.size)]
-        assert all(v.shape == () for v in single), name
-        assert np.array_equal(sub, full), name
-        assert np.array_equal(np.array(single), full), name
-        grid = fn(r.reshape(20, 30), s.reshape(20, 30), t.reshape(20, 30))
-        assert np.array_equal(grid.ravel(), full), name
+    full = kernel_values(r, s, t, par)
+    sub = np.empty_like(full)
+    for part in np.array_split(rng.permutation(r.size), 7):
+        sub[part] = kernel_values(r[part], s[part], t[part], par)
+    single = [kernel_values(r[i], s[i], t[i], par) for i in range(r.size)]
+    assert all(v.shape == () for v in single)
+    assert np.array_equal(sub, full)
+    assert np.array_equal(np.array(single), full)
+    grid = kernel_values(r.reshape(20, 30), s.reshape(20, 30), t.reshape(20, 30), par)
+    assert np.array_equal(grid.ravel(), full)
 
 
 def test_n3_table_entries_are_the_pointwise_kernel_bit_for_bit():
@@ -294,6 +263,6 @@ def test_n3_table_entries_are_the_pointwise_kernel_bit_for_bit():
             for j in range(r.size):
                 if r[i] == r[j] and t == 0.0:
                     continue
-                assert tab.values[i, j, k] == angular_kernel(r[i], r[j], t, par)
+                assert tab.values[i, j, k] == float(kernel_values(r[i], r[j], t, par))
                 seen += 1
     assert seen > 900

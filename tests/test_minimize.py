@@ -35,6 +35,8 @@ def test_config_validation():
         SolverConfig(schedule=(32, 16))
     with pytest.raises(InvalidParams):
         SolverConfig(tol_quotient=-1.0)
+    with pytest.raises(InvalidParams, match="schedule"):
+        SolverConfig(schedule=())
 
 
 def test_config_digest_deterministic():
@@ -46,8 +48,9 @@ def test_scale_field_identity():
     g = make_grid(4, 10.0, 12, 12, (2.0, 2.0))
     f = attach_tail_model(synthesize_profile("envelope", g, 0.75))
     assert scale_field(f, 1.0) is f
-    with pytest.raises(InvalidParams):
-        scale_field(f, 0.0)
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(InvalidParams, match="dilation factor lam"):
+            scale_field(f, bad)
 
 
 # scale_field of a tailed interior bubble as evaluated by sampling the

@@ -6,11 +6,11 @@ imports `regsob` from CHECKOUT/src (default: this script's checkout) and
 prints one sorted JSON object: the SHA-256 of every array an
 `AssembledForm` holds for five configurations, of the n=3 N=24 kernel
 table the `tables_n3` benchmark workload builds, and of a set of scalar
-outputs (norms, seminorms, ball sums, the slice interaction, the regional
-Laplacian, the Euler-Lagrange residual, the kernel at n = 2..6 and one
-cap Monte Carlo batch: its sums, squares and Taylor count).  Two
-checkouts whose printouts are equal produce the same bits for these
-inputs; diff the two printouts to compare a change with its parent.
+outputs (norms, seminorms, ball sums, the slice interaction, the
+Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
+batch: its sums, squares and Taylor count).  Two checkouts whose
+printouts are equal produce the same bits for these inputs; diff the two
+printouts to compare a change with its parent.
 """
 
 import hashlib
@@ -59,12 +59,7 @@ def _outputs(out):
     from regsob import energy
     from regsob.expansion import BoundaryGraph, _mc_batch, _radial_cdf
     from regsob.field import attach_tail_model, eval_vt, make_grid, synthesize_profile
-    from regsob.kernel import (
-        KernelParams,
-        build_kernel_table,
-        kernel_values,
-        kernel_values_excluded,
-    )
+    from regsob.kernel import KernelParams, build_kernel_table, kernel_values
     from regsob.rearrange import SliceProfile, slice_interaction
 
     sigma = 0.75
@@ -87,9 +82,6 @@ def _outputs(out):
         ball = energy.weighted_seminorm(fld, tab, "none", lam=6.0, exterior=ext)
         # a float, or in older checkouts a breakdown with its total
         out[f"ball.exterior={ext}"] = float(getattr(ball, "total", ball)).hex()
-    out["regional_laplacian"] = [
-        float(x).hex() for x in energy.regional_laplacian(fld, (2.0, 3.0), tab, 0.5)
-    ]
     out["el_residual"] = float(energy.el_residual(fld, tab)).hex()
     # m is below one chunk, so the batch sums in the order of no chunking
     cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
@@ -116,9 +108,6 @@ def _outputs(out):
         for order in ("energy", "curvature"):
             params = getattr(KernelParams, order)(n, sigma)
             out[f"kernel_values.n{n}.{order}"] = _digest(kernel_values(r, s, t, params))
-            out[f"kernel_values_excluded.n{n}.{order}"] = _digest(
-                kernel_values_excluded(r, s, t, params, 0.5)
-            )
 
 
 def main(argv):
