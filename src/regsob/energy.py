@@ -8,11 +8,14 @@ integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
 Each family yields local quadratic forms in the nodal regular factor, built
 from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
-box moments and the mid ring, 4 for the near forms).  The quadrature rules
-are defined once each: kernel.gauss_nodes gives every Gauss-Legendre rule
-on intervals, _box_pairs enumerates the near and mid-ring box pairs,
-field.cell_of locates the cell under a point, and _node_rule gives the
-node-product rule (far part, tail, exterior mass);
+box moments and the mid ring, 4 for the near forms).  The near forms are
+sum-factorised: the z hats are contracted first, into a 4 x 4 block per
+pair, sample and radial node, and then the r hats, in one batched product
+per chunk of pairs over every sample, term and radial node.  The
+quadrature rules are defined once each: kernel.gauss_nodes gives every
+Gauss-Legendre rule on intervals, _box_pairs enumerates the near and
+mid-ring box pairs, field.cell_of locates the cell under a point, and
+_node_rule gives the node-product rule (far part, tail, exterior mass);
 assemble checks grid, sigma and kernel order before its cache.  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
 the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  H is
@@ -32,8 +35,9 @@ read no H, so the curvature operators of estimate_gamma0 never build it.
 The mid ring, the exterior forms' kernel sums (in blocks of rows) and the
 near-form blocks run on a thread pool, one worker per CPU, and are
 combined in a fixed order; the kernel gives each point the same bits in
-any batch, so every assembled array is bitwise the same for any worker
-count and for any order in which the families are read.
+any batch, and each pair's near form is one product over its own samples,
+so every assembled array is bitwise the same for any worker count, any
+chunk of pairs and any order in which the families are read.
 """
 
 from __future__ import annotations
@@ -461,12 +465,12 @@ def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
     return maps, X
 
 
-# the contraction order that optimize=True picks for every block shape of
-# the near-form einsums, given so that no call searches for it
-_NEAR_PATH = ["einsum_path", (0, 1), (0, 1)]
-# element budget of one chunk's (pairs, nodes, 16) row arrays (1 MiB); the
-# near forms of an N = 32 build ran slower at 1 << 22
-_NEAR_CHUNK = 1 << 17
+# element budget of one chunk of pairs (2 MiB): the factors RR and T of each
+# pair, (sample, term, radial node) x 16 each, and one term's (sample, z
+# node, 16) vertical products.  At 1 << 17 the per-chunk overhead made the
+# near forms slower; at 1 << 19 they ran faster on the pool, but the solve,
+# verify and tables_n3 benchmark runs peaked 3-4 % higher
+_NEAR_CHUNK = 1 << 18
 
 
 def _near_local_forms(grid, params, sigma, weight_fn, orders):
@@ -480,6 +484,18 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     whose z weights are separable, so boundary cells get exact Gauss-Jacobi
     treatment of the z^a factors and the kernel (independent of the inner
     vertical variable) is evaluated once per radial node.
+
+    A form's rows are a radial hat (4 slots) times a vertical hat (4 slots),
+    and the forms are contracted one axis at a time.  z first: T = sum_j wq
+    h_z[A]_c h_z[B]_d, a 4x4 block per (sample, pair, radial node) and term,
+    the cross term entering as xy and as yx at half its coefficient.  Then r:
+    F = RR^T T, one batched product per chunk of pairs, where RR holds
+    h_r[A]_a h_r[B]_b and the contraction axis runs over (sample, term,
+    radial node); F[(a, b), (c, d)] goes to the slots (a, c), (b, d).  That
+    costs 16 per inner (r, z) node and term plus 256 per radial node and
+    term, where dense 16-slot rows cost 256 per inner node and term.
+    The chunks are taken over pairs, at most _NEAR_CHUNK elements, so each
+    pair's form has the same bits for any budget.
 
     The forms are a sum over independent blocks, one per sign quadrant and
     per batch (interior pairs, then pairs touching z = 0).  Returns (maps,
@@ -544,31 +560,30 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
 
     def block(sel, sr, sz, ers, ezs, npan):
         nzt = n_z * (npan + 1)
-        A0rs, A1rs, B0rs, B1rs = A0r[sel], A1r[sel], B0r[sel], B1r[sel]
-        A0zs, A1zs, B0zs, B1zs = A0z[sel], A1z[sel], B0z[sel], B1z[sel]
-        base_is, base_js = base_i[sel], base_j[sel]
         w_sel = mult[sel] * ers * ezs
         sre, sze = sr * ers, sz * ezs
-        Ps = sel.size
-        acc = np.zeros((Ps, 16, 16))
-        nq = n_x * nzt
-        step = max(1, _NEAR_CHUNK // (Ps * nq * 16))
+        Ps, S = sel.size, a_s.size
+        K = S * 4 * n_x
+        acc = np.empty((Ps, 16, 16))
+        # per pair: the factors RR and T, (K, 16) each, and one term's
+        # (sample, z node, 16) vertical products
+        step = max(1, _NEAR_CHUNK // (2 * K * 16 + S * nzt * 16))
 
-        for s0 in range(0, a_s.size, step):
-            # arrays are (sample, pair, ...) over the chunk's samples, and
-            # flat over (sample, pair) where a helper wants one pair axis
-            ch = slice(s0, s0 + step)
-            c = a_s[ch].size
-            n = c * Ps
-            dr = sre * a_s[ch, None]
-            dz = sze * b_s[ch, None]
-            lo_r = np.maximum(A0rs, B0rs - dr)
-            hi_r = np.minimum(A1rs, B1rs - dr)
-            lo_z = np.maximum(A0zs, B0zs - dz)
-            hi_z = np.minimum(A1zs, B1zs - dz)
+        for p0 in range(0, Ps, step):
+            # arrays are (pair, sample, ...) over the chunk's pairs, and flat
+            # over (pair, sample) where a helper wants one pair axis
+            ch = slice(p0, p0 + step)
+            sp = sel[ch]
+            Pc = sp.size
+            dr = sre[ch, None] * a_s
+            dz = sze[ch, None] * b_s
+            lo_r = np.maximum(A0r[sp, None], B0r[sp, None] - dr)
+            hi_r = np.minimum(A1r[sp, None], B1r[sp, None] - dr)
+            lo_z = np.maximum(A0z[sp, None], B0z[sp, None] - dz)
+            hi_z = np.minimum(A1z[sp, None], B1z[sp, None] - dz)
             wid_r = np.maximum(hi_r - lo_r, 0.0)
             hi_z = np.maximum(hi_z, lo_z)
-            w_pair = w_sel * w_rho_s[ch, None] * w_v_s[ch, None]
+            w_pair = w_sel[ch, None] * w_rho_s * w_v_s
             # radial inner nodes; the kernel needs only these
             xr = lo_r[..., None] + wid_r[..., None] * gg
             yr = xr + dr[..., None]
@@ -576,61 +591,55 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
             wc = (
                 w_pair[..., None] * wid_r[..., None] * w_g * kv * xr ** npow * yr ** npow
             )
-            hat_r = {
-                "x": _hat(*_interp_slots(rn, base_is[:, None], xr), 4),
-                "y": _hat(*_interp_slots(rn, base_is[:, None], yr), 4),
-            }
+            bi, bj = base_i[sp, None, None], base_j[sp, None, None]
+            # hats of x and of y, (pair, sample, side, radial node, 4)
+            h_r = np.stack([_hat(*_interp_slots(rn, bi, p), 4) for p in (xr, yr)], 2)
             lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
             if not npan:
                 # interior pairs have no Jacobi head panel, so all three
-                # terms share one plain Gauss rule in z and their rows
+                # terms share one plain Gauss rule in z and their hats
                 z_plain, w_plain = _z_rule(lo_z, hi_z, dzf, 0.0, 0.0, n_z)
-            parts = []
+            # z first: T[u, v] = sum_j wq h_z[u]_c h_z[v]_d for each pair,
+            # sample and radial node, over the sides u, v of x and y; the
+            # cross term enters as xy and as yx, each at 0.5 coef
+            T = np.empty((Pc, S, 2, 2, n_x, 4, 4))
             for t, (e_x, e_y, coef, sides) in enumerate(terms):
                 if npan:
                     zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
                 else:
                     zz, zw = z_plain, _z_weights(z_plain, w_plain, dzf, e_x, e_y)
                 if npan or t == 0:
-                    zz = zz.reshape(c, Ps, nzt)
-                    zq = {"x": zz, "y": zz + dz[..., None]}
+                    zx = zz.reshape(Pc, S, nzt)
+                    zy = zx + dz[..., None]
                     wf = None
                     if weight_fn is not None:
                         wf = weight_fn(
                             xr[..., None],
-                            zq["x"][..., None, :],
+                            zx[..., None, :],
                             yr[..., None],
-                            zq["y"][..., None, :],
+                            zy[..., None, :],
                         )
-                    rows = {}
-                wq = wc[..., None] * zw.reshape(c, Ps, 1, nzt)
+                    h_z = np.stack(
+                        [_hat(*_interp_slots(zn, bj, q), 4) for q in (zx, zy)], 2
+                    )
+                wq = wc[..., None] * zw.reshape(Pc, S, 1, nzt)
                 if wf is not None:
                     wq = wq * wf
-                wq = wq.reshape(n, nq)
-                for s in sides:
-                    if s not in rows:
-                        # 16-slot rows over the 4x4 patch: radial hat times
-                        # vertical hat
-                        h_z = _hat(*_interp_slots(zn, base_js[:, None], zq[s]), 4)
-                        rows[s] = (
-                            hat_r[s][..., :, None, :, None] * h_z[..., None, :, None, :]
-                        ).reshape(n, nq, 16)
-                A, B = rows[sides[0]], rows[sides[1]]
-                if A is B:
-                    f = np.einsum(
-                        "pq,pqa,pqb->pab", coef * wq, A, A, optimize=_NEAR_PATH
-                    )
-                else:
-                    # cross term, symmetrized
-                    f = np.einsum(
-                        "pq,pqa,pqb->pab", 0.5 * coef * wq, A, B, optimize=_NEAR_PATH
-                    )
-                    f = f + f.transpose(0, 2, 1)
-                parts.append(f.reshape(c, Ps, 16, 16))
-            # sample by sample, term by term: the unchunked loop's order and bits
-            for i in range(c):
-                for f in parts:
-                    acc += f[i]
+                u, v = ("xy".index(s) for s in sides)
+                zAB = (h_z[:, :, u, :, :, None] * h_z[:, :, v, :, None, :]).reshape(
+                    Pc, S, nzt, 16
+                )
+                scale = coef if u == v else 0.5 * coef
+                T[:, :, u, v] = (scale * wq @ zAB).reshape(Pc, S, n_x, 4, 4)
+            T[:, :, 1, 0] = T[:, :, 0, 1].swapaxes(-1, -2)
+            # then r: RR[u, v] = h_r[u]_a h_r[v]_b on the same axis, and one
+            # product per pair over (sample, term xx xy yx yy, radial node)
+            RR = h_r[:, :, :, None, :, :, None] * h_r[:, :, None, :, :, None, :]
+            F = RR.reshape(Pc, K, 16).transpose(0, 2, 1) @ T.reshape(Pc, K, 16)
+            # F[p, (a, b), (c, d)] onto the slots (a, c), (b, d)
+            acc[ch] = F.reshape(Pc, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(
+                Pc, 16, 16
+            )
         return acc
 
     blocks = []

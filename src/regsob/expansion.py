@@ -465,6 +465,10 @@ class MCConfig:
             raise InvalidParams("need at least 2 batches for a stderr")
         if self.samples_per_batch < 100:
             raise InvalidParams("need at least 100 samples per batch")
+        if not 0 < self.max_rel_stderr < np.inf:
+            raise InvalidParams(
+                f"max_rel_stderr must be finite and > 0, got {self.max_rel_stderr!r}"
+            )
         w = self.workers
         if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
             raise InvalidParams(f"workers must be an integer >= 1, got {w!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -74,16 +75,23 @@ class SolverConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        if self.tol_quotient <= 0 or self.tol_residual <= 0:
-            raise InvalidParams("stopping tolerances must be positive")
+        for name in ("tol_quotient", "tol_residual", "R_max"):
+            x = getattr(self, name)
+            if not 0 < x < np.inf:
+                raise InvalidParams(f"{name} must be finite and > 0, got {x!r}")
+        if not 0 <= self.init_noise < np.inf:
+            raise InvalidParams(
+                f"init_noise must be finite and >= 0, got {self.init_noise!r}"
+            )
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise InvalidParams(f"max_iters must be an integer >= 1, got {m!r}")
         if not self.schedule:
             raise InvalidParams("grid schedule must name at least one grid")
         if list(self.schedule) != sorted(self.schedule):
             raise InvalidParams(
                 f"grid schedule must be coarse to fine, got {self.schedule}"
             )
-        if self.max_iters < 1:
-            raise InvalidParams("iteration count must be positive")
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)

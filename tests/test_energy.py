@@ -39,7 +39,13 @@ from regsob.field import (
     synthesize_profile,
 )
 from regsob.gamma0 import estimate_gamma0, tail_bound
-from regsob.kernel import KernelParams, build_kernel_table
+from regsob.kernel import (
+    KernelParams,
+    build_kernel_table,
+    gauss_nodes,
+    gauss_rule,
+    kernel_values,
+)
 
 
 def bump_u(pts, sigma=0.75):
@@ -546,9 +552,10 @@ def _near_forms(g, params, weight):
 
 @pytest.mark.parametrize("name", ["setup4", "setup_graded", "n3"])
 def test_near_forms_independent_of_batch_budget(name, request, monkeypatch):
-    # a budget of 1 takes one (tri, k, m) sample per chunk, the unchunked
-    # loop, and so one kernel_values call per sample; the default budget
-    # takes one call per chunk of samples
+    # a budget of 1 takes one pair per chunk, and so one kernel_values call
+    # per pair over all its (tri, k, m) samples; the default budget takes one
+    # call per chunk of pairs.  Each pair's form is one product over its own
+    # samples, terms and nodes, so it has the same bits in any chunk
     if name == "n3":
         g = make_grid(3, 1.0, 8, 8, (1.0, 1.5))
         params, weight = KernelParams.energy(3, 0.75), "none"
@@ -607,6 +614,104 @@ def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
             want_z, want_w = z_rule(lo, hi, dz, e_x, e_y, q, panels=0)
             assert np.array_equal(zz, want_z)
             assert np.array_equal(energy._z_weights(zz, w, dz, e_x, e_y), want_w)
+
+
+
+def _dense_near_blocks(g, params, sigma, wfn, orders):
+    """Reference for _near_local_forms' blocks: the dense construction, with
+    16-slot rows hat_r (x) h_z per inner node and one einsum per (tri, k, m)
+    sample and term, each term with its own z rule.  Returns [(sel, L)] in
+    the block order of _near_local_forms."""
+    n_rho, n_v, n_x = orders
+    rn, zn = g.r_nodes, g.z_nodes
+    nr, nz = rn.size, zn.size
+    er, ez = energy._dual_edges(rn), energy._dual_edges(zn)
+    pairs = [
+        (I, J, I + di, J + dj, np.full(I.size, 1.0 if di == dj == 0 else 2.0))
+        for di, dj, I, J in energy._box_pairs(nr, nz, 0, 1)
+    ]
+    ai, aj, bi, bj, mult = map(np.concatenate, zip(*pairs))
+    base_i = np.clip(np.minimum(ai, bi) - 1, 0, nr - 4)
+    base_j = np.clip(np.minimum(aj, bj) - 1, 0, nz - 4)
+    is_bnd = np.minimum(aj, bj) == 0
+    beta = 1.0 - 2.0 * sigma
+    xr_j, wr_j = gauss_rule(n_rho, 0.0, beta)
+    rho = (xr_j + 1.0) / 2.0
+    w_rho = wr_j * 2.0 ** (-beta - 1.0) * rho ** (2.0 * sigma)
+    vv, w_v = gauss_nodes(0.0, 1.0, n_v)
+    gg, w_g = gauss_nodes(0.0, 1.0, n_x)
+    a = 2.0 * sigma - 1.0
+    terms = ((2 * a, 0.0, 1.0, "xx"), (a, a, -2.0, "xy"), (0.0, 2 * a, 1.0, "yy"))
+    npow = g.n - 2
+    out = []
+    for sr, sz in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        e_r = np.maximum(er[bi + 1] - er[ai] if sr > 0 else er[ai + 1] - er[bi], 0.0)
+        e_z = np.maximum(ez[bj + 1] - ez[aj] if sz > 0 else ez[aj + 1] - ez[bj], 0.0)
+        for npan in (0, energy._Z_PANELS):
+            sel = np.flatnonzero((e_r > 0) & (e_z > 0) & (is_bnd == (npan > 0)))
+            if not sel.size:
+                continue
+            A0r, A1r = er[ai[sel]], er[ai[sel] + 1]
+            B0r, B1r = er[bi[sel]], er[bi[sel] + 1]
+            A0z, A1z = ez[aj[sel]], ez[aj[sel] + 1]
+            B0z, B1z = ez[bj[sel]], ez[bj[sel] + 1]
+            L = np.zeros((sel.size, 16, 16))
+            for tri, k, m in np.ndindex(2, n_rho, n_v):
+                a_s, b_s = rho[k], rho[k] * vv[m]
+                if tri:
+                    a_s, b_s = b_s, a_s
+                dr, dz = sr * e_r[sel] * a_s, sz * e_z[sel] * b_s
+                lo_r = np.maximum(A0r, B0r - dr)
+                wid_r = np.maximum(np.minimum(A1r, B1r - dr) - lo_r, 0.0)
+                lo_z = np.maximum(A0z, B0z - dz)
+                hi_z = np.maximum(np.minimum(A1z, B1z - dz), lo_z)
+                xr = lo_r[:, None] + wid_r[:, None] * gg
+                yr = xr + dr[:, None]
+                kv = kernel_values(xr, yr, dz[:, None], params)
+                w = mult[sel] * e_r[sel] * e_z[sel] * w_rho[k] * w_v[m]
+                wc = w[:, None] * wid_r[:, None] * w_g * kv * xr ** npow * yr ** npow
+                for e_x, e_y, coef, sides in terms:
+                    zz, zw = energy._z_rule(lo_z, hi_z, dz, e_x, e_y, n_x, npan)
+                    zy = zz + dz[:, None]
+                    wq = wc[:, :, None] * zw[:, None, :]
+                    if wfn is not None:
+                        wq = wq * wfn(
+                            xr[:, :, None], zz[:, None, :], yr[:, :, None], zy[:, None, :]
+                        )
+                    rows = []
+                    for side in sides:
+                        pr, pz = (xr, zz) if side == "x" else (yr, zy)
+                        h_r = _hat(*_interp_slots(rn, base_i[sel, None], pr), 4)
+                        h_z = _hat(*_interp_slots(zn, base_j[sel, None], pz), 4)
+                        row = h_r[:, :, None, :, None] * h_z[:, None, :, None, :]
+                        rows.append(row.reshape(sel.size, -1, 16))
+                    wq = coef * wq.reshape(sel.size, -1)
+                    f = np.einsum("pq,pqa,pqb->pab", wq, *rows)
+                    L += f if sides[0] == sides[1] else 0.5 * (f + f.transpose(0, 2, 1))
+            out.append((sel, L))
+    return out
+
+
+@pytest.mark.parametrize("orders", ["fine", "coarse"])
+@pytest.mark.parametrize("weight", ["none", "gamma0", ("power", 1.0)], ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_factorised_near_forms_match_dense_rows(n, weight, orders):
+    # the near forms contract z first and then r with one product per pair;
+    # the dense rows hat_r (x) h_z and their einsum give the same forms up to
+    # rounding, block by block (interior and boundary pairs), within 2e-12 of
+    # the block's largest entry (up to 8.7e-13 seen on these grids)
+    g = make_grid(n, 2.0, 7, 6, (1.5, 2.0))
+    order = "curvature" if weight == "gamma0" else "energy"
+    params = getattr(KernelParams, order)(n, 0.75)
+    wfn = energy._weight(weight)[1]
+    orders = energy._FINE_ORDERS if orders == "fine" else energy._COARSE_ORDERS
+    blocks = energy._near_local_forms(g, params, 0.75, wfn, orders)[3]
+    want = _dense_near_blocks(g, params, 0.75, wfn, orders)
+    assert len(blocks) == len(want) == 8
+    for (sel, fn), (sel_d, L_d) in zip(blocks, want):
+        assert np.array_equal(sel, sel_d)
+        L = fn()
+        assert np.max(np.abs(L - L_d)) <= 2e-12 * np.max(np.abs(L_d))
 
 
 _BAD_WEIGHTS = [

@@ -269,6 +269,10 @@ def test_mc_config_validation():
     for bad in (0, -1, 2.5, True):
         with pytest.raises(InvalidParams, match="workers"):
             MCConfig(workers=bad)
+    # a NaN limit would make the variance gate se / flat > limit always false
+    for bad in (0.0, -0.05, float("nan"), float("inf")):
+        with pytest.raises(InvalidParams, match="max_rel_stderr"):
+            MCConfig(max_rel_stderr=bad)
 
 
 def test_verify_flat_matches_grid_quotient(envelope16):

@@ -37,6 +37,19 @@ def test_config_validation():
         SolverConfig(tol_quotient=-1.0)
     with pytest.raises(InvalidParams, match="schedule"):
         SolverConfig(schedule=())
+    nan, inf = float("nan"), float("inf")
+    bad = dict(
+        tol_quotient=(nan, inf, 0.0),
+        # with tol_residual = inf, converged would not read the residual
+        tol_residual=(nan, inf, -1.0),
+        R_max=(nan, inf, 0.0, -20.0),
+        init_noise=(nan, inf, -0.05),
+        max_iters=(inf, nan, 2.5, 0, True),
+    )
+    for field, values in bad.items():
+        for x in values:
+            with pytest.raises(InvalidParams, match=field):
+                SolverConfig(**{field: x})
 
 
 def test_config_digest_deterministic():
