@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .energy import _seminorm_total, critical_p
-from .errors import ConfigError, RegsobError
+from .errors import ConfigError, InvalidParams, RegsobError
 from .expansion import (
     BoundaryGraph,
     MCConfig,
@@ -91,15 +91,62 @@ DEFAULT_CONFIG = {
 }
 
 
+# the kinds of the null defaults: null or a list of grid sizes, of radii
+_NULL_KINDS = {"gamma0.grids": [0], "gamma0.schedule": [0.0]}
+_KINDS = {
+    str: ("a string", "strings"),
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+}
+
+
+def _scalar(default, v):
+    """v as a value of the kind of the scalar default (string, integer or
+    real), or None when it is not one: an integer key takes integers only,
+    and a real key takes integers as floats."""
+    if isinstance(default, str):
+        return v if isinstance(v, str) else None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    if isinstance(default, int):
+        return v if isinstance(v, int) else None
+    return float(v)
+
+
+def _typed(default, v, key):
+    """v checked against the kind of its default and returned as that kind:
+    an object merges key by key, a list takes a list of the kind of its
+    first entry (numbers if it is empty), a null default takes null or the
+    list in _NULL_KINDS.  ConfigError naming the dotted key otherwise."""
+    if default is None and v is None:
+        return None
+    base = _NULL_KINDS[key] if default is None else default
+    if isinstance(base, dict):
+        if isinstance(v, dict):
+            return _merge(base, v, key + ".")
+        want = "an object"
+    elif isinstance(base, list):
+        elem = base[0] if base else 0.0
+        out = [_scalar(elem, x) for x in v] if isinstance(v, list) else [None]
+        if None not in out:
+            return out
+        want = "a list of " + _KINDS[type(elem)][1]
+    else:
+        out = _scalar(base, v)
+        if out is not None:
+            return out
+        want = _KINDS[type(base)][0]
+    if default is None:
+        want = "null or " + want
+    raise ConfigError(f"config key {key!r} must be {want}, got {v!r}")
+
+
 def _merge(base, override, path=""):
     out = dict(base)
     for k, v in override.items():
         if k not in base:
             raise ConfigError(f"unknown config key {path + k!r}")
-        if isinstance(base[k], dict) and isinstance(v, dict):
-            out[k] = _merge(base[k], v, path + k + ".")
-        else:
-            out[k] = v
+        out[k] = _typed(base[k], v, path + k)
     return out
 
 
@@ -118,12 +165,15 @@ def _read_json(path, what):
 
 
 def load_config(path):
+    """DEFAULT_CONFIG, with the values of the JSON file at path merged in
+    after a check of each against the kind of its default (see _typed)."""
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return cfg
     raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    return _merge(DEFAULT_CONFIG, raw)
+    return _merge(cfg, raw)
 
 
 def _sha256(path):
@@ -189,16 +239,8 @@ def cmd_solve(args):
     cfg = load_config(args.config)
     s = cfg["solver"]
     sc = SolverConfig(
-        n=int(s["n"]),
-        sigma=float(s["sigma"]),
-        schedule=tuple(int(x) for x in s["schedule"]),
-        R_max=float(s["R_max"]),
-        grading=tuple(float(x) for x in s["grading"]),
-        max_iters=int(s["max_iters"]),
-        init=str(s["init"]),
-        tol_quotient=float(s["tol_quotient"]),
-        tol_residual=float(s["tol_residual"]),
-        seed=int(cfg["seed"]),
+        **dict(s, schedule=tuple(s["schedule"]), grading=tuple(s["grading"])),
+        seed=cfg["seed"],
     )
     man = Manifest("solve", cfg, [], args.out + ".manifest.json")
     res = solve_halfspace(sc)
@@ -230,10 +272,10 @@ def cmd_gamma0(args):
 
 def _load_gamma0(path):
     """The Gamma0Report that `regsob gamma0` wrote to path; ConfigError
-    naming the path and any missing or unknown key."""
+    naming the path and any missing or unknown key or invalid value."""
     try:
         return Gamma0Report(**_read_json(path, "gamma0 report"))
-    except TypeError as e:
+    except (TypeError, InvalidParams) as e:
         raise ConfigError(f"gamma0 report {path}: {e}")
 
 
@@ -241,13 +283,13 @@ def cmd_verify(args):
     cfg = load_config(args.config)
     theta = load_field(args.theta)
     rep = _load_gamma0(args.gamma0)
-    bg = BoundaryGraph.from_dict(cfg["boundary"])
+    bg = BoundaryGraph(**cfg["boundary"])
     v = cfg["verify"]
     mc = MCConfig(
-        batches=int(v["batches"]),
-        samples_per_batch=int(v["samples_per_batch"]),
-        seed=int(cfg["seed"]),
-        max_rel_stderr=float(v["max_rel_stderr"]),
+        batches=v["batches"],
+        samples_per_batch=v["samples_per_batch"],
+        seed=cfg["seed"],
+        max_rel_stderr=v["max_rel_stderr"],
         workers=_threads(cfg),
     )
     man = Manifest(
@@ -391,13 +433,7 @@ def cmd_kernel_table(args):
             f"kernel_table.order must be 'energy' or 'curvature', got {k['order']!r}"
         )
     man = Manifest("kernel-table", cfg, [], args.out + ".manifest.json")
-    g = make_grid(
-        int(k["n"]),
-        float(k["R_max"]),
-        int(k["N"]),
-        int(k["N"]),
-        tuple(float(x) for x in k["grading"]),
-    )
+    g = make_grid(k["n"], k["R_max"], k["N"], k["N"], k["grading"])
     maker = KernelParams.energy if k["order"] == "energy" else KernelParams.curvature
     cache = _cache_dir()
     key = hashlib.sha256(json.dumps(k, sort_keys=True).encode()).hexdigest()[:16]
@@ -405,7 +441,7 @@ def cmd_kernel_table(args):
     if cached and os.path.exists(cached):
         tab = load_table(cached)
     else:
-        tab = build_kernel_table(g, maker(int(k["n"]), float(k["sigma"])))
+        tab = build_kernel_table(g, maker(k["n"], k["sigma"]))
         if cached:
             save_table(tab, cached)
     save_table(tab, args.out)

@@ -32,12 +32,13 @@ near forms on the first seminorm, the one reader of quad_error_estimate;
 weighted_seminorm returns only the total and never builds them.  Ball sums
 read no H, so the curvature operators of estimate_gamma0 never build it.
 
-The mid ring, the exterior forms' kernel sums (in blocks of rows) and the
-near-form blocks run on a thread pool, one worker per CPU, and are
-combined in a fixed order; the kernel gives each point the same bits in
-any batch, and each pair's near form is one product over its own samples,
-so every assembled array is bitwise the same for any worker count, any
-chunk of pairs and any order in which the families are read.
+Every parallel job goes through _run, one thread pool per list of tasks
+with results in list order: the mid ring with the fine near-form blocks,
+the coarse near-form blocks, and the exterior forms' blocks of rows.  The
+kernel gives each point the same bits in any batch, and each pair's near
+form is one product over its own samples, so every assembled array is
+bitwise the same for any worker count, any chunk of pairs and any order in
+which the families are read.
 """
 
 from __future__ import annotations
@@ -157,6 +158,15 @@ def _hat(c, f, width):
     return np.where(slot == c, 1.0 - f, np.where(slot == c + 1, f, 0.0))
 
 
+def _patch_maps(rows, cols, nz):
+    """Flat node indices i * nz + j of tensor node patches, one row per
+    patch: rows (..., a) and cols (..., b) hold each patch's node indices
+    along r and along z and broadcast against each other.  Returns
+    (patches, a * b) with the z slot running fastest."""
+    m = rows[..., :, None] * nz + cols[..., None, :]
+    return m.reshape(-1, m.shape[-2] * m.shape[-1])
+
+
 _Z_PANELS = 10
 
 
@@ -252,7 +262,7 @@ def _box_moments(grid, sigma):
     off = np.arange(-1, 2)
     gi = np.clip(np.arange(nr)[:, None] + off[None, :], 0, nr - 1)
     gj = np.clip(np.arange(nz)[:, None] + off[None, :], 0, nz - 1)
-    map9 = (gi[:, None, :, None] * nz + gj[None, :, None, :]).reshape(N, 9)
+    map9 = _patch_maps(gi[:, None], gj[None], nz)
 
     c1 = np.zeros((nr, nz, 3, 3))
     Q2 = np.zeros((nr, nz, 3, 3, 3, 3))
@@ -316,7 +326,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn):
 
     RQ, WR, patch_r, BRr = axis_data(rn, er, npow)
     ZQ, WZ, patch_z, BZz = axis_data(zn, ez, 0)
-    patch = patch_r[:, None, :, None] * nz + patch_z[None, :, None, :]
+    patch = _patch_maps(patch_r[:, None], patch_z[None], nz)
     basis = np.einsum("iga,jz,jzb->ijgzab", BRr, ZQ ** a_exp, BZz)
 
     offsets = list(_box_pairs(nr, nz, 2, _MID_RING))
@@ -352,10 +362,10 @@ def _mid_pair_forms(grid, params, sigma, weight_fn):
             )
         KW[s:e] = blk.reshape(-1, q * q, q * q)
         s = e
-    return patch.reshape(-1, 9), basis.reshape(-1, q * q, 9), ga, gb, KW
+    return patch, basis.reshape(-1, q * q, 9), ga, gb, KW
 
 
-def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
+def _exterior_forms(grid, params, sigma, weight_fn):
     """Cell-local quadratic forms coupling interior mass to the complement
     of the truncation cylinder, where the field itself is zero.
 
@@ -363,10 +373,10 @@ def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
     2 int_cell u(x)^2 kext(x) dmu, with kext(x) the kernel mass seen from x
     in the exterior, accumulated over a geometrically graded exterior tiling
     out to 4000 R.  Tail models add their own terms elsewhere.  kext is
-    summed in tasks of _EXT_ROWS radial Gauss points, run on pool if given,
-    else on the calling thread; each task adds its rows over the exterior
-    box chunks in chunk order, and the rows are joined in order, so X is
-    bitwise the same either way."""
+    summed in tasks of _EXT_ROWS radial Gauss points, run through _run; each
+    task adds its rows over the exterior box chunks in chunk order, and the
+    rows are joined in order, so X is bitwise the same for any worker count
+    and any number of rows per task."""
     rn, zn = grid.r_nodes, grid.z_nodes
     nr, nz = rn.size, zn.size
     R = grid.R_max
@@ -437,7 +447,7 @@ def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
         return acc
 
     starts = range(0, rp.size, _EXT_ROWS)
-    kext = np.concatenate(list((map if pool is None else pool.map)(rows, starts)))
+    kext = np.concatenate(_run([functools.partial(rows, i0) for i0 in starts]))
     kext = kext.reshape(nr - 1, q, nz - 1, q)
     br = np.stack([1.0 - fr, fr])  # (2, nr-1, q)
     bz = np.stack([1.0 - fz, fz])
@@ -453,16 +463,9 @@ def _exterior_forms(grid, params, sigma, weight_fn, pool=None):
         bz,
         optimize=True,
     ).reshape((nr - 1) * (nz - 1), 4, 4)
-    ci = np.arange(nr - 1)
-    cj = np.arange(nz - 1)
-    uu = np.array([0, 0, 1, 1])
-    vv = np.array([0, 1, 0, 1])
-    maps = (
-        (ci[:, None, None] + uu[None, None, :]) * nz
-        + cj[None, :, None]
-        + vv[None, None, :]
-    ).reshape(-1, 4)
-    return maps, X
+    ci = np.arange(nr - 1)[:, None] + np.arange(2)
+    cj = np.arange(nz - 1)[:, None] + np.arange(2)
+    return _patch_maps(ci[:, None], cj[None], nz), X
 
 
 # element budget of one chunk of pairs (2 MiB): the factors RR and T of each
@@ -516,7 +519,6 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
         for di, dj, I, J in _box_pairs(nr, nz, 0, 1)
     ]
     ai, aj, bi, bj, mult = map(np.concatenate, zip(*pairs))
-    P = ai.size
     ga = ai * nz + aj
     gb = bi * nz + bj
 
@@ -524,9 +526,8 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     base_j = np.clip(np.minimum(aj, bj) - 1, 0, nz - 4)
     is_bnd = np.minimum(aj, bj) == 0
     # global flat indices of the 4x4 local patch
-    gi = base_i[:, None] + np.arange(4)[None, :]
-    gj = base_j[:, None] + np.arange(4)[None, :]
-    maps = (gi[:, :, None] * nz + gj[:, None, :]).reshape(P, 16)
+    slot = np.arange(4)
+    maps = _patch_maps(base_i[:, None] + slot, base_j[:, None] + slot, nz)
 
     A0r, A1r = er_edges[ai], er_edges[ai + 1]
     B0r, B1r = er_edges[bi], er_edges[bi + 1]
@@ -664,27 +665,28 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _sum_blocks(P, *block_lists, pool=None):
-    """One (P, 16, 16) array of near forms per list of blocks (sel, fn).
-
-    The fn() run on pool, or on a pool of its own with one worker per CPU
-    (at most one per block); the calling thread adds each block's result
-    into its array at sel in list order, so the sums are bitwise
-    independent of the worker count.  An exception raised in a block is
-    raised here."""
-    sums = [np.zeros((P, 16, 16)) for _ in block_lists]
-    tasks = [(L, sel, fn) for L, blocks in zip(sums, block_lists) for sel, fn in blocks]
-    own = pool is None
-    if own:
-        pool = ThreadPoolExecutor(min(_cpu_count(), len(tasks)))
+def _run(fns):
+    """[fn() for fn in fns], in list order, on a pool of its own with one
+    worker per CPU (at most one per fn).  An exception raised in a fn is
+    raised here, after the fns not yet started are cancelled; the pool is
+    shut down before _run returns, so no worker outlives the call."""
+    pool = ThreadPoolExecutor(min(_cpu_count(), len(fns)))
     try:
-        futures = [pool.submit(fn) for _, _, fn in tasks]
-        for (L, sel, _), fut in zip(tasks, futures):
-            L[sel] += fut.result()
+        futures = [pool.submit(fn) for fn in fns]
+        return [fut.result() for fut in futures]
     finally:
-        if own:
-            pool.shutdown(cancel_futures=True)
-    return sums
+        pool.shutdown(cancel_futures=True)
+
+
+def _sum_blocks(P, blocks, parts):
+    """The (P, 16, 16) near forms from the blocks (sel, fn) of
+    _near_local_forms and their parts fn(): each part is added into its
+    pairs sel in block order, so the sums are bitwise independent of where
+    and in which order the parts were computed."""
+    L = np.zeros((P, 16, 16))
+    for (sel, _), part in zip(blocks, parts):
+        L[sel] += part
+    return L
 
 
 def _scatter(H, maps, forms, cols=None):
@@ -718,8 +720,8 @@ class AssembledForm:
     kernel block KW per box pair (mga, mgb); seminorm's quadrature error
     estimate reads the coarse near forms L_coarse.  The constructor builds
     M, the far moments, L and the mid ring; H (with the exterior forms) and
-    L_coarse are cached properties, each built on its first read on a pool
-    of its own.  Build it through assemble, which checks the inputs."""
+    L_coarse are cached properties, each built on its first read.  Build it
+    through assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         wfn = _weight(weight)[1]
@@ -747,32 +749,25 @@ class AssembledForm:
         self.maps, self.ga, self.gb, fine = _near_local_forms(
             grid, table.params, sigma, wfn, _FINE_ORDERS
         )
-        # the mid ring, then the near-form blocks
-        pool = ThreadPoolExecutor(min(_cpu_count(), 1 + len(fine)))
-        try:
-            mid = pool.submit(_mid_pair_forms, grid, table.params, sigma, wfn)
-            (self.L,) = _sum_blocks(self.ga.size, fine, pool=pool)
-            self.patch, self.basis, self.mga, self.mgb, self.KW = mid.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        # the mid ring, then the near-form blocks, on the same workers
+        mid = functools.partial(_mid_pair_forms, grid, table.params, sigma, wfn)
+        out = _run([mid] + [fn for _, fn in fine])
+        self.patch, self.basis, self.mga, self.mgb, self.KW = out[0]
+        self.L = _sum_blocks(self.ga.size, fine, out[1:])
 
     @functools.cached_property
     def L_coarse(self):
         """The near forms at the coarse orders, built on the first read."""
         grid, params, sigma, wfn = self._inputs
         coarse = _near_local_forms(grid, params, sigma, wfn, _COARSE_ORDERS)[3]
-        return _sum_blocks(self.ga.size, coarse)[0]
+        return _sum_blocks(self.ga.size, coarse, _run([fn for _, fn in coarse]))
 
     @functools.cached_property
     def H(self):
         """The whole form as one symmetric N x N matrix, built on the first
         read together with the exterior forms it alone holds."""
         grid, params, sigma, wfn = self._inputs
-        pool = ThreadPoolExecutor(_cpu_count())
-        try:
-            ext_maps, X = _exterior_forms(grid, params, sigma, wfn, pool)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        ext_maps, X = _exterior_forms(grid, params, sigma, wfn)
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
         # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms
@@ -864,8 +859,11 @@ class AssembledForm:
         return 2.0 * (self.H @ vt.ravel())
 
 
+# no caller needs more than two live forms: verify alternates Theta's energy
+# and curvature forms, estimate_gamma0 is done with each form before the
+# next, and solve reuses only its last stage's form
 _cache: OrderedDict = OrderedDict()
-_CACHE_MAX = 8
+_CACHE_MAX = 2
 
 
 def assemble(grid, table, sigma, weight="none"):
@@ -1002,8 +1000,8 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
 def _cell_quadrature(field, p):
     """Cell-wise tensor Gauss rule for |u|^p on the bilinear interpolant of
     the regular factor: returns (WR, WZ, fr, fz, vals) with the
-    z^((2*sigma-1)*p) boundary factor folded into WZ through a Jacobi rule
-    in the first z cell, the hat fractions fr, fz, and the interpolant at
+    z^((2*sigma-1)*p) boundary factor folded into WZ by _z_rule (Jacobi in
+    the first z cell), the hat fractions fr, fz, and the interpolant at
     the quadrature points, all broadcast to (r cell, r point, z cell, z
     point)."""
     grid = field.grid
@@ -1014,11 +1012,7 @@ def _cell_quadrature(field, p):
     RQ, WR = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
     fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
     za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ZQ, WZ = gauss_nodes(za, zb - za, q, power=ap)
-    xj, wj = gauss_rule(q, 0.0, ap)
-    h0 = zb[0] - za[0]
-    ZQ[0] = h0 * (xj + 1) / 2
-    WZ[0] = (h0 / 2) ** (1 + ap) * wj
+    ZQ, WZ = _z_rule(za, zb, np.zeros(za.size), ap, 0.0, q)
     fz = (ZQ - za[:, None]) / (zb - za)[:, None]
     fr_ = fr[:, :, None, None]
     fz_ = fz[None, None, :, :]

@@ -136,18 +136,6 @@ class BoundaryGraph:
             and self.g_lipschitz <= self.epsilon0
         )
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            alpha=tuple(d["alpha"]),
-            g_kind=d.get("g_kind", "zero"),
-            g_coeffs=tuple(d.get("g_coeffs", ())),
-            R0=float(d.get("R0", 4.0)),
-            delta0=float(d.get("delta0", 4.0)),
-            epsilon0=float(d.get("epsilon0", 0.05)),
-            mu=float(d.get("mu", 1.0)),
-        )
-
 
 def dilate_graph(bg, mu):
     """The mu-dilated graph: x_n = mu*h(x'/mu), chart radius scaled by mu."""
@@ -422,8 +410,7 @@ def curvature_term(theta, lam, bg, gamma0_report=None, table=None):
     built here when not given, so that a lambda scan builds it once."""
     if gamma0_report is None:
         raise MissingGamma0("curvature term needs a Gamma0 report")
-    if lam <= 0:
-        raise InvalidParams(f"lambda must be positive, got {lam}")
+    _check_lam(lam)
     n, sigma = theta.grid.n, theta.sigma
     if table is None:
         table = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))

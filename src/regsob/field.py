@@ -7,6 +7,7 @@ has a z^(2*sigma-1) cusp.  Grids are power-graded toward r = 0 and z = 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,14 +42,23 @@ class HalfSpaceGrid:
 
 
 def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
-    """Power-graded grid r_i = R_max (i/N_r)^beta_r, z_j likewise."""
-    if N_r < 4 or N_z < 4:
-        raise InvalidParams(f"need at least 4 cells per axis, got {N_r}x{N_z}")
-    if R_max <= 0:
-        raise InvalidParams(f"R_max must be positive, got {R_max}")
+    """Power-graded grid r_i = R_max (i/N_r)^beta_r, z_j likewise.  Raises
+    unless N_r and N_z are integers >= 4, R_max is finite and > 0 and each
+    grading exponent is finite and >= 1."""
+    if not all(
+        isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 4
+        for N in (N_r, N_z)
+    ):
+        raise InvalidParams(
+            f"need an integer number >= 4 of cells per axis, got {N_r!r}x{N_z!r}"
+        )
+    if not 0 < R_max < np.inf:
+        raise InvalidParams(f"R_max must be finite and > 0, got {R_max}")
     beta_r, beta_z = grading
-    if beta_r < 1 or beta_z < 1:
-        raise InvalidGrading(f"grading exponents must be >= 1, got {grading}")
+    if not (1 <= beta_r < np.inf and 1 <= beta_z < np.inf):
+        raise InvalidGrading(
+            f"grading exponents must be finite and >= 1, got {grading}"
+        )
     r = R_max * (np.arange(N_r + 1) / N_r) ** beta_r
     z = R_max * (np.arange(N_z + 1) / N_z) ** beta_z
     return HalfSpaceGrid(

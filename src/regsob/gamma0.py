@@ -9,12 +9,13 @@ inside the error budget.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import _check_lam, weighted_seminorm
-from .errors import InsufficientConvergence, InvalidGamma
+from .errors import InsufficientConvergence, InvalidGamma, InvalidParams
 from .field import make_grid, resample
 from .kernel import KernelParams, build_kernel_table
 
@@ -36,7 +37,34 @@ class Gamma0Report:
     theta_provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_schedule", tuple(self.lambda_schedule))
+        """Raise InvalidParams, naming the field, unless value is a finite
+        real, both error terms are reals >= 0 (inf is allowed: a one-grid
+        estimate has no grid error), every truncation radius is finite and
+        > 0, and sign_verdict is one of the three verdicts."""
+
+        def real(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+        if not (real(self.value) and np.isfinite(self.value)):
+            raise InvalidParams(f"value must be a finite real, got {self.value!r}")
+        for name in ("grid_extrapolation_error", "truncation_tail_bound"):
+            x = getattr(self, name)
+            if not (real(x) and x >= 0):
+                raise InvalidParams(f"{name} must be a real >= 0, got {x!r}")
+        lams = self.lambda_schedule
+        if not (
+            isinstance(lams, (list, tuple))
+            and all(real(l) and 0 < l < np.inf for l in lams)
+        ):
+            raise InvalidParams(
+                f"lambda_schedule must list radii finite and > 0, got {lams!r}"
+            )
+        object.__setattr__(self, "lambda_schedule", tuple(lams))
+        if self.sign_verdict not in ("positive", "negative", "indeterminate"):
+            raise InvalidParams(
+                "sign_verdict must be positive, negative or indeterminate, "
+                f"got {self.sign_verdict!r}"
+            )
 
     def to_json(self):
         return {

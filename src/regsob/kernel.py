@@ -258,14 +258,9 @@ def grouped_t_nodes(z):
     scale = float(np.max(np.abs(diffs))) or 1.0
     tol = 1e-12 * scale
     pos = np.sort(diffs[diffs > tol])
-    reps = []
-    if pos.size:
-        start = 0
-        for k in range(1, pos.size + 1):
-            if k == pos.size or pos[k] - pos[k - 1] > tol:
-                reps.append(float(np.mean(pos[start:k])))
-                start = k
-    reps = np.asarray(reps)
+    # one group per run of sorted differences with no gap above tol
+    groups = np.split(pos, np.flatnonzero(np.diff(pos) > tol) + 1) if pos.size else []
+    reps = np.array(list(map(np.mean, groups)))
     t_nodes = np.concatenate([-reps[::-1], [0.0], reps])
     return t_nodes, tol
 
@@ -304,17 +299,12 @@ def build_kernel_table(grid, params, max_bytes=4 << 30):
         )
 
     # t values produced by at least one index-adjacent z pair
+    jz = np.arange(z.size)
+    z_adjacent = np.abs(jz[:, None] - jz[None, :]) <= 1
     t_adjacent = np.zeros(nt, dtype=bool)
-    for j in range(z.size):
-        for l in (j - 1, j, j + 1):
-            if 0 <= l < z.size:
-                t_adjacent[int(lookup_t(t_nodes, z[j] - z[l], tol))] = True
-
-    r_adjacent = np.zeros((nr, nr), dtype=bool)
-    for i in range(nr):
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < nr:
-                r_adjacent[i, j] = True
+    t_adjacent[lookup_t(t_nodes, (z[:, None] - z[None, :])[z_adjacent], tol)] = True
+    ir = np.arange(nr)
+    r_adjacent = np.abs(ir[:, None] - ir[None, :]) <= 1
     mask = r_adjacent[:, :, None] & t_adjacent[None, None, :]
 
     # evaluate for t >= 0 and reflect (kernel even in t)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,37 @@ def test_config_merge_and_unknown_key(tmp_path):
     p.write_text(json.dumps({"sliver": {}}))
     with pytest.raises(ConfigError):
         load_config(str(p))
+    # each value has the kind of its default; integers in real keys become
+    # floats, and a null default takes null or a list
+    p.write_text(json.dumps({
+        "solver": {"R_max": 8, "grading": [1, 2], "schedule": [8, 10]},
+        "gamma0": {"grids": [8, 10], "schedule": [2, 3.5]},
+        "boundary": {"g_coeffs": [1]},
+    }))
+    cfg = load_config(str(p))
+    s = cfg["solver"]
+    assert [type(x) for x in (s["R_max"], *s["grading"])] == [float] * 3
+    assert cfg["gamma0"] == {"grids": [8, 10], "schedule": [2.0, 3.5]}
+    assert cfg["boundary"]["g_coeffs"] == [1.0]
+    assert load_config(None) == DEFAULT_CONFIG
+    bad = [
+        ({"solver": {"max_iters": "abc"}}, "solver.max_iters", "an integer"),
+        ({"solver": {"max_iters": 2.9}}, "solver.max_iters", "an integer"),
+        ({"solver": {"schedule": [8, 9.7]}}, "solver.schedule", "a list of integers"),
+        ({"solver": {"schedule": 8}}, "solver.schedule", "a list of integers"),
+        ({"boundary": {"R0": "four"}}, "boundary.R0", "a number"),
+        ({"boundary": {"alpha": [0.1, True]}}, "boundary.alpha", "a list of numbers"),
+        ({"solver": {"init": 3}}, "solver.init", "a string"),
+        ({"threads": True}, "threads", "an integer"),
+        ({"verify": [1]}, "verify", "an object"),
+        ({"gamma0": {"grids": [8, 10.5]}}, "gamma0.grids", "null or a list of integers"),
+        ({"gamma0": {"schedule": "x"}}, "gamma0.schedule", "null or a list of numbers"),
+        ({"kernel_table": {"N": None}}, "kernel_table.N", "an integer"),
+    ]
+    for raw, key, kind in bad:
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=re.escape(f"{key!r} must be {kind}")):
+            load_config(str(p))
 
 
 def test_invalid_json_reports_location(tmp_path, capsys):
@@ -188,6 +220,40 @@ def test_verify_report_missing_key_is_config_error(tmp_path, small_theta, capsys
     assert "grid_extrapolation_error" in err and "truncation_tail_bound" in err
 
 
+_REPORT = {
+    "value": 1.0,
+    "grid_extrapolation_error": 0.1,
+    "truncation_tail_bound": 0.2,
+    "lambda_schedule": [2.0],
+    "sign_verdict": "positive",
+}
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("value", "abc"),
+        ("value", float("nan")),
+        ("value", float("inf")),
+        ("grid_extrapolation_error", float("nan")),
+        ("truncation_tail_bound", -1.0),
+        ("truncation_tail_bound", True),
+        ("lambda_schedule", [2.0, 0.0]),
+        ("lambda_schedule", [float("nan")]),
+        ("lambda_schedule", 2.0),
+        ("sign_verdict", "maybe"),
+    ],
+)
+def test_verify_report_bad_value_is_config_error(
+    key, bad, tmp_path, small_theta, capsys
+):
+    text = json.dumps({**_REPORT, key: bad})
+    rc, report = _verify_with_report(tmp_path, small_theta, text)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and report in err and f"{key} must" in err
+
+
 def test_verify_report_invalid_json_is_config_error(tmp_path, small_theta, capsys):
     rc, report = _verify_with_report(tmp_path, small_theta, '{"value": 1.0,')
     err = capsys.readouterr().err
@@ -212,4 +278,7 @@ def test_gamma0_missing_theta_exits_1(tmp_path, capsys):
 def test_gamma0_report_round_trips():
     rep = cli.Gamma0Report(1.0, 0.1, 0.2, [2.0, 3.0], "positive")
     assert rep.lambda_schedule == (2.0, 3.0) and rep.theta_provenance == ""
+    assert cli.Gamma0Report(**rep.to_json()) == rep
+    # a one-grid estimate_gamma0 reports an infinite grid error
+    rep = cli.Gamma0Report(1.0, float("inf"), 0.2, [2.0], "indeterminate")
     assert cli.Gamma0Report(**rep.to_json()) == rep

@@ -2,7 +2,6 @@ import re
 import threading
 import time
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -460,8 +459,26 @@ def test_near_block_sums_follow_block_order(monkeypatch):
     n = len(blocks)
     slow = [(sel, late(fn, 0.05 * (n - k))) for k, (sel, fn) in enumerate(blocks)]
     monkeypatch.setattr(energy, "_cpu_count", lambda: n)
-    (got,) = energy._sum_blocks(maps.shape[0], slow)
+    got = energy._sum_blocks(maps.shape[0], blocks, energy._run([fn for _, fn in slow]))
     assert np.array_equal(got, want)
+
+
+def test_run_cancels_the_rest_on_an_error(monkeypatch):
+    # on one worker the fns start in list order: the failing fn's error is
+    # raised while the worker runs the slow fn after it, so the last fn is
+    # cancelled before it starts, and the worker has exited on return
+    ran = []
+
+    def failing():
+        raise DiagonalSingularity("raised in a task")
+
+    monkeypatch.setattr(energy, "_cpu_count", lambda: 1)
+    before = threading.active_count()
+    with pytest.raises(DiagonalSingularity, match="in a task"):
+        energy._run([failing, lambda: time.sleep(0.5), lambda: ran.append(2)])
+    assert threading.active_count() == before
+    assert ran == []
+    assert energy._run([lambda k=k: k for k in range(5)]) == list(range(5))
 
 
 def test_near_block_error_surfaces(monkeypatch):
@@ -509,16 +526,16 @@ def test_exterior_error_surfaces(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_exterior_row_tasks_match_one_task(n, monkeypatch):
-    # tasks of _EXT_ROWS Gauss-point rows on a pool give the bits of one
-    # task over every row on the calling thread: kv @ mb keeps its bits per
-    # row, and for n = 3 each kernel value depends on its own point only
+    # tasks of _EXT_ROWS Gauss-point rows on two workers give the bits of
+    # one task over every row: kv @ mb keeps its bits per row, and for n = 3
+    # each kernel value depends on its own point only
     g = make_grid(n, 1.0, 12, 12, (1.0, 1.5))
     params = KernelParams.energy(n, 0.75)
     wfn = energy._weight(("power", 1.0))[1]
     rows = (g.shape[0] - 1) * energy._EXT_ORDER
     assert rows > 2 * energy._EXT_ROWS  # three tasks or more
-    with ThreadPoolExecutor(2) as pool:
-        maps, X = energy._exterior_forms(g, params, 0.75, wfn, pool)
+    monkeypatch.setattr(energy, "_cpu_count", lambda: 2)
+    maps, X = energy._exterior_forms(g, params, 0.75, wfn)
     monkeypatch.setattr(energy, "_EXT_ROWS", 10 ** 6)
     maps1, X1 = energy._exterior_forms(g, params, 0.75, wfn)
     assert np.array_equal(maps, maps1) and np.array_equal(X, X1)
@@ -547,7 +564,10 @@ def _near_forms(g, params, weight):
         energy._near_local_forms(g, params, 0.75, wfn, orders)
         for orders in (energy._FINE_ORDERS, energy._COARSE_ORDERS)
     )
-    return energy._sum_blocks(fine[1].size, fine[3], coarse[3])
+    return [
+        energy._sum_blocks(fine[1].size, blocks, energy._run([fn for _, fn in blocks]))
+        for blocks in (fine[3], coarse[3])
+    ]
 
 
 @pytest.mark.parametrize("name", ["setup4", "setup_graded", "n3"])
@@ -751,6 +771,27 @@ def test_int_and_float_power_share_one_build(monkeypatch):
     form = assemble(g, tab, 0.75, ("power", 1))
     assert assemble(g, tab, 0.75, ("power", 1.0)) is form
     assert len(built) == 1
+
+
+def test_cache_keeps_the_two_latest_forms(monkeypatch):
+    # two keys used in turn build each form once; a third key evicts the
+    # least recently used form and leaves two cached
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    built = []
+    form_cls = energy.AssembledForm
+    monkeypatch.setattr(
+        energy, "AssembledForm", lambda *a: built.append(a[3]) or form_cls(*a)
+    )
+    for _ in range(3):
+        for weight in ("none", ("power", 1.0)):
+            assemble(g, tab, 0.75, weight)
+    assert built == ["none", ("power", 1.0)]
+    assemble(g, tab, 0.75, ("power", 2.0))
+    assert len(energy._cache) == 2
+    assemble(g, tab, 0.75, ("power", 1.0))
+    assert built == ["none", ("power", 1.0), ("power", 2.0)]
 
 
 def test_exterior_needs_lam(setup4):

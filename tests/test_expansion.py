@@ -257,6 +257,16 @@ def test_curvature_term_basics(envelope16):
     assert float(c1) == c1.value
 
 
+@pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
+def test_curvature_term_checks_lam_before_any_table(bad, envelope16, monkeypatch):
+    built = []
+    monkeypatch.setattr(expansion, "build_kernel_table", lambda *a: built.append(a))
+    flat = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
+    with pytest.raises(InvalidParams, match="lam must be finite"):
+        curvature_term(envelope16, bad, flat, make_report(5.0))
+    assert built == []
+
+
 def test_cw_cutoff_zero_violations(envelope16):
     assert cw_cutoff_check(envelope16, 2.0, sample_count=20000, seed=1) == 0
 

@@ -46,6 +46,26 @@ def test_invalid_grading_rejected():
         make_grid(4, 1.0, 8, 8, (0.5, 1.0))
 
 
+@pytest.mark.parametrize("grading", [(np.nan, 2.0), (2.0, np.nan), (np.inf, 1.0)])
+def test_non_finite_grading_rejected(grading):
+    with pytest.raises(InvalidGrading, match="finite"):
+        make_grid(4, 1.0, 8, 8, grading)
+
+
+@pytest.mark.parametrize("R_max", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_grid_radius_rejected(R_max):
+    with pytest.raises(InvalidParams, match="R_max must be finite"):
+        make_grid(4, R_max, 8, 8)
+
+
+@pytest.mark.parametrize("N", [3, 8.0, 9.7, True, np.nan])
+def test_bad_cell_count_rejected(N):
+    with pytest.raises(InvalidParams, match="integer number >= 4"):
+        make_grid(4, 1.0, N, 8)
+    with pytest.raises(InvalidParams, match="integer number >= 4"):
+        make_grid(4, 1.0, 8, N)
+
+
 def test_eval_exact_at_nodes_and_zero_boundary():
     g = make_grid(4, 2.0, 8, 8, (1.0, 1.0))
     f = synthesize_profile("envelope", g, 0.75)

@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -63,25 +62,25 @@ def _families(energy, grid, table, sigma, weight, repeat):
 
     def near(orders):
         _, ga, _, blocks = energy._near_local_forms(grid, params, sigma, wfn, orders)
-        return energy._sum_blocks(ga.size, blocks)[0]
+        return energy._sum_blocks(ga.size, blocks, energy._run([f for _, f in blocks]))
 
     sec["near_fine"], L = _best(lambda: near(energy._FINE_ORDERS), repeat)
     sec["mid_ring"], mid = _best(
         lambda: energy._mid_pair_forms(grid, params, sigma, wfn), repeat
     )
 
-    def exterior():
-        workers = energy._cpu_count()
-        if workers == 1:
-            return energy._exterior_forms(grid, params, sigma, wfn)
-        with ThreadPoolExecutor(workers) as pool:
-            return energy._exterior_forms(grid, params, sigma, wfn, pool)
+    sec["exterior"], ext = _best(
+        lambda: energy._exterior_forms(grid, params, sigma, wfn), repeat
+    )
 
-    sec["exterior"], ext = _best(exterior, repeat)
+    def run(fns):
+        # the constructor's one _run: the mid ring, and no near-form parts,
+        # since _sum_blocks gives the fine near forms from above
+        return [mid] + [None] * (len(fns) - 1)
 
     with mock.patch.object(energy, "_box_moments", lambda *a: moments), \
-            mock.patch.object(energy, "_sum_blocks", lambda *a, **k: [L]), \
-            mock.patch.object(energy, "_mid_pair_forms", lambda *a: mid):
+            mock.patch.object(energy, "_run", run), \
+            mock.patch.object(energy, "_sum_blocks", lambda *a: L):
         sec["far_kernel_M"], form = _best(
             lambda: energy.AssembledForm(grid, table, sigma, weight), repeat
         )
