@@ -34,11 +34,12 @@ read no H, so the curvature operators of estimate_gamma0 never build it.
 
 Every parallel job goes through _run, one thread pool per list of tasks
 with results in list order: the mid ring with the fine near-form blocks,
-the coarse near-form blocks, and the exterior forms' blocks of rows.  The
-kernel gives each point the same bits in any batch, and each pair's near
-form is one product over its own samples, so every assembled array is
-bitwise the same for any worker count, any chunk of pairs and any order in
-which the families are read.
+the coarse near-form blocks, the exterior forms' blocks of rows, and the
+Monte Carlo batches of expansion.verify_upper_bound.  The kernel gives
+each point the same bits in any batch, and each pair's near form is one
+product over its own samples, so every assembled array is bitwise the same
+for any worker count, any chunk of pairs and any order in which the
+families are read.
 """
 
 from __future__ import annotations
@@ -665,12 +666,13 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _run(fns):
+def _run(fns, workers=None):
     """[fn() for fn in fns], in list order, on a pool of its own with one
-    worker per CPU (at most one per fn).  An exception raised in a fn is
-    raised here, after the fns not yet started are cancelled; the pool is
-    shut down before _run returns, so no worker outlives the call."""
-    pool = ThreadPoolExecutor(min(_cpu_count(), len(fns)))
+    worker per CPU, or workers of them when given (at most one per fn).  An
+    exception raised in a fn is raised here, after the fns not yet started
+    are cancelled; the pool is shut down before _run returns, so no worker
+    outlives the call."""
+    pool = ThreadPoolExecutor(min(workers or _cpu_count(), len(fns)))
     try:
         futures = [pool.submit(fn) for fn in fns]
         return [fut.result() for fut in futures]

@@ -10,15 +10,16 @@ compared against the flat quotient minus the curvature correction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import (
     _check_lam,
+    _run,
     _seminorm_total,
     critical_p,
     lp_norm,
@@ -448,17 +449,17 @@ class MCConfig:
     workers: int = 4
 
     def __post_init__(self):
-        if self.batches < 2:
-            raise InvalidParams("need at least 2 batches for a stderr")
-        if self.samples_per_batch < 100:
-            raise InvalidParams("need at least 100 samples per batch")
+        # 2 batches for a stderr, 100 samples for a batch mean
+        for name, low in (
+            ("batches", 2), ("samples_per_batch", 100), ("seed", 0), ("workers", 1)
+        ):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
         if not 0 < self.max_rel_stderr < np.inf:
             raise InvalidParams(
                 f"max_rel_stderr must be finite and > 0, got {self.max_rel_stderr!r}"
             )
-        w = self.workers
-        if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
-            raise InvalidParams(f"workers must be an integer >= 1, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -611,10 +612,10 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     is estimated by importance-sampled pair sampling and compared against
     the flat quotient minus the curvature correction plus the measured
     F-term; one verdict per scale.  Every lambda must be finite and > 0,
-    which is checked before any table is built.  One pool of cfg.workers
-    threads runs the batches of every lambda; each batch depends only on its
-    seed and the batches are averaged in seed order, so the verdicts are the
-    same for any worker count."""
+    which is checked before any table is built.  The batches of every
+    lambda run as one list through energy._run on cfg.workers threads; each
+    batch depends only on its seed and the batches are averaged in seed
+    order, so the verdicts are the same for any worker count."""
     if gamma0_report is None:
         raise MissingGamma0("verification needs a Gamma0 report")
     cfg = mc_config or MCConfig()
@@ -629,88 +630,75 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     p = critical_p(n, sigma)
     ref = _reference(theta)
     tab_curv = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
+    # every batch of every lambda, in seed order, as one list of tasks
+    batches = []
+    for lam in lams:
+        tabs = _radial_cdf(n, sigma, 3.0 * lam)
+        seed0 = cfg.seed * 100003 + int(lam * 1009)
+        batches += [
+            functools.partial(
+                _mc_batch, theta, lam, bg, seed0 + b, cfg.samples_per_batch, *tabs
+            )
+            for b in range(cfg.batches)
+        ]
+    out = _run(batches, cfg.workers)
     verdicts = []
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for lam in lams:
-            deficit = _cutoff_deficit(theta, lam, ref)
-            mass = deficit["cutoff_mass"]
-            flat_grid = deficit["numerator_bound_terms"]["cutoff_energy"]
-            tab_rho, tab_pdf, tab_cdf = _radial_cdf(n, sigma, 3.0 * lam)
-            seeds = [
-                cfg.seed * 100003 + int(lam * 1009) + b for b in range(cfg.batches)
-            ]
-            out = list(
-                pool.map(
-                    lambda s: _mc_batch(
-                        theta,
-                        lam,
-                        bg,
-                        s,
-                        cfg.samples_per_batch,
-                        tab_rho,
-                        tab_pdf,
-                        tab_cdf,
-                    ),
-                    seeds,
-                )
+    for k, lam in enumerate(lams):
+        lam_out = out[k * cfg.batches : (k + 1) * cfg.batches]
+        deficit = _cutoff_deficit(theta, lam, ref)
+        mass = deficit["cutoff_mass"]
+        flat_grid = deficit["numerator_bound_terms"]["cutoff_energy"]
+        means = np.array([o[0] for o in lam_out])
+        taylor_bad = sum(o[2] for o in lam_out)
+        est = means.mean(axis=0)
+        se = means.std(axis=0, ddof=1) / np.sqrt(cfg.batches)
+        i_flat_mc, i_b, i_f, i_res = est
+        denom = mass ** (2.0 / p)
+        ct = curvature_term(theta, lam, bg, gamma0_report, tab_curv)
+        # the B-linear part of the kernel deviation is evaluated by
+        # quadrature through the curvature term; the sampler measures only
+        # the Taylor remainder, whose scale the F bound controls
+        i_meas = flat_grid - ct.value + i_res
+        if se[3] / flat_grid > cfg.max_rel_stderr:
+            raise MonteCarloVarianceTooHigh(
+                f"relative stderr {se[3] / flat_grid:.3g} at lambda {lam}"
             )
-            means = np.array([o[0] for o in out])
-            taylor_bad = sum(o[2] for o in out)
-            est = means.mean(axis=0)
-            se = means.std(axis=0, ddof=1) / np.sqrt(cfg.batches)
-            i_flat_mc, i_b, i_f, i_res = est
-            denom = mass ** (2.0 / p)
-            ct = curvature_term(theta, lam, bg, gamma0_report, tab_curv)
-            # the B-linear part of the kernel deviation is evaluated by
-            # quadrature through the curvature term; the sampler measures only
-            # the Taylor remainder, whose scale the F bound controls
-            i_meas = flat_grid - ct.value + i_res
-            if se[3] / flat_grid > cfg.max_rel_stderr:
-                raise MonteCarloVarianceTooHigh(
-                    f"relative stderr {se[3] / flat_grid:.3g} at lambda {lam}"
-                )
-            # the sampled B-term mean must agree with the quadrature curvature
-            # term it replaces; an inconsistent Gamma0 shows up here and
-            # nowhere else, since the term cancels in the bound comparison
-            b_gap = abs(i_b + ct.value)
-            # generous gate: the B-term sampler is heavy tailed, so this only
-            # catches a grossly inconsistent curvature coefficient
-            b_budget = 10.0 * (se[1] + ct.stderr) + 0.5 * (
-                abs(i_b) + abs(ct.value)
+        # the sampled B-term mean must agree with the quadrature curvature
+        # term it replaces; an inconsistent Gamma0 shows up here and
+        # nowhere else, since the term cancels in the bound comparison
+        b_gap = abs(i_b + ct.value)
+        # generous gate: the B-term sampler is heavy tailed, so this only
+        # catches a grossly inconsistent curvature coefficient
+        b_budget = 10.0 * (se[1] + ct.stderr) + 0.5 * (abs(i_b) + abs(ct.value))
+        b_consistent = bool(b_gap <= b_budget + 1e-12)
+        measured = i_meas / denom
+        predicted = (flat_grid - ct.value + i_f) / denom
+        pred_err = se[2] / denom
+        meas_err = (se[3] + ct.stderr + ct.finite_domain_term + ct.cutoff_term) / denom
+        verdicts.append(
+            ExpansionVerdict(
+                lam=lam,
+                measured_quotient=float(measured),
+                measured_stderr=float(meas_err),
+                predicted_bound=float(predicted),
+                predicted_stderr=float(pred_err),
+                term_breakdown={
+                    "flat_energy": float(flat_grid / denom),
+                    "flat_energy_mc": float(i_flat_mc / denom),
+                    "flat_energy_mc_stderr": float(se[0] / denom),
+                    "curvature_term": float(ct.value / denom),
+                    "F_term": float(i_f / denom),
+                    "B_term_sampled": float(i_b / denom),
+                    "remainder_sampled": float(i_res / denom),
+                    "remainder_stderr": float(se[3] / denom),
+                    "cutoff_corrections": deficit["numerator_bound_terms"],
+                    "denominator_deficit": deficit["denominator_deficit"],
+                    "taylor_violations": int(taylor_bad),
+                    "b_term_gap": float(b_gap),
+                    "b_term_budget": float(b_budget),
+                },
+                passed=bool(measured <= predicted + pred_err + meas_err)
+                and b_consistent,
             )
-            b_consistent = bool(b_gap <= b_budget + 1e-12)
-            measured = i_meas / denom
-            predicted = (flat_grid - ct.value + i_f) / denom
-            pred_err = se[2] / denom
-            meas_err = (
-                se[3] + ct.stderr + ct.finite_domain_term + ct.cutoff_term
-            ) / denom
-            verdicts.append(
-                ExpansionVerdict(
-                    lam=lam,
-                    measured_quotient=float(measured),
-                    measured_stderr=float(meas_err),
-                    predicted_bound=float(predicted),
-                    predicted_stderr=float(pred_err),
-                    term_breakdown={
-                        "flat_energy": float(flat_grid / denom),
-                        "flat_energy_mc": float(i_flat_mc / denom),
-                        "flat_energy_mc_stderr": float(se[0] / denom),
-                        "curvature_term": float(ct.value / denom),
-                        "F_term": float(i_f / denom),
-                        "B_term_sampled": float(i_b / denom),
-                        "remainder_sampled": float(i_res / denom),
-                        "remainder_stderr": float(se[3] / denom),
-                        "cutoff_corrections": deficit["numerator_bound_terms"],
-                        "denominator_deficit": deficit["denominator_deficit"],
-                        "taylor_violations": int(taylor_bad),
-                        "b_term_gap": float(b_gap),
-                        "b_term_budget": float(b_budget),
-                    },
-                    passed=bool(
-                        measured <= predicted + pred_err + meas_err
-                    )
-                    and b_consistent,
-                )
-            )
+        )
     return verdicts

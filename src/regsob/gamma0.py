@@ -93,7 +93,8 @@ def _lambda_fit(lams, vals, sigma):
 def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     """Truncated weighted pair sums on each (grid, lambda), extrapolated.
 
-    The grids must strictly increase; they default to (max(8, 2N/3), N) for
+    The grids must be integers >= 4 and strictly increase, which is checked
+    before any table is built; they default to (max(8, 2N/3), N) for
     theta's N, so a theta with N <= 8 needs them given.  The truncation
     remainder is fitted against the proven lambda^(1-2*sigma) tail scaling;
     the grid error is a two-level difference of the lambda-extrapolated
@@ -115,7 +116,12 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
         where = f" (the default for theta's N = {N0})"
     else:
         where = ""
-    grids = tuple(int(N) for N in grids)
+    grids = tuple(grids)
+    if not all(
+        isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 4
+        for N in grids
+    ):
+        raise InvalidGamma(f"grid sizes must be integers >= 4, got {grids}{where}")
     if any(a >= b for a, b in zip(grids, grids[1:])):
         raise InvalidGamma(f"grids must strictly increase, got {grids}{where}")
 

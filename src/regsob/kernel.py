@@ -227,10 +227,13 @@ class KernelTable:
     """Tabulated K_p over a grid's radii and vertical differences.
 
     values[i, j, k] = K_p(r_i, r_j, t_k) over the grid's radii r_nodes;
-    t_nodes spans every signed pairwise difference of the grid's z nodes;
-    values are filled for t >= 0 and reflected.  near_diag_mask flags entries
-    inside the singular-cell neighbourhood; no computation reads it (the
-    assembled energy leaves out its own window of node pairs within 8 cells).
+    t_nodes holds 0 and every distance |z_j - z_l| between the grid's z
+    nodes, increasing: the kernel is even in t, so each value is kept once.
+    (Tables saved with the older signed layout, which mirrored the same
+    values to t < 0, load and look up the same entries.)  near_diag_mask
+    flags entries inside the singular-cell neighbourhood; no computation
+    reads it (the assembled energy leaves out its own window of node pairs
+    within 8 cells).
     """
 
     params: KernelParams
@@ -251,17 +254,16 @@ def grid_signature(grid):
 
 
 def grouped_t_nodes(z):
-    """Signed pairwise z differences, deduplicated with a tolerance and
-    mirrored exactly about 0.  Returns (t_nodes, tol)."""
+    """0 and the distances |z_j - z_l| > 0, deduplicated with a tolerance:
+    one node, the group mean, per run of sorted distances with no gap above
+    tol.  Returns (t_nodes, tol), t_nodes increasing from t_nodes[0] = 0."""
     z = np.asarray(z, dtype=float)
     diffs = (z[:, None] - z[None, :]).ravel()
     scale = float(np.max(np.abs(diffs))) or 1.0
     tol = 1e-12 * scale
     pos = np.sort(diffs[diffs > tol])
-    # one group per run of sorted differences with no gap above tol
     groups = np.split(pos, np.flatnonzero(np.diff(pos) > tol) + 1) if pos.size else []
-    reps = np.array(list(map(np.mean, groups)))
-    t_nodes = np.concatenate([-reps[::-1], [0.0], reps])
+    t_nodes = np.array([0.0] + list(map(np.mean, groups)))
     return t_nodes, tol
 
 
@@ -277,11 +279,13 @@ def lookup_t(t_nodes, t, tol):
 
 
 def build_kernel_table(grid, params, max_bytes=4 << 30):
-    """Tabulate K_p at all (r_i, s_j, z_k - z_l) of a half-space grid.
+    """Tabulate K_p at all (r_i, s_j, |z_k - z_l|) of a half-space grid.
 
-    Entries whose generating node pairs are all index-adjacent (the singular
-    cell neighbourhood) are flagged in near_diag_mask; the exactly singular
-    entries (r_i = s_j with t = 0) are stored as 0 under the mask.
+    The kernel is evaluated once on r x r x t_nodes[1:] (t > 0) and once on
+    the t = 0 plane off its diagonal r_i = s_j, the singular entries, which
+    are stored as 0.  Entries whose generating node pairs are all
+    index-adjacent (the singular cell neighbourhood) are flagged in
+    near_diag_mask, which covers the stored zeros.
     """
     if params.n != grid.n:
         raise InvalidParams(
@@ -302,30 +306,18 @@ def build_kernel_table(grid, params, max_bytes=4 << 30):
     jz = np.arange(z.size)
     z_adjacent = np.abs(jz[:, None] - jz[None, :]) <= 1
     t_adjacent = np.zeros(nt, dtype=bool)
-    t_adjacent[lookup_t(t_nodes, (z[:, None] - z[None, :])[z_adjacent], tol)] = True
+    dz = np.abs(z[:, None] - z[None, :])
+    t_adjacent[lookup_t(t_nodes, dz[z_adjacent], tol)] = True
     ir = np.arange(nr)
     r_adjacent = np.abs(ir[:, None] - ir[None, :]) <= 1
     mask = r_adjacent[:, :, None] & t_adjacent[None, None, :]
 
-    # evaluate for t >= 0 and reflect (kernel even in t)
     values = np.zeros((nr, nr, nt), dtype=float)
-    nonneg = np.where(t_nodes >= 0.0)[0]
-    R3 = np.broadcast_to(r[:, None, None], (nr, nr, nonneg.size))
-    S3 = np.broadcast_to(r[None, :, None], (nr, nr, nonneg.size))
-    T3 = np.broadcast_to(t_nodes[nonneg][None, None, :], (nr, nr, nonneg.size))
-    singular = (R3 == S3) & (T3 == 0.0)
-    flat_ok = ~singular.ravel()
-    vals = np.zeros(R3.size, dtype=float)
-    vals[flat_ok] = kernel_values(
-        R3.ravel()[flat_ok], S3.ravel()[flat_ok], T3.ravel()[flat_ok], params
+    values[:, :, 1:] = kernel_values(
+        r[:, None, None], r[None, :, None], t_nodes[1:], params
     )
-    values[:, :, nonneg] = vals.reshape(R3.shape)
-    neg = np.where(t_nodes < 0.0)[0]
-    if neg.size:
-        # each -t has a matching +t entry
-        pos_sorted = t_nodes[nonneg]
-        match = np.searchsorted(pos_sorted, -t_nodes[neg])
-        values[:, :, neg] = values[:, :, nonneg[match]]
+    i, j = np.nonzero(ir[:, None] != ir[None, :])
+    values[i, j, 0] = kernel_values(r[i], r[j], 0.0, params)
 
     return KernelTable(
         params=params,
@@ -339,10 +331,11 @@ def build_kernel_table(grid, params, max_bytes=4 << 30):
 
 
 def t_index_map(table, grid):
-    """idx[j, l] such that table.t_nodes[idx[j, l]] matches z_j - z_l."""
+    """idx[j, l] such that table.t_nodes[idx[j, l]] matches |z_j - z_l|.
+    z_j - z_l is exactly -(z_l - z_j) in floating point, so both orders of
+    a pair land on the same entry."""
     z = grid.z_nodes
-    diffs = z[:, None] - z[None, :]
-    return lookup_t(table.t_nodes, diffs, table.t_tol)
+    return lookup_t(table.t_nodes, np.abs(z[:, None] - z[None, :]), table.t_tol)
 
 
 def save_table(table, path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import threading
 import time
@@ -44,6 +45,8 @@ from regsob.kernel import (
     gauss_nodes,
     gauss_rule,
     kernel_values,
+    load_table,
+    save_table,
 )
 
 
@@ -792,6 +795,35 @@ def test_cache_keeps_the_two_latest_forms(monkeypatch):
     assert len(energy._cache) == 2
     assemble(g, tab, 0.75, ("power", 1.0))
     assert built == ["none", ("power", 1.0), ("power", 2.0)]
+
+
+def test_signed_layout_table_gives_the_same_operators(tmp_path, monkeypatch):
+    # tables written before they held t >= 0 only kept each value twice, at
+    # +t and copied at -t; such a file still loads and gives the same bits
+    g = make_grid(4, 1.0, 8, 8, (1.0, 1.5))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+
+    def mirror(a):
+        return np.concatenate([a[..., :0:-1], a], axis=-1)
+
+    signed = dataclasses.replace(
+        tab,
+        t_nodes=np.concatenate([-tab.t_nodes[:0:-1], tab.t_nodes]),
+        values=mirror(tab.values),
+        near_diag_mask=mirror(tab.near_diag_mask),
+    )
+    path = str(tmp_path / "signed.rsob")
+    save_table(signed, path)
+    old = load_table(path)
+    assert old.t_nodes.size == 2 * tab.t_nodes.size - 1 and old.t_nodes[0] < 0
+    monkeypatch.setattr(energy, "_cache", OrderedDict())
+    new_form = assemble(g, tab, 0.75)
+    # both tables have the same cache key
+    energy._cache.clear()
+    old_form = assemble(g, old, 0.75)
+    assert old_form is not new_form
+    assert np.array_equal(old_form.M, new_form.M)
+    assert np.array_equal(old_form.H, new_form.H)
 
 
 def test_exterior_needs_lam(setup4):

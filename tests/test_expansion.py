@@ -279,6 +279,19 @@ def test_mc_config_validation():
     for bad in (0, -1, 2.5, True):
         with pytest.raises(InvalidParams, match="workers"):
             MCConfig(workers=bad)
+    # a non-integer would end verify in an untyped TypeError, after its tables
+    for field, bad in (
+        ("batches", 2.5),
+        ("batches", True),
+        ("samples_per_batch", 150.5),
+        ("samples_per_batch", 1e5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", False),
+    ):
+        with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
+            MCConfig(**{field: bad})
+    MCConfig(batches=np.int64(2), seed=np.int64(0))
     # a NaN limit would make the variance gate se / flat > limit always false
     for bad in (0.0, -0.05, float("nan"), float("inf")):
         with pytest.raises(InvalidParams, match="max_rel_stderr"):
@@ -382,14 +395,14 @@ def test_mc_batch_peak_memory(envelope16):
 
 
 def test_verify_cap_independent_of_worker_count(envelope16, monkeypatch):
-    pools = []
-    pool_class = expansion.ThreadPoolExecutor
+    runs = []
+    run = expansion._run
 
-    def counting_pool(*args, **kw):
-        pools.append(kw.get("max_workers"))
-        return pool_class(*args, **kw)
+    def counting_run(fns, workers=None):
+        runs.append((len(fns), workers))
+        return run(fns, workers)
 
-    monkeypatch.setattr(expansion, "ThreadPoolExecutor", counting_pool)
+    monkeypatch.setattr(expansion, "_run", counting_run)
     cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
     got = []
     for workers in (1, 2):
@@ -405,5 +418,5 @@ def test_verify_cap_independent_of_worker_count(envelope16, monkeypatch):
         )
         got.append([v.to_json() for v in verdicts])
     assert got[0] == got[1]
-    # one sampler pool per call serves every lambda
-    assert pools == [1, 2]
+    # one run per call takes the 4 batches of both lambdas
+    assert runs == [(8, 1), (8, 2)]

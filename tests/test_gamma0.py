@@ -146,6 +146,22 @@ def test_given_grids_must_increase(envelope12, grids):
         estimate_gamma0(f, grids=grids)
 
 
+@pytest.mark.parametrize("grids", [(8, 9.7), (8.0, 10), (True, 10), (3, 10)])
+def test_grid_sizes_must_be_integers_before_any_table(envelope12, monkeypatch, grids):
+    # int() would run (8, 9.7) as N = 9
+    _, _, f = envelope12
+    built = []
+
+    def counting_build(grid, params):
+        built.append(params)
+        return build_kernel_table(grid, params)
+
+    monkeypatch.setattr(gamma0, "build_kernel_table", counting_build)
+    with pytest.raises(InvalidGamma, match=re.escape(f"integers >= 4, got {grids}")):
+        estimate_gamma0(f, grids=grids)
+    assert built == []
+
+
 @pytest.mark.parametrize("fn", [tail_bound, interior_weighted_growth])
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
 def test_non_finite_gamma_raises_before_any_table(envelope12, monkeypatch, fn, gamma):

@@ -4,8 +4,9 @@
 
 imports `regsob` from CHECKOUT/src (default: this script's checkout) and
 prints one sorted JSON object: the SHA-256 of every array an
-`AssembledForm` holds for five configurations, of the n=3 N=24 kernel
-table the `tables_n3` benchmark workload builds, and of a set of scalar
+`AssembledForm` holds for five configurations, of the t nodes, values
+and near-diagonal mask of four kernel tables (among them the n=3 N=24
+table the `tables_n3` benchmark workload builds), and of a set of scalar
 outputs (norms, seminorms, ball sums, the slice interaction, the
 Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
 batch: its sums, squares and Taylor count).  Two checkouts whose
@@ -55,6 +56,23 @@ def _forms(out):
                 out[f"form.{name}.{k}"] = float(v).hex()
 
 
+def _tables(out):
+    from regsob.field import make_grid
+    from regsob.kernel import KernelParams, build_kernel_table
+
+    configs = {
+        "n3_N24": (3, 24, (2.0, 2.0), "energy"),
+        "n4_N13_curvature_graded": (4, 13, (1.0, 1.5), "curvature"),
+        "n4_N8_uniform": (4, 8, (1.0, 1.0), "energy"),
+        "n5_N10": (5, 10, (2.0, 2.0), "energy"),
+    }
+    for name, (n, N, grading, order) in configs.items():
+        grid = make_grid(n, 20.0, N, N, grading)
+        tab = build_kernel_table(grid, getattr(KernelParams, order)(n, 0.75))
+        for k in ("t_nodes", "values", "near_diag_mask"):
+            out[f"table.{name}.{k}"] = _digest(getattr(tab, k))
+
+
 def _outputs(out):
     from regsob import energy
     from regsob.expansion import BoundaryGraph, _mc_batch, _radial_cdf
@@ -63,9 +81,6 @@ def _outputs(out):
     from regsob.rearrange import SliceProfile, slice_interaction
 
     sigma = 0.75
-    tab3 = build_kernel_table(make_grid(3, 20.0, 24, 24), KernelParams.energy(3, sigma))
-    out["table.n3_N24.values"] = _digest(tab3.values)
-
     grid = make_grid(4, 20.0, 16, 16)
     fld = attach_tail_model(synthesize_profile("interior-bubble", grid, sigma))
     tab = build_kernel_table(grid, KernelParams.energy(4, sigma))
@@ -115,6 +130,7 @@ def main(argv):
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     out = {}
     _forms(out)
+    _tables(out)
     _outputs(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
