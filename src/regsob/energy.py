@@ -9,10 +9,13 @@ Each family yields local quadratic forms in the nodal regular factor, built
 from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
 box moments and the mid ring, 4 for the near forms).  The near forms are
-sum-factorised: the z hats are contracted first, into a 4 x 4 block per
-pair, sample and radial node, and then the r hats, in one batched product
-per chunk of pairs over every sample, term and radial node.  The
-quadrature rules are defined once each: kernel.gauss_nodes gives every
+sum-factorised: the kernel and every pair weight see the vertical
+coordinates only through z_x - z_y, which is fixed in each sample of the
+relative coordinates, so each (pair, sample) has a radial factor (the r
+hats against the kernel and weight) and a vertical factor (the z hats
+against the z weights), 4 x 4 per side pair each, and their product is
+one batched product per chunk of pairs over every sample and side pair.
+The quadrature rules are defined once each: kernel.gauss_nodes gives every
 Gauss-Legendre rule on intervals, _box_pairs enumerates the near and
 mid-ring box pairs, field.cell_of locates the cell under a point, and
 _node_rule gives the node-product rule (far part, tail, exterior mass);
@@ -92,18 +95,20 @@ class EnergyBreakdown:
 
 
 def _weight(spec):
-    """The one parser of pair-weight specs: (cache key, pair weight fn(xr, xz,
-    yr, yz) or None for "none", True unless the weight needs the curvature
-    table)."""
+    """The one parser of pair-weight specs: (cache key, pair weight fn(r_x,
+    r_y, t) or None for "none", True unless the weight needs the curvature
+    table).  t = z_x - z_y is the t the caller gives kernel_values: a weight
+    sees the vertical coordinates only through their separation, like the
+    kernel, which keeps it out of the near forms' vertical factor."""
     if spec == "none":
         return "none", None, True
     if spec == "gamma0":
-        return "gamma0", lambda xr, xz, yr, yz: (xz - yz) * (xr ** 2 - yr ** 2), False
+        return "gamma0", lambda rx, ry, t: t * (rx ** 2 - ry ** 2), False
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "power":
         g = spec[1]
         if isinstance(g, numbers.Real) and not isinstance(g, bool) and 0 <= g < np.inf:
             g = float(g)
-            return ("power", g), lambda xr, xz, yr, yz: (xr**2 + yr**2) ** (g / 2), True
+            return ("power", g), lambda rx, ry, t: (rx**2 + ry**2) ** (g / 2), True
     raise InvalidParams(
         f'weight must be "none", "gamma0" or ("power", gamma >= 0), got {spec!r}'
     )
@@ -153,10 +158,18 @@ def _interp_slots(nodes, base, x):
 
 def _hat(c, f, width):
     """Bilinear weights of points as rows over `width` patch slots: 1 - f at
-    slot c and f at slot c + 1, shape c.shape + (width,)."""
-    slot = np.arange(width)
-    c, f = np.asarray(c)[..., None], f[..., None]
-    return np.where(slot == c, 1.0 - f, np.where(slot == c + 1, f, 0.0))
+    slot c and f at slot c + 1, shape c.shape + (width,).
+
+    Both are written into one flat buffer at at = row * width + c, with one
+    pad slot at its end, f first: a point on its patch's far corner (c =
+    width - 1, f = 0) writes its 0 into the next row's first slot, which
+    that row's own 1 - f, written after every f, overwrites or leaves 0."""
+    c, f = np.broadcast_arrays(c, f)
+    at = np.arange(c.size) * width + c.ravel()
+    out = np.zeros(c.size * width + 1)
+    out[at + 1] = f.ravel()
+    out[at] = 1.0 - f.ravel()
+    return out[:-1].reshape(c.shape + (width,))
 
 
 def _patch_maps(rows, cols, nz):
@@ -341,12 +354,9 @@ def _mid_pair_forms(grid, params, sigma, weight_fn):
         Ib, Jb = I + di, J + dj
         e = s + I.size
         ga[s:e], gb[s:e] = I * nz + J, Ib * nz + Jb
-        K = kernel_values(
-            RQ[I][:, :, None, None, None],
-            RQ[Ib][:, None, None, :, None],
-            ZQ[J][:, None, :, None, None] - ZQ[Jb][:, None, None, None, :],
-            params,
-        )
+        rx, ry = RQ[I][:, :, None, None, None], RQ[Ib][:, None, None, :, None]
+        t = ZQ[J][:, None, :, None, None] - ZQ[Jb][:, None, None, None, :]
+        K = kernel_values(rx, ry, t, params)
         blk = (
             K
             * WR[I][:, :, None, None, None]
@@ -355,12 +365,7 @@ def _mid_pair_forms(grid, params, sigma, weight_fn):
             * WZ[Jb][:, None, None, None, :]
         )
         if weight_fn is not None:
-            blk = blk * weight_fn(
-                RQ[I][:, :, None, None, None],
-                ZQ[J][:, None, :, None, None],
-                RQ[Ib][:, None, None, :, None],
-                ZQ[Jb][:, None, None, None, :],
-            )
+            blk = blk * weight_fn(rx, ry, t)
         KW[s:e] = blk.reshape(-1, q * q, q * q)
         s = e
     return patch, basis.reshape(-1, q * q, 9), ga, gb, KW
@@ -441,9 +446,10 @@ def _exterior_forms(grid, params, sigma, weight_fn):
         for s0 in range(0, sb.size, chunk):
             sj = sb[None, None, s0 : s0 + chunk]
             wj = wb[None, None, s0 : s0 + chunk]
-            kv = kernel_values(ri, sj, zp[None, :, None] - wj, params)
+            t = zp[None, :, None] - wj
+            kv = kernel_values(ri, sj, t, params)
             if weight_fn is not None:
-                kv = kv * weight_fn(ri, zp[None, :, None], sj, wj)
+                kv = kv * weight_fn(ri, sj, t)
             acc += kv @ mb[s0 : s0 + chunk]
         return acc
 
@@ -469,11 +475,11 @@ def _exterior_forms(grid, params, sigma, weight_fn):
     return _patch_maps(ci[:, None], cj[None], nz), X
 
 
-# element budget of one chunk of pairs (2 MiB): the factors RR and T of each
-# pair, (sample, term, radial node) x 16 each, and one term's (sample, z
-# node, 16) vertical products.  At 1 << 17 the per-chunk overhead made the
-# near forms slower; at 1 << 19 they ran faster on the pool, but the solve,
-# verify and tables_n3 benchmark runs peaked 3-4 % higher
+# element budget of one chunk of pairs (2 MiB): the factors R and Z of each
+# pair, (sample, side pair, 16) each, and the hats of both sides at one
+# term's z nodes, (sample, 2, z node, 4).  At 1 << 17 the per-chunk Python
+# work made the near forms slower on two workers than on one; 1 << 19 was
+# faster on the pool by 10-35 % but doubled each worker's temporaries
 _NEAR_CHUNK = 1 << 18
 
 
@@ -486,20 +492,24 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     difference, and tensor Gauss over the inner cell.  The squared difference
     (z_x^a p_x - z_y^a p_y)^2, a = 2*sigma - 1, is expanded into three terms
     whose z weights are separable, so boundary cells get exact Gauss-Jacobi
-    treatment of the z^a factors and the kernel (independent of the inner
-    vertical variable) is evaluated once per radial node.
+    treatment of the z^a factors.  The kernel and the pair weight fn(r_x,
+    r_y, t) see z only through t = z_x - z_y = -dz, which is fixed in a
+    sample, so both are evaluated once per radial node.
 
     A form's rows are a radial hat (4 slots) times a vertical hat (4 slots),
-    and the forms are contracted one axis at a time.  z first: T = sum_j wq
-    h_z[A]_c h_z[B]_d, a 4x4 block per (sample, pair, radial node) and term,
-    the cross term entering as xy and as yx at half its coefficient.  Then r:
-    F = RR^T T, one batched product per chunk of pairs, where RR holds
-    h_r[A]_a h_r[B]_b and the contraction axis runs over (sample, term,
-    radial node); F[(a, b), (c, d)] goes to the slots (a, c), (b, d).  That
-    costs 16 per inner (r, z) node and term plus 256 per radial node and
-    term, where dense 16-slot rows cost 256 per inner node and term.
-    The chunks are taken over pairs, at most _NEAR_CHUNK elements, so each
-    pair's form has the same bits for any budget.
+    so each (pair, sample) has two factors per side pair (u, v): the radial
+    R = sum_i wc_i h_r[u]_a h_r[v]_b, with the kernel, the weight and the
+    r^(n-2) and Duffy weights in wc, and the vertical Z = sum_j scale zw_j
+    h_z[u]_c h_z[v]_d, with the term's coefficient and z weights.  The cross
+    term enters as xy and as yx, each at half its coefficient, and each yx
+    factor is the transpose of its xy factor.  Then F = sum R (x) Z over
+    (sample, side pair), one batched product per chunk of pairs, and F[(a,
+    b), (c, d)] goes to the slots (a, c), (b, d).  That costs 16 per inner
+    r or z node and side pair plus 256 per sample and side pair, where
+    dense 16-slot rows cost 256 per inner (r, z) node and term; a split r
+    or z rule multiplies only its own factor's cost.  The chunks are taken
+    over pairs, at most _NEAR_CHUNK elements, so each pair's form has the
+    same bits for any budget.
 
     The forms are a sum over independent blocks, one per sign quadrant and
     per batch (interior pairs, then pairs touching z = 0).  Returns (maps,
@@ -565,11 +575,10 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
         w_sel = mult[sel] * ers * ezs
         sre, sze = sr * ers, sz * ezs
         Ps, S = sel.size, a_s.size
-        K = S * 4 * n_x
         acc = np.empty((Ps, 16, 16))
-        # per pair: the factors RR and T, (K, 16) each, and one term's
-        # (sample, z node, 16) vertical products
-        step = max(1, _NEAR_CHUNK // (2 * K * 16 + S * nzt * 16))
+        # per pair: the factors R and Z, (sample, side pair, 16) each, and
+        # the hats of both sides at one term's z nodes, (sample, 2, z node, 4)
+        step = max(1, _NEAR_CHUNK // (S * (2 * 4 * 16 + 2 * nzt * 4)))
 
         for p0 in range(0, Ps, step):
             # arrays are (pair, sample, ...) over the chunk's pairs, and flat
@@ -586,59 +595,54 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
             wid_r = np.maximum(hi_r - lo_r, 0.0)
             hi_z = np.maximum(hi_z, lo_z)
             w_pair = w_sel[ch, None] * w_rho_s * w_v_s
-            # radial inner nodes; the kernel needs only these
+            # radial inner nodes; the kernel and the weight need only these
+            # and the sample's separation t = z_x - z_y
             xr = lo_r[..., None] + wid_r[..., None] * gg
             yr = xr + dr[..., None]
-            kv = kernel_values(xr, yr, dz[..., None], params)
+            t = -dz[..., None]
+            kv = kernel_values(xr, yr, t, params)
             wc = (
                 w_pair[..., None] * wid_r[..., None] * w_g * kv * xr ** npow * yr ** npow
             )
+            if weight_fn is not None:
+                wc = wc * weight_fn(xr, yr, t)
             bi, bj = base_i[sp, None, None], base_j[sp, None, None]
-            # hats of x and of y, (pair, sample, side, radial node, 4)
+            # the side pairs (u, v) in the order xx, xy, yx, yy; each yx
+            # factor is the transpose of its xy factor
+            R = np.empty((Pc, S, 4, 4, 4))
+            Z = np.empty((Pc, S, 4, 4, 4))
+            # r: R[u, v] = sum_i wc_i h_r[u]_a h_r[v]_b, hats (pair, sample,
+            # side, radial node, 4)
             h_r = np.stack([_hat(*_interp_slots(rn, bi, p), 4) for p in (xr, yr)], 2)
+            hw = wc[:, :, None, :, None] * h_r
+            for u, v in ((0, 0), (0, 1), (1, 1)):
+                R[:, :, 2 * u + v] = h_r[:, :, u].swapaxes(-1, -2) @ hw[:, :, v]
+            R[:, :, 2] = R[:, :, 1].swapaxes(-1, -2)
             lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
             if not npan:
                 # interior pairs have no Jacobi head panel, so all three
                 # terms share one plain Gauss rule in z and their hats
                 z_plain, w_plain = _z_rule(lo_z, hi_z, dzf, 0.0, 0.0, n_z)
-            # z first: T[u, v] = sum_j wq h_z[u]_c h_z[v]_d for each pair,
-            # sample and radial node, over the sides u, v of x and y; the
-            # cross term enters as xy and as yx, each at 0.5 coef
-            T = np.empty((Pc, S, 2, 2, n_x, 4, 4))
-            for t, (e_x, e_y, coef, sides) in enumerate(terms):
+            # z: Z[u, v] = sum_j scale zw_j h_z[u]_c h_z[v]_d, the cross term
+            # entering as xy and as yx, each at 0.5 coef
+            for k, (e_x, e_y, coef, sides) in enumerate(terms):
                 if npan:
                     zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
                 else:
                     zz, zw = z_plain, _z_weights(z_plain, w_plain, dzf, e_x, e_y)
-                if npan or t == 0:
+                if npan or k == 0:
                     zx = zz.reshape(Pc, S, nzt)
-                    zy = zx + dz[..., None]
-                    wf = None
-                    if weight_fn is not None:
-                        wf = weight_fn(
-                            xr[..., None],
-                            zx[..., None, :],
-                            yr[..., None],
-                            zy[..., None, :],
-                        )
                     h_z = np.stack(
-                        [_hat(*_interp_slots(zn, bj, q), 4) for q in (zx, zy)], 2
+                        [_hat(*_interp_slots(zn, bj, q), 4) for q in (zx, zx - t)], 2
                     )
-                wq = wc[..., None] * zw.reshape(Pc, S, 1, nzt)
-                if wf is not None:
-                    wq = wq * wf
                 u, v = ("xy".index(s) for s in sides)
-                zAB = (h_z[:, :, u, :, :, None] * h_z[:, :, v, :, None, :]).reshape(
-                    Pc, S, nzt, 16
-                )
                 scale = coef if u == v else 0.5 * coef
-                T[:, :, u, v] = (scale * wq @ zAB).reshape(Pc, S, n_x, 4, 4)
-            T[:, :, 1, 0] = T[:, :, 0, 1].swapaxes(-1, -2)
-            # then r: RR[u, v] = h_r[u]_a h_r[v]_b on the same axis, and one
-            # product per pair over (sample, term xx xy yx yy, radial node)
-            RR = h_r[:, :, :, None, :, :, None] * h_r[:, :, None, :, :, None, :]
-            F = RR.reshape(Pc, K, 16).transpose(0, 2, 1) @ T.reshape(Pc, K, 16)
-            # F[p, (a, b), (c, d)] onto the slots (a, c), (b, d)
+                zw = (scale * zw).reshape(Pc, S, nzt, 1)
+                Z[:, :, 2 * u + v] = h_z[:, :, u].swapaxes(-1, -2) @ (zw * h_z[:, :, v])
+            Z[:, :, 2] = Z[:, :, 1].swapaxes(-1, -2)
+            # one product per pair over (sample, side pair): F[p, (a, b),
+            # (c, d)] onto the slots (a, c), (b, d)
+            F = R.reshape(Pc, 4 * S, 16).transpose(0, 2, 1) @ Z.reshape(Pc, 4 * S, 16)
             acc[ch] = F.reshape(Pc, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(
                 Pc, 16, 16
             )
@@ -738,9 +742,8 @@ class AssembledForm:
         K = table.values[ri[:, None], ri[None, :], idx_t[zi[:, None], zi[None, :]]]
         M = W[:, None] * W[None, :] * K
         if wfn is not None:
-            M *= wfn(
-                r_flat[:, None], z_flat[:, None], r_flat[None, :], z_flat[None, :]
-            )
+            t = z_flat[:, None] - z_flat[None, :]
+            M *= wfn(r_flat[:, None], r_flat[None, :], t)
         handled = (np.abs(ri[:, None] - ri[None, :]) <= _MID_RING) & (
             np.abs(zi[:, None] - zi[None, :]) <= _MID_RING
         )

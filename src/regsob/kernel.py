@@ -29,6 +29,9 @@ from .errors import DiagonalSingularity, InvalidParams, OutOfMemoryEstimate
 # m^(-p/2) is accurate to ~1e-14, which dominates the error budget.
 _PANEL_NODES = 12
 _MAX_PANELS = 48
+# kernel points per call in build_kernel_table: a call's temporaries take a
+# few hundred bytes per point for odd n, so about 6 MiB at this size
+_TABLE_SLICE = 1 << 14
 
 
 @functools.lru_cache(maxsize=256)
@@ -281,9 +284,12 @@ def lookup_t(t_nodes, t, tol):
 def build_kernel_table(grid, params, max_bytes=4 << 30):
     """Tabulate K_p at all (r_i, s_j, |z_k - z_l|) of a half-space grid.
 
-    The kernel is evaluated once on r x r x t_nodes[1:] (t > 0) and once on
-    the t = 0 plane off its diagonal r_i = s_j, the singular entries, which
-    are stored as 0.  Entries whose generating node pairs are all
+    The kernel is evaluated on r x r x t_nodes[1:] (t > 0), in slices of t
+    columns of at most _TABLE_SLICE points, and once on the t = 0 plane off
+    its diagonal r_i = s_j, the singular entries, which are stored as 0.
+    Each value depends only on its own point, so the slices keep the bits,
+    and the build peaks near max_bytes' estimate (the stored arrays) plus
+    one slice's temporaries.  Entries whose generating node pairs are all
     index-adjacent (the singular cell neighbourhood) are flagged in
     near_diag_mask, which covers the stored zeros.
     """
@@ -313,9 +319,11 @@ def build_kernel_table(grid, params, max_bytes=4 << 30):
     mask = r_adjacent[:, :, None] & t_adjacent[None, None, :]
 
     values = np.zeros((nr, nr, nt), dtype=float)
-    values[:, :, 1:] = kernel_values(
-        r[:, None, None], r[None, :, None], t_nodes[1:], params
-    )
+    cols = max(1, _TABLE_SLICE // (nr * nr))
+    for k in range(1, nt, cols):
+        values[:, :, k : k + cols] = kernel_values(
+            r[:, None, None], r[None, :, None], t_nodes[k : k + cols], params
+        )
     i, j = np.nonzero(ir[:, None] != ir[None, :])
     values[i, j, 0] = kernel_values(r[i], r[j], 0.0, params)
 

@@ -118,7 +118,11 @@ class MinimizerResult:
     the canonical dilation (invariant in the continuum, and free of the
     pin's resampling error).  trace concatenates the accepted quotient
     values of all schedule stages; trace_breaks holds the start index of
-    each stage, and the trace is nonincreasing within each stage."""
+    each stage, and the trace is nonincreasing within each stage.
+    stop_reasons holds why each stage stopped, aligned with trace_breaks:
+    "tolerance", "line-search-failure" or "max-iters".  converged is True
+    when the last stage stopped on "tolerance" and the residual is within
+    tol_residual."""
 
     theta: RadialField
     s_estimate: float
@@ -126,6 +130,7 @@ class MinimizerResult:
     envelope_report: EnvelopeReport
     trace: np.ndarray
     trace_breaks: tuple
+    stop_reasons: tuple
     grid_quotients: tuple
     converged: bool
     config: SolverConfig
@@ -138,8 +143,11 @@ def _normalized(base, values, p):
     return values / m
 
 
-def _descend_on_grid(fld, table, cfg, trace):
-    """Projected gradient descent at fixed grid; returns (field, converged)."""
+def _descend_on_grid(fld, table, cfg, trace, stops=None):
+    """Projected gradient descent at fixed grid; returns (field, converged).
+    Why the stage stopped is appended to stops when given: "tolerance" (the
+    quotient settled; the one converged stop), "line-search-failure" (no
+    Armijo step was accepted) or "max-iters" (the iteration cap)."""
     grid = fld.grid
     p = critical_p(grid.n, cfg.sigma)
     form = assemble(grid, table, cfg.sigma)
@@ -161,6 +169,7 @@ def _descend_on_grid(fld, table, cfg, trace):
     trace.append(Q)
     tau = STEP
     window = []
+    stop = "max-iters"
     for it in range(cfg.max_iters):
         if it > 0 and it % REARRANGE_EVERY == 0:
             vr = _normalized(fld, rearrange_sharp(fld.with_values(v)).regular_values, p)
@@ -188,6 +197,7 @@ def _descend_on_grid(fld, table, cfg, trace):
                 break
             t *= BACKTRACK
         if not accepted:
+            stop = "line-search-failure"
             break
         trace.append(Q)
         tau = min(STEP, t / BACKTRACK)
@@ -195,9 +205,11 @@ def _descend_on_grid(fld, table, cfg, trace):
         if len(window) > 6:
             window.pop(0)
             if window[0] - window[-1] <= cfg.tol_quotient * abs(window[-1]):
-                return _final_rearrange(fld, v, Q, quotient, trace, p), True
-    # iteration cap or a failed Armijo search: not converged
-    return _final_rearrange(fld, v, Q, quotient, trace, p), False
+                stop = "tolerance"
+                break
+    if stops is not None:
+        stops.append(stop)
+    return _final_rearrange(fld, v, Q, quotient, trace, p), stop == "tolerance"
 
 
 def _final_rearrange(fld, v, Q, quotient, trace, p):
@@ -251,6 +263,7 @@ def solve_halfspace(config=None, **kw):
     p = critical_p(cfg.n, cfg.sigma)
     trace = []
     breaks = []
+    stops = []
     fld = None
     converged = False
     table = None
@@ -262,7 +275,7 @@ def solve_halfspace(config=None, **kw):
         else:
             fld = resample(fld, grid)
         breaks.append(len(trace))
-        fld, converged = _descend_on_grid(fld, table, cfg, trace)
+        fld, converged = _descend_on_grid(fld, table, cfg, trace, stops)
     quotients = tuple(
         trace[b - 1] if b > 0 else np.nan for b in breaks[1:]
     ) + (trace[-1],)
@@ -285,6 +298,7 @@ def solve_halfspace(config=None, **kw):
         envelope_report=report,
         trace=np.asarray(trace),
         trace_breaks=tuple(breaks),
+        stop_reasons=tuple(stops),
         grid_quotients=quotients,
         converged=bool(converged and resid <= cfg.tol_residual),
         config=cfg,
@@ -352,6 +366,7 @@ def save_result(result, path):
         "s_estimate": result.s_estimate,
         "el_residual": result.el_residual,
         "converged": result.converged,
+        "stop_reasons": list(result.stop_reasons),
         "trace": [float(t) for t in result.trace],
         "envelope_report": asdict(result.envelope_report),
         "config": asdict(result.config),

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
+from regsob import kernel
 from regsob.errors import DiagonalSingularity, InvalidParams, OutOfMemoryEstimate
 from regsob.field import make_grid
 from regsob.kernel import (
@@ -10,6 +13,7 @@ from regsob.kernel import (
     build_kernel_table,
     gauss_nodes,
     gauss_rule,
+    grouped_t_nodes,
     kernel_values,
     sphere_surface,
     t_index_map,
@@ -158,6 +162,28 @@ def test_table_memory_guard():
     grid = make_grid(4, 4.0, 32, 32, (2.0, 2.0))
     with pytest.raises(OutOfMemoryEstimate):
         build_kernel_table(grid, par, max_bytes=1000)
+
+
+@pytest.mark.parametrize("n,N", [(4, 32), (3, 24), (5, 16)])
+def test_table_build_peaks_within_its_memory_estimate(n, N, monkeypatch):
+    # max_bytes bounds the estimate nr * nr * nt * 9 bytes of the stored
+    # table; the kernel is evaluated in slices of t columns, so the build
+    # peaks at most at twice that plus a fixed floor for one slice (it
+    # peaked at 10.7x, 32x and 31x the estimate in one call)
+    grid = make_grid(n, 20.0, N, N, (2.0, 2.0))
+    par = KernelParams.energy(n, 0.75)
+    nr, nt = grid.r_nodes.size, grouped_t_nodes(grid.z_nodes)[0].size
+    est = nr * nr * nt * 9
+    tracemalloc.start()
+    try:
+        tab = build_kernel_table(grid, par)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * est + (8 << 20)
+    # one column per slice gives the same bits
+    monkeypatch.setattr(kernel, "_TABLE_SLICE", 1)
+    assert np.array_equal(build_kernel_table(grid, par).values, tab.values)
 
 
 # every (q,) and (q, a, b) the energy, kernel and rearrangement code asks for

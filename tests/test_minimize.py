@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,40 @@ def test_failed_line_search_is_not_converged(monkeypatch):
     _, converged = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace)
     assert converged is False
     assert min(trace) == trace[0]  # no step was accepted
+
+
+@pytest.mark.parametrize(
+    "reason,patch,cfg",
+    [
+        ("tolerance", {}, dict(tol_quotient=0.5)),
+        ("line-search-failure", {"STEP": 1e6, "MAX_BACKTRACKS": 1}, {}),
+        ("max-iters", {}, dict(max_iters=3)),
+    ],
+    ids=["tolerance", "line-search-failure", "max-iters"],
+)
+def test_stage_stop_reason(reason, patch, cfg, monkeypatch):
+    # a loose quotient tolerance settles within the first window of steps, a
+    # far too long step with one backtrack fails the first Armijo search,
+    # and three iterations reach the cap; only "tolerance" is converged
+    for name, value in patch.items():
+        monkeypatch.setattr(minimize, name, value)
+    cfg = SolverConfig(schedule=(10,), R_max=20.0, **cfg)
+    g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    trace, stops = [], []
+    _, converged = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace, stops)
+    assert stops == [reason]
+    assert converged is (reason == "tolerance")
+
+
+def test_stop_reasons_follow_the_stages(tmp_path, coarse_result):
+    res = coarse_result
+    assert len(res.stop_reasons) == len(res.trace_breaks)
+    assert set(res.stop_reasons) <= {"tolerance", "line-search-failure", "max-iters"}
+    assert not res.converged or res.stop_reasons[-1] == "tolerance"
+    save_result(res, tmp_path / "theta.bin")
+    side = json.loads((tmp_path / "theta.bin.json").read_text())
+    assert side["stop_reasons"] == list(res.stop_reasons)
 
 
 def test_result_persistence_roundtrip(tmp_path, coarse_result):

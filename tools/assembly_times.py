@@ -1,7 +1,7 @@
 """Print the seconds of each family of one operator build.
 
     python3 tools/assembly_times.py [--n 4] [--N 32] [--weight none]
-                                    [--repeat 1] [CHECKOUT]
+                                    [--repeat 1] [--against OTHER] [CHECKOUT]
 
 imports `regsob` from CHECKOUT/src (default: this script's checkout),
 builds the kernel table for make_grid(n, 20, N, N, (2, 2)) and sigma 0.75
@@ -22,11 +22,18 @@ the pool (one worker per CPU in the affinity mask).  --weight is none,
 gamma0 or power:GAMMA.  BLAS runs on one thread unless the environment sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.  Prints one JSON
 object.
+
+With --against OTHER it times OTHER and CHECKOUT in --repeat rounds of one
+run of each, each run in a fresh interpreter and the side that runs first
+alternating, and prints each family's least seconds on both side by side
+with the relative change, so that before and after come from one command
+on a shared, noisy machine.
 """
 
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from unittest import mock
@@ -101,6 +108,31 @@ def _families(energy, grid, table, sigma, weight, repeat):
     return {k: round(v, 4) for k, v in sec.items()}
 
 
+def _against(args):
+    """One run of each checkout per round, the first side alternating; print
+    the least seconds of each family on both, side by side."""
+    sides = [("against", args.against), ("this", args.checkout)]
+    best = {}
+    for k in range(args.repeat):
+        for side, checkout in sides[:: 1 if k % 2 == 0 else -1]:
+            cmd = [sys.executable, os.path.abspath(__file__), checkout,
+                   "--n", str(args.n), "--N", str(args.N), "--weight", args.weight]
+            out = json.loads(subprocess.run(
+                cmd, check=True, capture_output=True, text=True).stdout)
+            for label in ("one_worker", "pool"):
+                for family, sec in out[label].items():
+                    key = (label, family, side)
+                    best[key] = min(best.get(key, float("inf")), sec)
+    print(f"n={args.n} N={args.N} weight={args.weight}, least of {args.repeat} "
+          "alternating rounds (s)")
+    print(f"{'':11} {'family':13} {'against':>9} {'this':>9} {'change':>8}")
+    for label, family, side in best:
+        if side == "this":
+            a, b = best[label, family, "against"], best[label, family, "this"]
+            change = f"{100 * (b - a) / a:+.0f}%" if a > 0 else ""
+            print(f"{label:11} {family:13} {a:9.4f} {b:9.4f} {change:>8}")
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkout", nargs="?", default=os.path.dirname(os.path.dirname(
@@ -109,7 +141,10 @@ def main(argv):
     ap.add_argument("--N", type=int, default=32)
     ap.add_argument("--weight", default="none")
     ap.add_argument("--repeat", type=int, default=1)
+    ap.add_argument("--against", metavar="OTHER")
     args = ap.parse_args(argv)
+    if args.against:
+        return _against(args)
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "src"))
     from regsob import energy
     from regsob.field import make_grid
