@@ -1,9 +1,9 @@
 """Command line front end: configuration, run manifests, result emission.
 
-One JSON config file per run; `regsob print-config` emits the full default
-config.  Every command writes a manifest before its results and rewrites it
-with output checksums afterwards.  Exit codes: 0 success, 2 verdict
-failure, 1 error.
+A run is set by one JSON config file and its input files alone;
+`regsob print-config` emits the full default config.  Every command writes
+a manifest before its results and rewrites it with output checksums
+afterwards.  Exit codes: 0 success, 2 verdict failure, 1 error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 
@@ -37,13 +36,7 @@ from .gamma0 import (
     tail_bound,
 )
 from .io_container import write_atomic
-from .kernel import (
-    KernelParams,
-    build_kernel_table,
-    kernel_values,
-    load_table,
-    save_table,
-)
+from .kernel import KernelParams, build_kernel_table, kernel_values, save_table
 from .minimize import SolverConfig, solve_halfspace, save_result
 from .rearrange import SliceProfile, rearrange_sharp, slice_lp_norm
 
@@ -185,26 +178,11 @@ def _sha256(path):
 
 
 def _threads(cfg):
-    """Worker threads: REGSOB_THREADS if set, else the config's `threads`."""
-    env = os.environ.get("REGSOB_THREADS")
-    if env:
-        source, raw = "REGSOB_THREADS", env
-    else:
-        source, raw = "config key 'threads'", cfg.get("threads", 4)
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        n = 0
-    if n < 1 or isinstance(raw, (bool, float)):
-        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
+    """Worker threads of the verify sampler: the config's `threads`."""
+    n = cfg["threads"]
+    if n < 1:
+        raise ConfigError(f"config key 'threads' must be an integer >= 1, got {n!r}")
     return n
-
-
-def _cache_dir():
-    d = os.environ.get("REGSOB_CACHE_DIR")
-    if d:
-        os.makedirs(d, exist_ok=True)
-    return d
 
 
 class Manifest:
@@ -435,15 +413,7 @@ def cmd_kernel_table(args):
     man = Manifest("kernel-table", cfg, [], args.out + ".manifest.json")
     g = make_grid(k["n"], k["R_max"], k["N"], k["N"], k["grading"])
     maker = KernelParams.energy if k["order"] == "energy" else KernelParams.curvature
-    cache = _cache_dir()
-    key = hashlib.sha256(json.dumps(k, sort_keys=True).encode()).hexdigest()[:16]
-    cached = os.path.join(cache, f"ktab-{key}.rsob") if cache else None
-    if cached and os.path.exists(cached):
-        tab = load_table(cached)
-    else:
-        tab = build_kernel_table(g, maker(k["n"], k["sigma"]))
-        if cached:
-            save_table(tab, cached)
+    tab = build_kernel_table(g, maker(k["n"], k["sigma"]))
     save_table(tab, args.out)
     man.finish([args.out])
     print(f"kernel table {tab.values.shape} -> {args.out}")

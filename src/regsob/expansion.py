@@ -611,11 +611,12 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     For each lambda the sheared-domain quotient of the cutoff test function
     is estimated by importance-sampled pair sampling and compared against
     the flat quotient minus the curvature correction plus the measured
-    F-term; one verdict per scale.  Every lambda must be finite and > 0,
-    which is checked before any table is built.  The batches of every
-    lambda run as one list through energy._run on cfg.workers threads; each
-    batch depends only on its seed and the batches are averaged in seed
-    order, so the verdicts are the same for any worker count."""
+    F-term; one verdict per scale.  The schedule must not be empty and
+    every lambda must be finite and > 0, which is checked before any table
+    is built.  The batches of every lambda run as one list through
+    energy._run on cfg.workers threads; each batch depends only on its seed
+    and the batches are averaged in seed order, so the verdicts are the
+    same for any worker count."""
     if gamma0_report is None:
         raise MissingGamma0("verification needs a Gamma0 report")
     cfg = mc_config or MCConfig()
@@ -625,6 +626,8 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
     if bg.R0 < 3.0:
         raise InvalidParams("chart must contain the cutoff support ball B_3")
     lams = [float(lam) for lam in lam_schedule]
+    if not lams:
+        raise InvalidParams("lambda schedule must list at least one lambda")
     for lam in lams:
         _check_lam(lam)
     p = critical_p(n, sigma)

@@ -43,12 +43,17 @@ class HalfSpaceGrid:
 
 def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
     """Power-graded grid r_i = R_max (i/N_r)^beta_r, z_j likewise.  Raises
-    unless N_r and N_z are integers >= 4, R_max is finite and > 0 and each
-    grading exponent is finite and >= 1."""
-    if not all(
-        isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 4
-        for N in (N_r, N_z)
-    ):
+    unless n is an integer >= 2, N_r and N_z are integers >= 4, R_max is
+    finite and > 0 and each grading exponent is finite and >= 1."""
+
+    def integer(k, least):
+        return (
+            isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
+        )
+
+    if not integer(n, 2):
+        raise InvalidParams(f"dimension n must be an integer >= 2, got {n!r}")
+    if not (integer(N_r, 4) and integer(N_z, 4)):
         raise InvalidParams(
             f"need an integer number >= 4 of cells per axis, got {N_r!r}x{N_z!r}"
         )

@@ -93,22 +93,29 @@ def _lambda_fit(lams, vals, sigma):
 def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     """Truncated weighted pair sums on each (grid, lambda), extrapolated.
 
-    The grids must be integers >= 4 and strictly increase, which is checked
-    before any table is built; they default to (max(8, 2N/3), N) for
-    theta's N, so a theta with N <= 8 needs them given.  The truncation
-    remainder is fitted against the proven lambda^(1-2*sigma) tail scaling;
-    the grid error is a two-level difference of the lambda-extrapolated
-    values.  The verdict claims a sign only when the value clears the
-    combined budget.
+    The schedule must hold at least 2 truncation radii, finite, > 0 and
+    strictly increasing, and the grids must be integers >= 4 and strictly
+    increase, which is checked before any table is built.  The grids default
+    to (max(8, 2N/3), N) for theta's N, so a theta with N <= 8 needs them
+    given.  The truncation remainder is fitted against the proven
+    lambda^(1-2*sigma) tail scaling; the grid error is a two-level
+    difference of the lambda-extrapolated values.  The verdict claims a
+    sign only when the value clears the combined budget.
     """
     g = theta.grid
     sigma = theta.sigma
     if schedule is None:
         schedule = tuple(g.R_max * np.array([0.3, 0.45, 0.65, 0.95]))
     schedule = tuple(float(l) for l in schedule)
-    if not all(0 < l < np.inf for l in schedule) or list(schedule) != sorted(schedule):
+    # the lambda fit has two parameters, so it needs two distinct radii
+    if (
+        len(schedule) < 2
+        or not all(0 < l < np.inf for l in schedule)
+        or any(a >= b for a, b in zip(schedule, schedule[1:]))
+    ):
         raise InvalidGamma(
-            f"truncation radii must be finite, > 0 and increasing, got {schedule}"
+            "need at least 2 truncation radii, finite, > 0 and strictly "
+            f"increasing, got {schedule}"
         )
     if grids is None:
         N0 = g.r_nodes.size - 1

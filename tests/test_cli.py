@@ -4,7 +4,7 @@ import re
 import pytest
 
 from regsob import cli
-from regsob.cli import DEFAULT_CONFIG, _threads, load_config, main
+from regsob.cli import DEFAULT_CONFIG, load_config, main
 from regsob.errors import ConfigError
 from regsob.field import make_grid, save_field, synthesize_profile
 from regsob.kernel import KernelParams, build_kernel_table, save_table
@@ -117,6 +117,7 @@ def test_config_merge_and_unknown_key(tmp_path):
         ({"boundary": {"alpha": [0.1, True]}}, "boundary.alpha", "a list of numbers"),
         ({"solver": {"init": 3}}, "solver.init", "a string"),
         ({"threads": True}, "threads", "an integer"),
+        ({"threads": 2.5}, "threads", "an integer"),
         ({"verify": [1]}, "verify", "an object"),
         ({"gamma0": {"grids": [8, 10.5]}}, "gamma0.grids", "null or a list of integers"),
         ({"gamma0": {"schedule": "x"}}, "gamma0.schedule", "null or a list of numbers"),
@@ -142,20 +143,6 @@ def test_unknown_suite_is_config_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_thread_env_override(monkeypatch):
-    monkeypatch.setenv("REGSOB_THREADS", "7")
-    assert _threads({"threads": 2}) == 7
-    for bad in ("x", "0", "-3", "2.5"):
-        monkeypatch.setenv("REGSOB_THREADS", bad)
-        with pytest.raises(ConfigError, match="REGSOB_THREADS"):
-            _threads({"threads": 2})
-    monkeypatch.delenv("REGSOB_THREADS")
-    assert _threads({"threads": 2}) == 2
-    for bad in (0, -1, 2.5, "x", None, True):
-        with pytest.raises(ConfigError, match="threads"):
-            _threads({"threads": bad})
-
-
 def test_kernel_table_order_checked(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"kernel_table": {"order": "energi"}}))
@@ -165,19 +152,24 @@ def test_kernel_table_order_checked(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_kernel_table_reuses_cache_dir(tmp_path, monkeypatch):
+def test_kernel_table_ignores_cache_dir(tmp_path, monkeypatch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"kernel_table": {"N": 6, "R_max": 4.0}}))
-    monkeypatch.setenv("REGSOB_CACHE_DIR", str(tmp_path / "cache"))
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REGSOB_CACHE_DIR", str(cache))
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_kernel_table(*args)
+
+    monkeypatch.setattr(cli, "build_kernel_table", counted)
     first, second = tmp_path / "a.rsob", tmp_path / "b.rsob"
-    assert main(["kernel-table", "--config", str(p), "--out", str(first)]) == 0
-
-    def no_build(*args):
-        raise AssertionError("table rebuilt despite the cache")
-
-    # the second run must take the table from the cache directory
-    monkeypatch.setattr(cli, "build_kernel_table", no_build)
-    assert main(["kernel-table", "--config", str(p), "--out", str(second)]) == 0
+    for out in (first, second):
+        assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 0
+    # each run builds its table and writes nothing but --out and its manifest
+    assert len(builds) == 2
+    assert not cache.exists() or not any(cache.iterdir())
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -227,6 +219,47 @@ _REPORT = {
     "lambda_schedule": [2.0],
     "sign_verdict": "positive",
 }
+
+
+def _verify_with_config(tmp_path, theta, config):
+    report = tmp_path / "g0.json"
+    report.write_text(json.dumps(_REPORT))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["verify", "--theta", theta, "--gamma0", str(report)]
+    return main(argv + ["--config", str(cfg), "--out", str(tmp_path / "v")])
+
+
+def test_threads_come_from_config_only(tmp_path, small_theta, monkeypatch, capsys):
+    monkeypatch.setenv("REGSOB_THREADS", "7")
+    for bad in (0, -1):
+        assert _verify_with_config(tmp_path, small_theta, {"threads": bad}) == 1
+        assert "'threads'" in capsys.readouterr().err
+        assert not (tmp_path / "v.manifest.json").exists()
+    workers = []
+
+    def fake_verify(theta, rep, bg, lams, mc):
+        workers.append(mc.workers)
+        return []
+
+    monkeypatch.setattr(cli, "verify_upper_bound", fake_verify)
+    assert _verify_with_config(tmp_path, small_theta, {"threads": 2}) == 0
+    assert workers == [2]
+
+
+def test_verify_empty_schedule_exits_1(tmp_path, small_theta, capsys):
+    config = {"verify": {"lambda_schedule": []}}
+    assert _verify_with_config(tmp_path, small_theta, config) == 1
+    assert "InvalidParams" in capsys.readouterr().err
+
+
+def test_gamma0_empty_schedule_exits_1(tmp_path, small_theta, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gamma0": {"schedule": [], "grids": [4, 6]}}))
+    out = str(tmp_path / "g0.json")
+    argv = ["gamma0", "--theta", small_theta, "--config", str(cfg), "--out", out]
+    assert main(argv) == 1
+    assert "InvalidGamma" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,15 @@ def test_curvature_term_checks_lam_before_any_table(bad, envelope16, monkeypatch
     assert built == []
 
 
+def test_verify_empty_schedule_fails_before_any_table(envelope16, monkeypatch):
+    built = []
+    monkeypatch.setattr(expansion, "build_kernel_table", lambda *a: built.append(a))
+    flat = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
+    with pytest.raises(InvalidParams, match="at least one lambda"):
+        verify_upper_bound(envelope16, make_report(5.0), flat, [])
+    assert built == []
+
+
 def test_cw_cutoff_zero_violations(envelope16):
     assert cw_cutoff_check(envelope16, 2.0, sample_count=20000, seed=1) == 0
 

@@ -58,6 +58,16 @@ def test_bad_grid_radius_rejected(R_max):
         make_grid(4, R_max, 8, 8)
 
 
+@pytest.mark.parametrize("n", [1, 0, 2.5, 3.0, True, np.nan, "4"])
+def test_bad_dimension_rejected(n):
+    with pytest.raises(InvalidParams, match="dimension n must be an integer >= 2"):
+        make_grid(n, 4.0, 6, 6)
+
+
+def test_numpy_integer_dimension_accepted():
+    assert make_grid(np.int64(3), 4.0, 6, 6).n == 3
+
+
 @pytest.mark.parametrize("N", [3, 8.0, 9.7, True, np.nan])
 def test_bad_cell_count_rejected(N):
     with pytest.raises(InvalidParams, match="integer number >= 4"):

@@ -62,10 +62,14 @@ def test_report_shape_and_json(envelope12):
     json.dumps(rep.to_json())
 
 
-def test_schedule_must_increase(envelope12):
+def test_schedule_must_increase(envelope12, monkeypatch):
     _, _, f = envelope12
-    with pytest.raises(InvalidGamma):
-        estimate_gamma0(f, schedule=(8.0, 4.0), grids=(10, 12))
+    tables = []
+    monkeypatch.setattr(gamma0, "build_kernel_table", lambda *a: tables.append(a))
+    for schedule in ((8.0, 4.0), (), (2.0,), (2.0, 2.0)):
+        with pytest.raises(InvalidGamma, match="at least 2 truncation radii"):
+            estimate_gamma0(f, schedule=schedule, grids=(10, 12))
+    assert tables == []
 
 
 def test_tail_bound_rejects_large_gamma(envelope12):

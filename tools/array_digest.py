@@ -9,15 +9,21 @@ and near-diagonal mask of four kernel tables (among them the n=3 N=24
 table the `tables_n3` benchmark workload builds), and of a set of scalar
 outputs (norms, seminorms, ball sums, the slice interaction, the
 Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
-batch: its sums, squares and Taylor count).  Two checkouts whose
+batch: its sums, squares and Taylor count), and of the file that
+`regsob kernel-table` writes for the `tables_n3` workload's config (n=3,
+sigma 0.75, N=24), run in a temporary directory with REGSOB_CACHE_DIR
+unset so that no checkout loads a cached table.  Two checkouts whose
 printouts are equal produce the same bits for these inputs; diff the two
 printouts to compare a change with its parent.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -125,6 +131,22 @@ def _outputs(out):
             out[f"kernel_values.n{n}.{order}"] = _digest(kernel_values(r, s, t, params))
 
 
+def _cli(out):
+    from regsob import cli
+
+    os.environ.pop("REGSOB_CACHE_DIR", None)
+    with tempfile.TemporaryDirectory() as d:
+        cfg, tab = os.path.join(d, "n3.json"), os.path.join(d, "n3.rsob")
+        with open(cfg, "w") as fh:
+            json.dump({"kernel_table": {"n": 3, "sigma": 0.75, "N": 24}}, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["kernel-table", "--config", cfg, "--out", tab])
+        if rc != 0:
+            raise SystemExit(f"kernel-table exited with {rc}")
+        with open(tab, "rb") as fh:
+            out["cli.kernel_table.n3_N24"] = hashlib.sha256(fh.read()).hexdigest()
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.dirname(os.path.dirname(__file__))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
@@ -132,6 +154,7 @@ def main(argv):
     _forms(out)
     _tables(out)
     _outputs(out)
+    _cli(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
