@@ -410,8 +410,8 @@ def cmd_kernel_table(args):
         raise ConfigError(
             f"kernel_table.order must be 'energy' or 'curvature', got {k['order']!r}"
         )
-    man = Manifest("kernel-table", cfg, [], args.out + ".manifest.json")
     g = make_grid(k["n"], k["R_max"], k["N"], k["N"], k["grading"])
+    man = Manifest("kernel-table", cfg, [], args.out + ".manifest.json")
     maker = KernelParams.energy if k["order"] == "energy" else KernelParams.curvature
     tab = build_kernel_table(g, maker(k["n"], k["sigma"]))
     save_table(tab, args.out)

@@ -8,7 +8,9 @@ integrated by a Duffy-split Gauss-Jacobi rule in relative coordinates).
 Each family yields local quadratic forms in the nodal regular factor, built
 from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
-box moments and the mid ring, 4 for the near forms).  The near forms are
+box moments and the mid ring, 4 for the near forms, 2 for the exterior
+forms); the critical-mass rule takes its rows over all nodes of an axis.
+The near forms are
 sum-factorised: the kernel and every pair weight see the vertical
 coordinates only through z_x - z_y, which is fixed in each sample of the
 relative coordinates, so each (pair, sample) has a radial factor (the r
@@ -21,11 +23,13 @@ mid-ring box pairs, field.cell_of locates the cell under a point, and
 _node_rule gives the node-product rule (far part, tail, exterior mass);
 assemble checks grid, sigma and kernel order before its cache.  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
-the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  H is
-the only assembled matrix: the near part and its error estimate are sums
-of the per-pair near forms, and for sums restricted to the pairs inside a
-ball B_lambda the mid ring keeps one Gauss basis per box and one weighted
-kernel block per pair.
+the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  Each
+question is answered one way: every total reads H; the sum over the pairs
+inside a ball B_lambda is AssembledForm.ball, which reads the far moments,
+the mid ring (one Gauss basis per box and one weighted kernel block per
+pair) and the per-pair near forms, and the complement of the ball is the
+energy less that sum.  seminorm's near part and its error estimate are
+sums of the per-pair near forms over every pair.
 
 A form builds each family when a caller first reads it.  The build makes
 what every caller reads: the far kernel M, the box moments, the fine near
@@ -456,11 +460,10 @@ def _exterior_forms(grid, params, sigma, weight_fn):
     starts = range(0, rp.size, _EXT_ROWS)
     kext = np.concatenate(_run([functools.partial(rows, i0) for i0 in starts]))
     kext = kext.reshape(nr - 1, q, nz - 1, q)
-    br = np.stack([1.0 - fr, fr])  # (2, nr-1, q)
-    bz = np.stack([1.0 - fz, fz])
+    br, bz = _hat(0, fr, 2), _hat(0, fz, 2)  # (cell, q, corner)
     # X[c, (u,v), (u2,v2)] with slot order (r corner)*2 + (z corner)
     X = 2.0 * np.einsum(
-        "ia,jb,iajb,uia,vjb,wia,xjb->ijuvwx",
+        "ia,jb,iajb,iau,jbv,iaw,jbx->ijuvwx",
         wr,
         wz,
         kext,
@@ -721,13 +724,13 @@ class AssembledForm:
 
     The whole form is one symmetric matrix H, so that energy(v) = v.Hv and
     grad(v) = 2Hv; H and the far kernel M are its only N x N arrays.  For
-    parts(v, sel) it keeps the fine near forms L, the far moments and, for
+    ball(v, sel) it keeps the fine near forms L, the far moments and, for
     the mid ring, one Gauss basis per box (patch, basis) and one weighted
-    kernel block KW per box pair (mga, mgb); seminorm's quadrature error
-    estimate reads the coarse near forms L_coarse.  The constructor builds
-    M, the far moments, L and the mid ring; H (with the exterior forms) and
-    L_coarse are cached properties, each built on its first read.  Build it
-    through assemble, which checks the inputs."""
+    kernel block KW per box pair (mga, mgb); seminorm's near part reads L
+    and its quadrature error estimate the coarse near forms L_coarse.  The
+    constructor builds M, the far moments, L and the mid ring; H (with the
+    exterior forms) and L_coarse are cached properties, each built on its
+    first read.  Build it through assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         wfn = _weight(weight)[1]
@@ -828,26 +831,21 @@ class AssembledForm:
         row = self.M @ sel
         return 2.0 * (np.dot(row, S) - np.dot(P, self.M @ P))
 
-    def parts(self, vt, sel=None):
-        """(far, near) including the angular prefactor; far includes the
-        coupling to the exterior of the truncation cylinder.  near is the sum
-        of the per-pair near forms, and without sel far is energy(v) - near.
-
-        With sel (the 0/1 indicator of the nodes in B_lambda) only the pairs
-        with both boxes in B_lambda count; that sum needs the per-pair forms,
-        since H has lost which pair an entry came from.  It has no exterior
-        term: a pair that leaves the truncation cylinder also leaves any
-        interior cap."""
+    def ball(self, vt, sel):
+        """The energy of the pairs with both boxes in B_lambda, sel the 0/1
+        indicator of its nodes, including the angular prefactor: the far
+        moments and the mid ring, then the near forms.  That sum needs the
+        per-pair forms, since H has lost which pair an entry came from.  It
+        has no exterior term: a pair that leaves the truncation cylinder
+        also leaves any interior cap."""
         v = vt.ravel()
-        near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
-        if sel is None:
-            return self.energy(vt) - near, near
         U = np.einsum("nga,na->ng", self.basis, v[self.patch])
         keep = np.flatnonzero(sel[self.mga] * sel[self.mgb])
         d = U[self.mga[keep], :, None] - U[self.mgb[keep], None, :]
         mid = 2.0 * np.einsum("pgh,pgh->", self.KW[keep], d * d)
-        far = (self._far(v, sel) + mid) * self.sphere
-        return float(far), near
+        far = float((self._far(v, sel) + mid) * self.sphere)
+        near = _pair_sum(v, self.maps, self.ga, self.gb, self.L, sel) * self.sphere
+        return float(far + near)
 
     def energy(self, vt):
         v = vt.ravel()
@@ -945,18 +943,21 @@ def _tail_energy(field, params):
 
 
 def seminorm(field, table):
-    """Nonlocal energy of the field, split far/near/tail: the "none"
-    weighted_seminorm plus the energy of the tail model beyond the box (0
-    without a tail model).  Its quadrature error estimate, the near part at
-    the fine less the coarse orders, is the one read of the coarse forms."""
+    """Nonlocal energy of the field, split far/near/tail: the total is the
+    "none" weighted_seminorm plus the energy of the tail model beyond the
+    box (0 without a tail model), the near part the per-pair near forms
+    summed over every pair and the far part the rest of the assembled
+    energy.  Its quadrature error estimate, the near part at the fine less
+    the coarse orders, is the one read of the coarse forms."""
     form = assemble(field.grid, table, field.sigma)
     vt = field.regular_values
-    far, near = form.parts(vt)
+    e = form.energy(vt)
+    near = _pair_sum(vt.ravel(), form.maps, form.ga, form.gb, form.L) * form.sphere
     nearc = _pair_sum(vt.ravel(), form.maps, form.ga, form.gb, form.L_coarse)
     tail = _tail(field, table.params)
     return EnergyBreakdown(
-        total=far + near + tail,
-        far_part=far,
+        total=e + tail,
+        far_part=e - near,
         near_part=near,
         tail_estimate=tail,
         quad_error_estimate=abs(near - nearc * form.sphere),
@@ -986,8 +987,10 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     ("power", gamma) with gamma finite and >= 0; any other spec raises
     InvalidParams.  With lam, finite and > 0, only the B_lambda x B_lambda
     pairs count, and with exterior=True, which needs lam, the complement of
-    that pair set.  No tail model enters.  Returns the total as a float; the
-    far/near split and the quadrature error estimate are seminorm's.
+    that pair set.  No tail model enters.  Returns the total as a float:
+    energy() without lam, ball() with it and energy() - ball() with
+    exterior=True; the far/near split and the quadrature error estimate are
+    seminorm's.
     """
     if lam is not None:
         _check_lam(lam)
@@ -995,61 +998,49 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
         raise InvalidParams("exterior=True needs lam")
     form = assemble(field.grid, table, field.sigma, weight)
     vt = field.regular_values
-    far, near = form.parts(vt, None if lam is None else _ball_sel(form, lam))
-    if exterior:
-        far_all, near_all = form.parts(vt)
-        far, near = far_all - far, near_all - near
-    return float(far + near)
+    if lam is None:
+        return form.energy(vt)
+    ball = form.ball(vt, _ball_sel(form, lam))
+    return form.energy(vt) - ball if exterior else ball
 
 
-def _cell_quadrature(field, p):
+def _mass_rule(field, p):
     """Cell-wise tensor Gauss rule for |u|^p on the bilinear interpolant of
-    the regular factor: returns (WR, WZ, fr, fz, vals) with the
-    z^((2*sigma-1)*p) boundary factor folded into WZ by _z_rule (Jacobi in
-    the first z cell), the hat fractions fr, fz, and the interpolant at
-    the quadrature points, all broadcast to (r cell, r point, z cell, z
-    point)."""
+    the regular factor: returns (wr, wz, Br, Bz), the r and z weights over
+    the quadrature points, cell by cell, with the z^((2*sigma-1)*p)
+    boundary factor folded into wz by _z_rule (Jacobi in the first z cell),
+    and the _hat rows of those points over all nodes of each axis, so that
+    the interpolant there is Br @ vt @ Bz.T."""
     grid = field.grid
-    ap = (2 * field.sigma - 1) * p
-    vt = field.regular_values
     q = _MASS_ORDER
     ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
-    RQ, WR = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
-    fr = (RQ - ra[:, None]) / (rb - ra)[:, None]
+    rq, wr = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
     za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ZQ, WZ = _z_rule(za, zb, np.zeros(za.size), ap, 0.0, q)
-    fz = (ZQ - za[:, None]) / (zb - za)[:, None]
-    fr_ = fr[:, :, None, None]
-    fz_ = fz[None, None, :, :]
-    vals = (
-        vt[:-1, None, :-1, None] * (1 - fr_) * (1 - fz_)
-        + vt[1:, None, :-1, None] * fr_ * (1 - fz_)
-        + vt[:-1, None, 1:, None] * (1 - fr_) * fz_
-        + vt[1:, None, 1:, None] * fr_ * fz_
+    ap = (2 * field.sigma - 1) * p
+    zq, wz = _z_rule(za, zb, np.zeros(za.size), ap, 0.0, q)
+    Br, Bz = (
+        _hat(*cell_of(nodes, x.ravel()), nodes.size)
+        for nodes, x in ((grid.r_nodes, rq), (grid.z_nodes, zq))
     )
-    return WR[:, :, None, None], WZ[None, None, :, :], fr_, fz_, vals
+    return wr.ravel(), wz.ravel(), Br, Bz
 
 
 def _interior_mass(field, p):
     """Integral of |u|^p over the truncation box, cell-wise tensor Gauss on
     the interpolant with the z^((2*sigma-1)*p) boundary factor integrated by
     a Jacobi rule in the first z cell."""
-    WR, WZ, _, _, vals = _cell_quadrature(field, p)
-    return float(np.sum(WR * WZ * np.abs(vals) ** p))
+    wr, wz, Br, Bz = _mass_rule(field, p)
+    return float(wr @ np.abs(Br @ field.regular_values @ Bz.T) ** p @ wz)
 
 
 def _interior_mass_grad(field, p):
     """(_interior_mass, its exact gradient in the node values), from one
     quadrature."""
-    WR, WZ, fr_, fz_, vals = _cell_quadrature(field, p)
-    mass = float(np.sum(WR * WZ * np.abs(vals) ** p))
-    G = p * WR * WZ * np.abs(vals) ** (p - 1) * np.sign(vals)
-    out = np.zeros(field.grid.shape)
-    out[:-1, :-1] += np.sum(G * (1 - fr_) * (1 - fz_), axis=(1, 3))
-    out[1:, :-1] += np.sum(G * fr_ * (1 - fz_), axis=(1, 3))
-    out[:-1, 1:] += np.sum(G * (1 - fr_) * fz_, axis=(1, 3))
-    out[1:, 1:] += np.sum(G * fr_ * fz_, axis=(1, 3))
-    return mass, out
+    wr, wz, Br, Bz = _mass_rule(field, p)
+    vals = Br @ field.regular_values @ Bz.T
+    mass = float(wr @ np.abs(vals) ** p @ wz)
+    G = p * wr[:, None] * wz * np.abs(vals) ** (p - 1) * np.sign(vals)
+    return mass, Br.T @ G @ Bz
 
 
 def _exterior_mass(field, p):

@@ -44,7 +44,8 @@ class HalfSpaceGrid:
 def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
     """Power-graded grid r_i = R_max (i/N_r)^beta_r, z_j likewise.  Raises
     unless n is an integer >= 2, N_r and N_z are integers >= 4, R_max is
-    finite and > 0 and each grading exponent is finite and >= 1."""
+    finite and > 0 and grading holds exactly two exponents, each finite and
+    >= 1."""
 
     def integer(k, least):
         return (
@@ -59,6 +60,12 @@ def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
         )
     if not 0 < R_max < np.inf:
         raise InvalidParams(f"R_max must be finite and > 0, got {R_max}")
+    if not (
+        isinstance(grading, (tuple, list))
+        and len(grading) == 2
+        and all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in grading)
+    ):
+        raise InvalidGrading(f"grading must hold exactly two numbers, got {grading!r}")
     beta_r, beta_z = grading
     if not (1 <= beta_r < np.inf and 1 <= beta_z < np.inf):
         raise InvalidGrading(

@@ -143,11 +143,11 @@ def _normalized(base, values, p):
     return values / m
 
 
-def _descend_on_grid(fld, table, cfg, trace, stops=None):
-    """Projected gradient descent at fixed grid; returns (field, converged).
-    Why the stage stopped is appended to stops when given: "tolerance" (the
-    quotient settled; the one converged stop), "line-search-failure" (no
-    Armijo step was accepted) or "max-iters" (the iteration cap)."""
+def _descend_on_grid(fld, table, cfg, trace):
+    """Projected gradient descent at fixed grid; returns (field, stop), stop
+    being why the stage stopped: "tolerance" (the quotient settled; the one
+    converged stop), "line-search-failure" (no Armijo step was accepted) or
+    "max-iters" (the iteration cap)."""
     grid = fld.grid
     p = critical_p(grid.n, cfg.sigma)
     form = assemble(grid, table, cfg.sigma)
@@ -207,9 +207,7 @@ def _descend_on_grid(fld, table, cfg, trace, stops=None):
             if window[0] - window[-1] <= cfg.tol_quotient * abs(window[-1]):
                 stop = "tolerance"
                 break
-    if stops is not None:
-        stops.append(stop)
-    return _final_rearrange(fld, v, Q, quotient, trace, p), stop == "tolerance"
+    return _final_rearrange(fld, v, Q, quotient, trace, p), stop
 
 
 def _final_rearrange(fld, v, Q, quotient, trace, p):
@@ -265,7 +263,6 @@ def solve_halfspace(config=None, **kw):
     breaks = []
     stops = []
     fld = None
-    converged = False
     table = None
     for N in cfg.schedule:
         grid = make_grid(cfg.n, cfg.R_max, N, N, cfg.grading)
@@ -275,7 +272,8 @@ def solve_halfspace(config=None, **kw):
         else:
             fld = resample(fld, grid)
         breaks.append(len(trace))
-        fld, converged = _descend_on_grid(fld, table, cfg, trace, stops)
+        fld, stop = _descend_on_grid(fld, table, cfg, trace)
+        stops.append(stop)
     quotients = tuple(
         trace[b - 1] if b > 0 else np.nan for b in breaks[1:]
     ) + (trace[-1],)
@@ -300,7 +298,7 @@ def solve_halfspace(config=None, **kw):
         trace_breaks=tuple(breaks),
         stop_reasons=tuple(stops),
         grid_quotients=quotients,
-        converged=bool(converged and resid <= cfg.tol_residual),
+        converged=bool(stops[-1] == "tolerance" and resid <= cfg.tol_residual),
         config=cfg,
     )
 

@@ -143,6 +143,34 @@ def test_unknown_suite_is_config_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suite", ["rearrangement", "kernel", "appendix-scaling", "taylor-bounds"]
+)
+def test_check_suite_passes(suite, capsys):
+    assert main(["check", "--suite", suite]) == 0
+    assert f"suite {suite}: 0 violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grading", [[2.0], [2.0, 2.0, 2.0]], ids=["one", "three"])
+def test_kernel_table_grading_checked(grading, tmp_path, capsys):
+    # a grading of the wrong length fails before the manifest is written
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"kernel_table": {"N": 6, "grading": grading}}))
+    out = tmp_path / "tab.rsob"
+    assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "InvalidGrading" in err and repr(grading) in err
+    assert not out.exists()
+    assert not (tmp_path / "tab.rsob.manifest.json").exists()
+
+
+def test_solver_grading_checked(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"solver": {"grading": [2.0, 2.0, 2.0]}}))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "t")]) == 1
+    assert "grading must hold exactly two numbers" in capsys.readouterr().err
+
+
 def test_kernel_table_order_checked(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"kernel_table": {"order": "energi"}}))

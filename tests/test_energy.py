@@ -160,10 +160,19 @@ def test_oracle_refuses_noncompact():
         brute_force_seminorm(envelope, 3, 0.75, 1.0, samples=10_000)
 
 
+def _near(form, v, L=None):
+    """The near energy: the per-pair near forms L (the fine ones by default)
+    summed over every pair, with the angular prefactor."""
+    L = form.L if L is None else L
+    return energy._pair_sum(v.ravel(), form.maps, form.ga, form.gb, L) * form.sphere
+
+
 def test_power_weight_zero_matches_seminorm(setup4):
     g, tab, f = setup4
     plain = seminorm(f, tab)
-    far, near = assemble(g, tab, 0.75, ("power", 0.0)).parts(f.regular_values)
+    form = assemble(g, tab, 0.75, ("power", 0.0))
+    near = _near(form, f.regular_values)
+    far = form.energy(f.regular_values) - near
     assert far == pytest.approx(plain.far_part, rel=1e-12)
     assert near == pytest.approx(plain.near_part, rel=1e-12)
     total = weighted_seminorm(f, tab, ("power", 0.0))
@@ -362,15 +371,14 @@ def test_assembled_matrix_matches_family_sums(name, request):
     form = assemble(g, tab, 0.75, weight)
     v = f.regular_values
     w = np.random.default_rng(0).uniform(-1, 1, g.shape)
-    far, near = form.parts(v)
-    # the coarse near energy that seminorm's quadrature error estimate
-    # reads, taken here for every weight
-    nearc = energy._pair_sum(v.ravel(), form.maps, form.ga, form.gb, form.L_coarse)
+    near = _near(form, v)
     got = dict(
         energy=form.energy(v),
-        far=far,
+        far=form.energy(v) - near,
         near=near,
-        near_coarse=nearc * form.sphere,
+        # the coarse near energy that seminorm's quadrature error estimate
+        # reads, taken here for every weight
+        near_coarse=_near(form, v, form.L_coarse),
         grad_w=float(form.grad(v) @ w.ravel()),
         bilinear=form.bilinear(v, w),
         ball=weighted_seminorm(f, tab, weight, lam=0.6),
@@ -386,15 +394,17 @@ def test_assembled_matrix_matches_family_sums(name, request):
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
 def test_full_parts_are_ball_parts_over_every_node(name, request):
     # the near sums come from the per-pair forms with or without a ball, so
-    # the ball that holds every node gives the same bits; the far part is
-    # the rest of the assembled energy
+    # the ball that holds every node gives the same bits; that ball is the
+    # assembled energy less the exterior forms, which only H holds
     g, tab, f = request.getfixturevalue(name)
     form = assemble(g, tab, 0.75, _FAMILY_SUMS[name]["weight"])
-    v = f.regular_values
-    far, near = form.parts(v)
-    _, near1 = form.parts(v, np.ones(g.shape[0] * g.shape[1]))
-    assert near == near1
-    assert far + near == pytest.approx(form.energy(v), rel=1e-13)
+    v = f.regular_values.ravel()
+    every = np.ones(v.size)
+    pairs = (form.maps, form.ga, form.gb, form.L)
+    assert energy._pair_sum(v, *pairs) == energy._pair_sum(v, *pairs, every)
+    ext_maps, X = energy._exterior_forms(*form._inputs)
+    ext = np.einsum("pa,pab,pb->", v[ext_maps], X, v[ext_maps]) * form.sphere
+    assert form.ball(v, every) + ext == pytest.approx(form.energy(v), rel=1e-13)
 
 
 def test_assembled_form_keeps_two_dense_matrices(setup4):
@@ -721,10 +731,11 @@ def _dense_near_blocks(g, params, sigma, wfn, orders):
 @pytest.mark.parametrize("weight", ["none", "gamma0", ("power", 1.0)], ids=str)
 @pytest.mark.parametrize("n", [3, 4])
 def test_factorised_near_forms_match_dense_rows(n, weight, orders):
-    # the near forms contract z first and then r with one product per pair;
-    # the dense rows hat_r (x) h_z and their einsum give the same forms up to
-    # rounding, block by block (interior and boundary pairs), within 2e-12 of
-    # the block's largest entry (up to 8.7e-13 seen on these grids)
+    # the near forms are a radial and a vertical factor per sample, joined
+    # by one product per pair; the dense rows hat_r (x) h_z and their einsum
+    # give the same forms up to rounding, block by block (interior and
+    # boundary pairs), within 2e-12 of the block's largest entry (up to
+    # 1.14e-12 seen on these grids)
     g = make_grid(n, 2.0, 7, 6, (1.5, 2.0))
     order = "curvature" if weight == "gamma0" else "energy"
     params = getattr(KernelParams, order)(n, 0.75)
@@ -1077,10 +1088,10 @@ def test_read_order_keeps_the_bits(name, request):
     v = f.regular_values
     sel = energy._ball_sel(assemble(g, tab, 0.75, weight), 0.6)
     ball_first = AssembledForm(g, tab, 0.75, weight)
-    got_b = (ball_first.parts(v, sel), ball_first.energy(v), ball_first.parts(v))
+    got_b = (ball_first.ball(v, sel), ball_first.energy(v))
     energy_first = AssembledForm(g, tab, 0.75, weight)
     e = energy_first.energy(v)
-    got_e = (energy_first.parts(v, sel), e, energy_first.parts(v))
+    got_e = (energy_first.ball(v, sel), e)
     assert got_b == got_e
     one, other = vars(ball_first), vars(energy_first)
     assert set(one) == set(other)
@@ -1091,21 +1102,65 @@ def test_read_order_keeps_the_bits(name, request):
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
 def test_totals_are_the_parts_totals(name, request):
-    # weighted_seminorm is far + near of parts() in each of its three modes,
-    # and _seminorm_total is seminorm's total without the coarse near forms
+    # weighted_seminorm is energy(), ball() and energy() - ball() in its
+    # three modes, and _seminorm_total is seminorm's total without the
+    # coarse near forms
     g, tab, f = request.getfixturevalue(name)
     weight = _FAMILY_SUMS[name]["weight"]
     form = assemble(g, tab, 0.75, weight)
     v = f.regular_values
-    (fa, na), (fb, nb) = form.parts(v), form.parts(v, energy._ball_sel(form, 0.6))
-    want = {
-        (None, False): fa + na,
-        (0.6, False): fb + nb,
-        (0.6, True): (fa - fb) + (na - nb),
-    }
+    e, b = form.energy(v), form.ball(v, energy._ball_sel(form, 0.6))
+    want = {(None, False): e, (0.6, False): b, (0.6, True): e - b}
     for (lam, ext), total in want.items():
         got = weighted_seminorm(f, tab, weight, lam=lam, exterior=ext)
         assert type(got) is float and got == total
     if weight == "none":
         for fld in (f, attach_tail_model(f)):
             assert energy._seminorm_total(fld, tab) == seminorm(fld, tab).total
+
+
+def _four_corner_mass(field, p):
+    """Reference for _interior_mass_grad: the cell-wise rule with the
+    interpolant written out one cell corner at a time, and the gradient
+    added into the four corners of each cell."""
+    grid = field.grid
+    vt = field.regular_values
+    q = energy._MASS_ORDER
+    ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
+    RQ, WR = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
+    fr = ((RQ - ra[:, None]) / (rb - ra)[:, None])[:, :, None, None]
+    za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
+    ap = (2 * field.sigma - 1) * p
+    ZQ, WZ = energy._z_rule(za, zb, np.zeros(za.size), ap, 0.0, q)
+    fz = ((ZQ - za[:, None]) / (zb - za)[:, None])[None, None]
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = (
+        (lo, lo, (1 - fr) * (1 - fz)),
+        (hi, lo, fr * (1 - fz)),
+        (lo, hi, (1 - fr) * fz),
+        (hi, hi, fr * fz),
+    )
+    vals = sum(vt[i, None, j, None] * w for i, j, w in corners)
+    W = WR[:, :, None, None] * WZ[None, None]
+    G = p * W * np.abs(vals) ** (p - 1) * np.sign(vals)
+    grad = np.zeros(grid.shape)
+    for i, j, w in corners:
+        grad[i, j] += np.sum(G * w, axis=(1, 3))
+    return float(np.sum(W * np.abs(vals) ** p)), grad
+
+
+@pytest.mark.parametrize("grading", [(1.0, 1.0), (2.0, 1.5)], ids=["uniform", "graded"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_mass_rule_matches_four_corners(n, grading):
+    # the mass and its gradient through the _hat rows of the quadrature
+    # points agree with the corner-by-corner rule up to rounding
+    g = make_grid(n, 6.0, 14, 12, grading)
+    f = synthesize_profile("interior-bubble", g, 0.75)
+    # a sign change, so that the gradient's sign factor takes both signs
+    f = f.with_values(f.regular_values - 0.2 * np.max(f.regular_values))
+    p = critical_p(n, 0.75)
+    mass, grad = energy._interior_mass_grad(f, p)
+    want_mass, want_grad = _four_corner_mass(f, p)
+    assert mass == energy._interior_mass(f, p)
+    assert abs(mass - want_mass) <= 1e-14 * want_mass
+    assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))

@@ -379,16 +379,15 @@ def _cap_batch(theta, lam, m, seed=3):
 def test_mc_batch_chunks_match_one_pass(envelope16, monkeypatch):
     m = 40000
     monkeypatch.setattr(expansion, "_MC_CHUNK", m)
-    sums, sq, bad = _cap_batch(envelope16, 2.0, m)
+    means, bad = _cap_batch(envelope16, 2.0, m)
     assert bad > 0
     # a chunk that does not divide m, the default chunk (< m) and one > m:
     # each sample keeps its bits, so only the order of the sums moves
     for chunk in (777, expansion._MC_CHUNK, 10 * m):
         monkeypatch.setattr(expansion, "_MC_CHUNK", chunk)
-        got_sums, got_sq, got_bad = _cap_batch(envelope16, 2.0, m)
+        got_means, got_bad = _cap_batch(envelope16, 2.0, m)
         assert got_bad == bad
-        assert np.allclose(got_sums, sums, rtol=1e-13, atol=0.0)
-        assert np.allclose(got_sq, sq, rtol=1e-13, atol=0.0)
+        assert np.allclose(got_means, means, rtol=1e-13, atol=0.0)
 
 
 def test_mc_batch_peak_memory(envelope16):

@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -49,6 +50,13 @@ def test_invalid_grading_rejected():
 @pytest.mark.parametrize("grading", [(np.nan, 2.0), (2.0, np.nan), (np.inf, 1.0)])
 def test_non_finite_grading_rejected(grading):
     with pytest.raises(InvalidGrading, match="finite"):
+        make_grid(4, 1.0, 8, 8, grading)
+
+
+@pytest.mark.parametrize("grading", [(2.0,), (2.0, 2.0, 2.0), 2.0], ids=repr)
+def test_grading_must_be_two_numbers(grading):
+    # these used to fail untyped, unpacking the grading into two exponents
+    with pytest.raises(InvalidGrading, match=re.escape(repr(grading))):
         make_grid(4, 1.0, 8, 8, grading)
 
 

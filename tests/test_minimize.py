@@ -185,8 +185,8 @@ def test_failed_line_search_is_not_converged(monkeypatch):
     g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
     trace = []
-    _, converged = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace)
-    assert converged is False
+    _, stop = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace)
+    assert stop == "line-search-failure"
     assert min(trace) == trace[0]  # no step was accepted
 
 
@@ -202,16 +202,14 @@ def test_failed_line_search_is_not_converged(monkeypatch):
 def test_stage_stop_reason(reason, patch, cfg, monkeypatch):
     # a loose quotient tolerance settles within the first window of steps, a
     # far too long step with one backtrack fails the first Armijo search,
-    # and three iterations reach the cap; only "tolerance" is converged
+    # and three iterations reach the cap
     for name, value in patch.items():
         monkeypatch.setattr(minimize, name, value)
     cfg = SolverConfig(schedule=(10,), R_max=20.0, **cfg)
     g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
-    trace, stops = [], []
-    _, converged = _descend_on_grid(_initial_field(g, cfg), tab, cfg, trace, stops)
-    assert stops == [reason]
-    assert converged is (reason == "tolerance")
+    _, stop = _descend_on_grid(_initial_field(g, cfg), tab, cfg, [])
+    assert stop == reason
 
 
 def test_stop_reasons_follow_the_stages(tmp_path, coarse_result):
