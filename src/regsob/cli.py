@@ -24,6 +24,7 @@ from .errors import ConfigError, InvalidParams, RegsobError
 from .expansion import (
     BoundaryGraph,
     MCConfig,
+    _checked_lams,
     bounds_check,
     cw_cutoff_check,
     verify_upper_bound,
@@ -31,6 +32,7 @@ from .expansion import (
 from .field import attach_tail_model, load_field, make_grid, synthesize_profile
 from .gamma0 import (
     Gamma0Report,
+    _checked_inputs,
     estimate_gamma0,
     interior_weighted_growth,
     tail_bound,
@@ -235,6 +237,7 @@ def cmd_gamma0(args):
     cfg = load_config(args.config)
     theta = load_field(args.theta)
     g = cfg["gamma0"]
+    _checked_inputs(theta, g["schedule"], g["grids"])
     man = Manifest("gamma0", cfg, [args.theta], args.out + ".manifest.json")
     rep = estimate_gamma0(
         theta,
@@ -270,6 +273,7 @@ def cmd_verify(args):
         max_rel_stderr=v["max_rel_stderr"],
         workers=_threads(cfg),
     )
+    _checked_lams(theta, rep, bg, v["lambda_schedule"])
     man = Manifest(
         "verify", cfg, [args.theta, args.gamma0], args.out + ".manifest.json"
     )

@@ -9,14 +9,14 @@ Each family yields local quadratic forms in the nodal regular factor, built
 from rows of one helper, _hat, which places a point's two bilinear weights
 per axis on the slots of the family's node patch (3 nodes per axis for the
 box moments and the mid ring, 4 for the near forms, 2 for the exterior
-forms); the critical-mass rule takes its rows over all nodes of an axis.
-The near forms are
-sum-factorised: the kernel and every pair weight see the vertical
-coordinates only through z_x - z_y, which is fixed in each sample of the
-relative coordinates, so each (pair, sample) has a radial factor (the r
-hats against the kernel and weight) and a vertical factor (the z hats
-against the z weights), 4 x 4 per side pair each, and their product is
-one batched product per chunk of pairs over every sample and side pair.
+forms); the critical-mass rule, built once per grid by _mass_rule, takes
+its rows over all nodes of an axis.  The near forms are sum-factorised:
+the kernel and every pair weight see the vertical coordinates only through
+z_x - z_y, which is fixed in each sample of the relative coordinates, so
+each (pair, sample) has a radial factor (the r hats against the kernel and
+weight) and a vertical factor (the z hats against the z weights), 4 x 4 per
+side pair each, and their product is one batched product per chunk of
+pairs over every sample and side pair.
 The quadrature rules are defined once each: kernel.gauss_nodes gives every
 Gauss-Legendre rule on intervals, _box_pairs enumerates the near and
 mid-ring box pairs, field.cell_of locates the cell under a point, and
@@ -1004,43 +1004,31 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     return form.energy(vt) - ball if exterior else ball
 
 
-def _mass_rule(field, p):
-    """Cell-wise tensor Gauss rule for |u|^p on the bilinear interpolant of
-    the regular factor: returns (wr, wz, Br, Bz), the r and z weights over
-    the quadrature points, cell by cell, with the z^((2*sigma-1)*p)
-    boundary factor folded into wz by _z_rule (Jacobi in the first z cell),
-    and the _hat rows of those points over all nodes of each axis, so that
-    the interpolant there is Br @ vt @ Bz.T."""
-    grid = field.grid
-    q = _MASS_ORDER
+def _mass_rule(grid, sigma, p):
+    """Critical-mass rule of grid, built once: (mass, mass_grad), mass(vt)
+    the integral of |u|^p over the truncation box and mass_grad(vt) that
+    mass with its exact gradient in vt.  Cell-wise tensor Gauss on the
+    interpolant Br @ vt @ Bz.T (the _hat rows of the points over each axis's
+    nodes), the z^((2*sigma-1)*p) factor in wz by _z_rule (Jacobi, cell 0)."""
     ra, rb = grid.r_nodes[:-1], grid.r_nodes[1:]
-    rq, wr = gauss_nodes(ra, rb - ra, q, power=grid.n - 2)
+    rq, wr = gauss_nodes(ra, rb - ra, _MASS_ORDER, power=grid.n - 2)
     za, zb = grid.z_nodes[:-1], grid.z_nodes[1:]
-    ap = (2 * field.sigma - 1) * p
-    zq, wz = _z_rule(za, zb, np.zeros(za.size), ap, 0.0, q)
+    zq, wz = _z_rule(za, zb, np.zeros(za.size), (2 * sigma - 1) * p, 0.0, _MASS_ORDER)
+    wr, wz = wr.ravel(), wz.ravel()
     Br, Bz = (
         _hat(*cell_of(nodes, x.ravel()), nodes.size)
         for nodes, x in ((grid.r_nodes, rq), (grid.z_nodes, zq))
     )
-    return wr.ravel(), wz.ravel(), Br, Bz
 
+    def mass(vt):
+        return float(wr @ np.abs(Br @ vt @ Bz.T) ** p @ wz)
 
-def _interior_mass(field, p):
-    """Integral of |u|^p over the truncation box, cell-wise tensor Gauss on
-    the interpolant with the z^((2*sigma-1)*p) boundary factor integrated by
-    a Jacobi rule in the first z cell."""
-    wr, wz, Br, Bz = _mass_rule(field, p)
-    return float(wr @ np.abs(Br @ field.regular_values @ Bz.T) ** p @ wz)
+    def mass_grad(vt):
+        vals = Br @ vt @ Bz.T
+        G = p * wr[:, None] * wz * np.abs(vals) ** (p - 1) * np.sign(vals)
+        return float(wr @ np.abs(vals) ** p @ wz), Br.T @ G @ Bz
 
-
-def _interior_mass_grad(field, p):
-    """(_interior_mass, its exact gradient in the node values), from one
-    quadrature."""
-    wr, wz, Br, Bz = _mass_rule(field, p)
-    vals = Br @ field.regular_values @ Bz.T
-    mass = float(wr @ np.abs(vals) ** p @ wz)
-    G = p * wr[:, None] * wz * np.abs(vals) ** (p - 1) * np.sign(vals)
-    return mass, Br.T @ G @ Bz
+    return mass, mass_grad
 
 
 def _exterior_mass(field, p):
@@ -1057,11 +1045,11 @@ def _exterior_mass(field, p):
 
 
 def lp_norm(field, p):
-    """L^p norm of u over the half-space, including the angular factor."""
+    """L^p norm of u over the half-space, angular factor and any tail included."""
     if not 0 < p < np.inf:
         raise InvalidParams(f"p must be finite and > 0, got {p}")
     grid = field.grid
-    mass = _interior_mass(field, p)
+    mass = _mass_rule(grid, field.sigma, p)[0](field.regular_values)
     if field.tail is not None:
         mass += _exterior_mass(field, p)
     return (sphere_surface(grid.n - 2) * mass) ** (1.0 / p)
@@ -1079,7 +1067,7 @@ def rayleigh_quotient(field, table):
     return _seminorm_total(field, table) / den ** 2
 
 
-def _test_bank(grid, sigma):
+def _test_bank(grid):
     """Fixed bank of regular-factor blobs at three dyadic scales.
 
     Scales run from a third of the domain down to R_max/30 so the bank
@@ -1105,21 +1093,20 @@ def _test_bank(grid, sigma):
 def el_residual(field, table):
     """Sup over a test bank of the weak-form defect, normalized by the
     energy norms of both the test function and the field itself, so the
-    result is dimensionless and dilation invariant."""
+    result is dimensionless and dilation invariant.  The mass and its
+    variation are mass_grad of _mass_rule, the quadrature of the norm."""
     grid = field.grid
     form = assemble(grid, table, field.sigma)
     if not np.any(field.regular_values):
         return 0.0
     p = critical_p(grid.n, field.sigma)
     e_u = form.energy(field.regular_values)
-    # mass and its variation use the same cell-wise Gauss quadrature as the
-    # norm itself, so a discrete critical point has a small defect
-    mass, gmass = _interior_mass_grad(field, p)
+    mass, gmass = _mass_rule(grid, field.sigma, p)[1](field.regular_values)
     if mass <= 0:
         return 0.0
     mu = e_u / (sphere_surface(grid.n - 2) * mass)
     worst = 0.0
-    for phi in _test_bank(grid, field.sigma):
+    for phi in _test_bank(grid):
         a_up = form.bilinear(field.regular_values, phi)
         rhs = mu * sphere_surface(grid.n - 2) / p * float(np.vdot(gmass, phi))
         norm = np.sqrt(max(form.energy(phi), 1e-300))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     UnknownKind,
 )
 from .field import eval_u
-from .kernel import KernelParams, build_kernel_table
+from .kernel import KernelParams, build_kernel_table, is_integer
 
 __all__ = [
     "BoundaryGraph",
@@ -458,7 +457,7 @@ class MCConfig:
             ("batches", 2), ("samples_per_batch", 100), ("seed", 0), ("workers", 1)
         ):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            if not is_integer(v, low):
                 raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
         if not 0 < self.max_rel_stderr < np.inf:
             raise InvalidParams(
@@ -606,24 +605,12 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
     return sums / m, taylor_bad
 
 
-def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
-    """Monte Carlo check of the curved-domain upper bound over a lambda scan.
-
-    For each lambda the sheared-domain quotient of the cutoff test function
-    is estimated by importance-sampled pair sampling and compared against
-    the flat quotient minus the curvature correction plus the measured
-    F-term; one verdict per scale.  The schedule must not be empty and
-    every lambda must be finite and > 0, which is checked before any table
-    is built.  The batches of every lambda run as one list through
-    energy._run on cfg.workers threads; each batch depends only on its seed
-    and the batches are averaged in seed order, so the verdicts are the
-    same for any worker count."""
+def _checked_lams(theta, gamma0_report, bg, lam_schedule):
+    """verify_upper_bound's lambdas as floats, after its checks that need no table."""
     if gamma0_report is None:
         raise MissingGamma0("verification needs a Gamma0 report")
-    cfg = mc_config or MCConfig()
-    n, sigma = bg.n, theta.sigma
-    if theta.grid.n != n:
-        raise InvalidParams(f"field dimension {theta.grid.n} vs graph {n}")
+    if theta.grid.n != bg.n:
+        raise InvalidParams(f"field dimension {theta.grid.n} vs graph {bg.n}")
     if bg.R0 < 3.0:
         raise InvalidParams("chart must contain the cutoff support ball B_3")
     lams = [float(lam) for lam in lam_schedule]
@@ -631,6 +618,24 @@ def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
         raise InvalidParams("lambda schedule must list at least one lambda")
     for lam in lams:
         _check_lam(lam)
+    return lams
+
+
+def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):
+    """Monte Carlo check of the curved-domain upper bound over a lambda scan.
+
+    For each lambda the sheared-domain quotient of the cutoff test function
+    is estimated by importance-sampled pair sampling and compared against
+    the flat quotient minus the curvature correction plus the measured
+    F-term; one verdict per scale.  The schedule must not be empty and
+    every lambda must be finite and > 0, which _checked_lams checks before
+    any table is built.  The batches of every lambda run as one list through
+    energy._run on cfg.workers threads; each batch depends only on its seed
+    and the batches are averaged in seed order, so the verdicts are the
+    same for any worker count."""
+    lams = _checked_lams(theta, gamma0_report, bg, lam_schedule)
+    cfg = mc_config or MCConfig()
+    n, sigma = bg.n, theta.sigma
     p = critical_p(n, sigma)
     ref = _reference(theta)
     tab_curv = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))

@@ -15,6 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from . import io_container
 from .errors import GridMismatch, InvalidGrading, InvalidParams, UnknownKind
+from .kernel import check_dimension, is_integer
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,8 @@ def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
     unless n is an integer >= 2, N_r and N_z are integers >= 4, R_max is
     finite and > 0 and grading holds exactly two exponents, each finite and
     >= 1."""
-
-    def integer(k, least):
-        return (
-            isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
-        )
-
-    if not integer(n, 2):
-        raise InvalidParams(f"dimension n must be an integer >= 2, got {n!r}")
-    if not (integer(N_r, 4) and integer(N_z, 4)):
+    check_dimension(n)
+    if not (is_integer(N_r, 4) and is_integer(N_z, 4)):
         raise InvalidParams(
             f"need an integer number >= 4 of cells per axis, got {N_r!r}x{N_z!r}"
         )

@@ -17,7 +17,7 @@ import numpy as np
 from .energy import _check_lam, weighted_seminorm
 from .errors import InsufficientConvergence, InvalidGamma, InvalidParams
 from .field import make_grid, resample
-from .kernel import KernelParams, build_kernel_table
+from .kernel import KernelParams, build_kernel_table, is_integer
 
 __all__ = [
     "Gamma0Report",
@@ -90,20 +90,9 @@ def _lambda_fit(lams, vals, sigma):
     return float(coef[0]), float(-coef[1])
 
 
-def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
-    """Truncated weighted pair sums on each (grid, lambda), extrapolated.
-
-    The schedule must hold at least 2 truncation radii, finite, > 0 and
-    strictly increasing, and the grids must be integers >= 4 and strictly
-    increase, which is checked before any table is built.  The grids default
-    to (max(8, 2N/3), N) for theta's N, so a theta with N <= 8 needs them
-    given.  The truncation remainder is fitted against the proven
-    lambda^(1-2*sigma) tail scaling; the grid error is a two-level
-    difference of the lambda-extrapolated values.  The verdict claims a
-    sign only when the value clears the combined budget.
-    """
+def _checked_inputs(theta, schedule, grids):
+    """estimate_gamma0's radii and grid sizes, defaults filled in, checked."""
     g = theta.grid
-    sigma = theta.sigma
     if schedule is None:
         schedule = tuple(g.R_max * np.array([0.3, 0.45, 0.65, 0.95]))
     schedule = tuple(float(l) for l in schedule)
@@ -117,26 +106,38 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
             "need at least 2 truncation radii, finite, > 0 and strictly "
             f"increasing, got {schedule}"
         )
+    where = ""
     if grids is None:
         N0 = g.r_nodes.size - 1
         grids = (max(8, (2 * N0) // 3), N0)
         where = f" (the default for theta's N = {N0})"
-    else:
-        where = ""
     grids = tuple(grids)
-    if not all(
-        isinstance(N, numbers.Integral) and not isinstance(N, bool) and N >= 4
-        for N in grids
-    ):
+    if not all(is_integer(N, 4) for N in grids):
         raise InvalidGamma(f"grid sizes must be integers >= 4, got {grids}{where}")
     if any(a >= b for a, b in zip(grids, grids[1:])):
         raise InvalidGamma(f"grids must strictly increase, got {grids}{where}")
+    return schedule, grids
 
+
+def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
+    """Truncated weighted pair sums on each (grid, lambda), extrapolated.
+
+    The schedule must hold at least 2 truncation radii, finite, > 0 and
+    strictly increasing, and the grids must be integers >= 4 and strictly
+    increase, which _checked_inputs checks before any table is built.  The
+    grids default to (max(8, 2N/3), N) for theta's N, so a theta with
+    N <= 8 needs them given.  The truncation remainder is fitted against
+    the proven lambda^(1-2*sigma) tail scaling; the grid error is a
+    two-level difference of the lambda-extrapolated values.  The verdict
+    claims a sign only when the value clears the combined budget.
+    """
+    n, sigma = theta.grid.n, theta.sigma
+    schedule, grids = _checked_inputs(theta, schedule, grids)
     per_grid = []
     finest = None
     for N in grids:
         fld = _on_grid(theta, N)
-        tab = build_kernel_table(fld.grid, KernelParams.curvature(g.n, sigma))
+        tab = build_kernel_table(fld.grid, KernelParams.curvature(n, sigma))
         vals = [weighted_seminorm(fld, tab, "gamma0", lam=l) for l in schedule]
         per_grid.append(_lambda_fit(schedule, vals, sigma))
         finest = (fld, vals)
@@ -150,7 +151,7 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     # gamma = 1 exterior bound at the largest lambda, with its constant
     # calibrated on the resolved part of the schedule
     fld, vals = finest
-    etab = build_kernel_table(fld.grid, KernelParams.energy(g.n, sigma))
+    etab = build_kernel_table(fld.grid, KernelParams.energy(n, sigma))
     bounds = [tail_bound(fld, l, 1.0, table=etab) for l in schedule]
     remainders = [abs(value - v) for v in vals]
     ratios = [

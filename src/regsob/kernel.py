@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,18 @@ def gauss_nodes(lo, width, q, power=0):
     return x, w
 
 
+def is_integer(k, least):
+    """True for an integer (numbers.Integral, not a bool) k >= least."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
+
+
+def check_dimension(n):
+    """n, unless it is not an integer >= 2 (InvalidParams naming n)."""
+    if not is_integer(n, 2):
+        raise InvalidParams(f"dimension n must be an integer >= 2, got {n!r}")
+    return n
+
+
 def sphere_surface(d):
     """Surface measure of the unit sphere S^d in R^(d+1)."""
     if d < 0:
@@ -81,8 +94,7 @@ class KernelParams:
     p: float
 
     def __post_init__(self):
-        if self.n < 2 or int(self.n) != self.n:
-            raise InvalidParams(f"n must be an integer >= 2, got {self.n}")
+        check_dimension(self.n)
         if not (0.5 < self.sigma < 1.0):
             raise InvalidParams(f"sigma must lie in (1/2, 1), got {self.sigma}")
         allowed = (self.n + 2 * self.sigma, self.n + 2 * self.sigma + 2)
@@ -93,11 +105,11 @@ class KernelParams:
 
     @classmethod
     def energy(cls, n, sigma):
-        return cls(n, sigma, n + 2 * sigma)
+        return cls(n, sigma, check_dimension(n) + 2 * sigma)
 
     @classmethod
     def curvature(cls, n, sigma):
-        return cls(n, sigma, n + 2 * sigma + 2)
+        return cls(n, sigma, check_dimension(n) + 2 * sigma + 2)
 
     @property
     def is_energy(self):

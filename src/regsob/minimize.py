@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energy import (
-    _interior_mass_grad,
+    _mass_rule,
     assemble,
     critical_p,
     el_residual,
@@ -35,7 +34,7 @@ from .field import (
     synthesize_profile,
 )
 from .io_container import write_atomic
-from .kernel import KernelParams, build_kernel_table, sphere_surface
+from .kernel import KernelParams, build_kernel_table, is_integer, sphere_surface
 from .rearrange import rearrange_sharp
 
 __all__ = [
@@ -75,7 +74,7 @@ class SolverConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("tol_quotient", "tol_residual", "R_max"):
+        for name in ("tol_quotient", "tol_residual"):
             x = getattr(self, name)
             if not 0 < x < np.inf:
                 raise InvalidParams(f"{name} must be finite and > 0, got {x!r}")
@@ -84,14 +83,17 @@ class SolverConfig:
                 f"init_noise must be finite and >= 0, got {self.init_noise!r}"
             )
         m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        if not is_integer(m, 1):
             raise InvalidParams(f"max_iters must be an integer >= 1, got {m!r}")
         if not self.schedule:
             raise InvalidParams("grid schedule must name at least one grid")
+        for N in self.schedule:
+            make_grid(self.n, self.R_max, N, N, self.grading)
         if list(self.schedule) != sorted(self.schedule):
             raise InvalidParams(
                 f"grid schedule must be coarse to fine, got {self.schedule}"
             )
+        KernelParams.energy(self.n, self.sigma)
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -136,33 +138,45 @@ class MinimizerResult:
     config: SolverConfig
 
 
-def _normalized(base, values, p):
-    m = lp_norm(base.with_values(values), p)
-    if m <= 0:
-        raise DivergentStep("iterate collapsed to the zero field")
-    return values / m
-
-
 def _descend_on_grid(fld, table, cfg, trace):
     """Projected gradient descent at fixed grid; returns (field, stop), stop
     being why the stage stopped: "tolerance" (the quotient settled; the one
     converged stop), "line-search-failure" (no Armijo step was accepted) or
-    "max-iters" (the iteration cap)."""
+    "max-iters" (the iteration cap).  Its norm (sph * mass(v)) ** (1/p), from a
+    mass rule built once beside the form, is lp_norm's: a stage's field has no
+    tail (solve_halfspace attaches it after the last stage).  A rearrangement is
+    kept within a slack of Q: 1e-12 every REARRANGE_EVERY iterations, 1e-10 last."""
     grid = fld.grid
     p = critical_p(grid.n, cfg.sigma)
     form = assemble(grid, table, cfg.sigma)
+    mass, mass_grad = _mass_rule(grid, cfg.sigma, p)
     sph = sphere_surface(grid.n - 2)
 
+    def norm(v):
+        return (sph * mass(v)) ** (1.0 / p)
+
+    def normalized(v):
+        m = norm(v)
+        if m <= 0:
+            raise DivergentStep("iterate collapsed to the zero field")
+        return v / m
+
     def quotient(v):
-        return form.energy(v) / lp_norm(fld.with_values(v), p) ** 2
+        return form.energy(v) / norm(v) ** 2
 
     def norm2_grad(v):
-        # gradient of lp_norm^2, consistent with the quadrature in lp_norm
-        mass, gmass = _interior_mass_grad(fld.with_values(v), p)
-        mass = sph * mass
-        return (2.0 / p) * mass ** (2.0 / p - 1.0) * sph * gmass
+        m, gmass = mass_grad(v)
+        return (2.0 / p) * (sph * m) ** (2.0 / p - 1.0) * sph * gmass
 
-    v = _normalized(fld, np.clip(fld.regular_values, 0.0, None), p)
+    def rearranged(v, Q, slack):
+        vr = normalized(rearrange_sharp(fld.with_values(v)).regular_values)
+        Qr = quotient(vr)
+        if Qr <= Q * (1 + slack):
+            v, Q = vr, min(Qr, Q)
+            trace.append(Q)
+        return v, Q
+
+    v = normalized(np.clip(fld.regular_values, 0.0, None))
     Q = quotient(v)
     if not np.isfinite(Q):
         raise DivergentStep("non-finite quotient at initialization")
@@ -172,31 +186,25 @@ def _descend_on_grid(fld, table, cfg, trace):
     stop = "max-iters"
     for it in range(cfg.max_iters):
         if it > 0 and it % REARRANGE_EVERY == 0:
-            vr = _normalized(fld, rearrange_sharp(fld.with_values(v)).regular_values, p)
-            Qr = quotient(vr)
-            if Qr <= Q * (1 + 1e-12):
-                v, Q = vr, min(Qr, Q)
-                trace.append(Q)
+            v, Q = rearranged(v, Q, 1e-12)
         g = form.grad(v).reshape(grid.shape)
         d = g - Q * norm2_grad(v)
         scale = np.max(np.abs(v)) / max(np.max(np.abs(d)), 1e-300)
-        accepted = False
         t = tau
         for _ in range(MAX_BACKTRACKS):
             cand = np.clip(v - t * scale * d, 0.0, None)
             if not np.any(cand):
                 t *= BACKTRACK
                 continue
-            cand = _normalized(fld, cand, p)
+            cand = normalized(cand)
             Qc = quotient(cand)
             if not np.isfinite(Qc):
                 raise DivergentStep("non-finite quotient during line search")
             if Qc <= Q:
                 v, Q = cand, Qc
-                accepted = True
                 break
             t *= BACKTRACK
-        if not accepted:
+        else:
             stop = "line-search-failure"
             break
         trace.append(Q)
@@ -207,17 +215,8 @@ def _descend_on_grid(fld, table, cfg, trace):
             if window[0] - window[-1] <= cfg.tol_quotient * abs(window[-1]):
                 stop = "tolerance"
                 break
-    return _final_rearrange(fld, v, Q, quotient, trace, p), stop
-
-
-def _final_rearrange(fld, v, Q, quotient, trace, p):
-    """Leave each stage with a slice-wise nonincreasing iterate."""
-    vr = _normalized(fld, rearrange_sharp(fld.with_values(v)).regular_values, p)
-    Qr = quotient(vr)
-    if Qr <= Q * (1 + 1e-10):
-        trace.append(min(Qr, Q))
-        return fld.with_values(vr)
-    return fld.with_values(v)
+    v, _ = rearranged(v, Q, 1e-10)
+    return fld.with_values(v), stop
 
 
 def _initial_field(grid, cfg):
@@ -263,7 +262,6 @@ def solve_halfspace(config=None, **kw):
     breaks = []
     stops = []
     fld = None
-    table = None
     for N in cfg.schedule:
         grid = make_grid(cfg.n, cfg.R_max, N, N, cfg.grading)
         table = build_kernel_table(grid, KernelParams.energy(cfg.n, cfg.sigma))
@@ -274,9 +272,7 @@ def solve_halfspace(config=None, **kw):
         breaks.append(len(trace))
         fld, stop = _descend_on_grid(fld, table, cfg, trace)
         stops.append(stop)
-    quotients = tuple(
-        trace[b - 1] if b > 0 else np.nan for b in breaks[1:]
-    ) + (trace[-1],)
+    quotients = tuple(trace[b - 1] for b in breaks[1:]) + (trace[-1],)
     fld = attach_tail_model(fld)
     s_est = rayleigh_quotient(fld, table)
     resid = el_residual(fld, table)

@@ -171,6 +171,25 @@ def test_solver_grading_checked(tmp_path, capsys):
     assert "grading must hold exactly two numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver, error",
+    [
+        ({"grading": [2.0, 2.0, 2.0]}, "InvalidGrading"),
+        ({"schedule": [3]}, "InvalidParams"),
+        ({"sigma": 0.3}, "InvalidParams"),
+        ({"n": 1}, "InvalidParams"),
+    ],
+    ids=["grading", "schedule", "sigma", "n"],
+)
+def test_solve_rejected_config_leaves_no_manifest(solver, error, tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"solver": solver}))
+    out = tmp_path / "t"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]
+
+
 def test_kernel_table_order_checked(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"kernel_table": {"order": "energi"}}))
@@ -279,6 +298,7 @@ def test_verify_empty_schedule_exits_1(tmp_path, small_theta, capsys):
     config = {"verify": {"lambda_schedule": []}}
     assert _verify_with_config(tmp_path, small_theta, config) == 1
     assert "InvalidParams" in capsys.readouterr().err
+    assert not (tmp_path / "v.manifest.json").exists()
 
 
 def test_gamma0_empty_schedule_exits_1(tmp_path, small_theta, capsys):
@@ -288,6 +308,7 @@ def test_gamma0_empty_schedule_exits_1(tmp_path, small_theta, capsys):
     argv = ["gamma0", "--theta", small_theta, "--config", str(cfg), "--out", out]
     assert main(argv) == 1
     assert "InvalidGamma" in capsys.readouterr().err
+    assert not (tmp_path / "g0.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize(

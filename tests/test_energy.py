@@ -47,6 +47,7 @@ from regsob.kernel import (
     kernel_values,
     load_table,
     save_table,
+    sphere_surface,
 )
 
 
@@ -1120,7 +1121,7 @@ def test_totals_are_the_parts_totals(name, request):
 
 
 def _four_corner_mass(field, p):
-    """Reference for _interior_mass_grad: the cell-wise rule with the
+    """Reference for the mass rule's mass_grad: the cell-wise rule with the
     interpolant written out one cell corner at a time, and the gradient
     added into the four corners of each cell."""
     grid = field.grid
@@ -1159,8 +1160,25 @@ def test_mass_rule_matches_four_corners(n, grading):
     # a sign change, so that the gradient's sign factor takes both signs
     f = f.with_values(f.regular_values - 0.2 * np.max(f.regular_values))
     p = critical_p(n, 0.75)
-    mass, grad = energy._interior_mass_grad(f, p)
+    mass_of, mass_grad = energy._mass_rule(g, 0.75, p)
+    mass, grad = mass_grad(f.regular_values)
     want_mass, want_grad = _four_corner_mass(f, p)
-    assert mass == energy._interior_mass(f, p)
+    assert mass == mass_of(f.regular_values)
     assert abs(mass - want_mass) <= 1e-14 * want_mass
     assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mass_rule_is_the_norm_of_a_field_without_tail(n):
+    # the descent's norm, (sph * mass(vt)) ** (1/p) from one rule per grid,
+    # is lp_norm bit for bit for a field with no tail, and mass_grad's mass
+    # is mass's; a rule built once serves any values on its grid
+    g = make_grid(n, 8.0, 12, 12)
+    f = synthesize_profile("interior-bubble", g, 0.75)
+    p = critical_p(n, 0.75)
+    mass, mass_grad = energy._mass_rule(g, 0.75, p)
+    sph = sphere_surface(n - 2)
+    rng = np.random.default_rng(n)
+    for vt in (f.regular_values, rng.uniform(0.0, 1.0, g.shape)):
+        assert (sph * mass(vt)) ** (1.0 / p) == lp_norm(f.with_values(vt), p)
+        assert mass_grad(vt)[0] == mass(vt)

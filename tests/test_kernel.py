@@ -39,6 +39,11 @@ def test_params_validation():
         KernelParams(4, 0.4, 4.8)
     with pytest.raises(InvalidParams):
         KernelParams(4, 0.75, 5.0)
+    # a dimension that is not an integer >= 2 is named, whatever its type
+    for n in (float("nan"), float("inf"), "4", 4.0, True, 1):
+        with pytest.raises(InvalidParams, match="n must be an integer >= 2"):
+            KernelParams.energy(n, 0.75)
+    assert KernelParams.energy(np.int64(4), 0.75).n == 4
     assert KernelParams.energy(4, 0.75).p == pytest.approx(5.5)
     assert KernelParams.curvature(4, 0.75).p == pytest.approx(7.5)
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from regsob import minimize
-from regsob.energy import critical_p, lp_norm, rayleigh_quotient
-from regsob.errors import InvalidParams
+from regsob import energy, minimize
+from regsob.energy import AssembledForm, critical_p, lp_norm, rayleigh_quotient
+from regsob.errors import DivergentStep, InvalidGrading, InvalidParams
 from regsob.field import (
     TailModel,
     attach_tail_model,
@@ -52,6 +52,27 @@ def test_config_validation():
         for x in values:
             with pytest.raises(InvalidParams, match=field):
                 SolverConfig(**{field: x})
+
+
+@pytest.mark.parametrize(
+    "kw, error, match",
+    [
+        (dict(grading=(2.0, 2.0, 2.0)), InvalidGrading, "exactly two numbers"),
+        (dict(grading=(2.0, 0.5)), InvalidGrading, "finite and >= 1"),
+        (dict(schedule=(3,)), InvalidParams, ">= 4 of cells"),
+        (dict(schedule=(8, 10.5)), InvalidParams, ">= 4 of cells"),
+        (dict(sigma=0.3), InvalidParams, "sigma must lie in"),
+        (dict(n=1), InvalidParams, "dimension n must be an integer"),
+        (dict(n=4.0), InvalidParams, "dimension n must be an integer"),
+    ],
+    ids=["grading-three", "grading-low", "schedule-3", "schedule-float", "sigma",
+         "n-1", "n-float"],
+)
+def test_config_checks_each_grid_and_the_kernel(kw, error, match):
+    # every scheduled grid and the energy kernel are checked when the
+    # config is made, by make_grid and KernelParams themselves
+    with pytest.raises(error, match=match):
+        SolverConfig(**kw)
 
 
 def test_config_digest_deterministic():
@@ -210,6 +231,40 @@ def test_stage_stop_reason(reason, patch, cfg, monkeypatch):
     tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
     _, stop = _descend_on_grid(_initial_field(g, cfg), tab, cfg, [])
     assert stop == reason
+
+
+def _stage_inputs():
+    cfg = SolverConfig(schedule=(10,), R_max=20.0, max_iters=12)
+    g = make_grid(4, 20.0, 10, 10, (2.0, 2.0))
+    tab = build_kernel_table(g, KernelParams.energy(4, 0.75))
+    return _initial_field(g, cfg), tab, cfg
+
+
+def test_stage_builds_its_mass_rule_once(monkeypatch):
+    # every norm, normalization and norm gradient of a stage, the
+    # rearrangements included, reads one rule built beside the form
+    fld, tab, cfg = _stage_inputs()
+    real = energy._mass_rule
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(energy, "_mass_rule", counted)
+    monkeypatch.setattr(minimize, "_mass_rule", counted, raising=False)
+    trace = []
+    _descend_on_grid(fld, tab, cfg, trace)
+    assert len(trace) > 12  # the steps, a rearrangement and the final one
+    assert len(builds) == 1
+
+
+def test_non_finite_search_direction_is_a_divergent_step(monkeypatch):
+    # the solver's own failure, not a complaint about its input field
+    fld, tab, cfg = _stage_inputs()
+    monkeypatch.setattr(AssembledForm, "grad", lambda self, v: np.full(v.size, np.nan))
+    with pytest.raises(DivergentStep):
+        _descend_on_grid(fld, tab, cfg, [])
 
 
 def test_stop_reasons_follow_the_stages(tmp_path, coarse_result):

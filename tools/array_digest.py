@@ -9,7 +9,9 @@ and near-diagonal mask of four kernel tables (among them the n=3 N=24
 table the `tables_n3` benchmark workload builds), and of a set of scalar
 outputs (norms, seminorms, ball sums, the slice interaction, the
 Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
-batch: its means and Taylor count), and of the file that
+batch: its means and Taylor count), of one small solve through the public
+solver API (its trace, theta, s_estimate, el_residual and stop reasons),
+and of the file that
 `regsob kernel-table` writes for the `tables_n3` workload's config (n=3,
 sigma 0.75, N=24), run in a temporary directory with REGSOB_CACHE_DIR
 unset so that no checkout loads a cached table.  Two checkouts whose
@@ -92,7 +94,13 @@ def _outputs(out):
     tab = build_kernel_table(grid, KernelParams.energy(4, sigma))
     p = energy.critical_p(4, sigma)
     out["lp_norm"] = energy.lp_norm(fld, p).hex()
-    mass, grad = energy._interior_mass_grad(fld, p)
+    if hasattr(energy, "_interior_mass_grad"):
+        # older checkouts, whose _mass_rule(field, p) returns bare weights
+        mass = energy._interior_mass(fld, p)
+        grad = energy._interior_mass_grad(fld, p)[1]
+    else:
+        rule = energy._mass_rule(grid, sigma, p)
+        mass, grad = rule[0](fld.regular_values), rule[1](fld.regular_values)[1]
     out["mass"] = mass.hex()
     out["mass_grad"] = _digest(grad)
     pts = np.linspace(0.0, 30.0, 41)
@@ -132,6 +140,20 @@ def _outputs(out):
             out[f"kernel_values.n{n}.{order}"] = _digest(kernel_values(r, s, t, params))
 
 
+def _solve(out):
+    from regsob.minimize import SolverConfig, solve_halfspace
+
+    cfg = SolverConfig(
+        schedule=(10, 12), max_iters=40, init="interior-bubble", init_noise=0.05, seed=3
+    )
+    res = solve_halfspace(cfg)
+    out["solve.trace"] = _digest(res.trace)
+    out["solve.theta"] = _digest(res.theta.regular_values)
+    out["solve.s_estimate"] = res.s_estimate.hex()
+    out["solve.el_residual"] = res.el_residual.hex()
+    out["solve.stop_reasons"] = list(res.stop_reasons)
+
+
 def _cli(out):
     from regsob import cli
 
@@ -155,6 +177,7 @@ def main(argv):
     _forms(out)
     _tables(out)
     _outputs(out)
+    _solve(out)
     _cli(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
