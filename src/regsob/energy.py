@@ -52,7 +52,6 @@ families are read.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +68,7 @@ from .errors import (
 )
 from .field import cell_of, eval_u
 from .kernel import (
+    check_real,
     gauss_nodes,
     gauss_rule,
     grid_signature,
@@ -109,10 +109,8 @@ def _weight(spec):
     if spec == "gamma0":
         return "gamma0", lambda rx, ry, t: t * (rx ** 2 - ry ** 2), False
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "power":
-        g = spec[1]
-        if isinstance(g, numbers.Real) and not isinstance(g, bool) and 0 <= g < np.inf:
-            g = float(g)
-            return ("power", g), lambda rx, ry, t: (rx**2 + ry**2) ** (g / 2), True
+        g = float(check_real(spec[1], f"power weight gamma of {spec!r}", ge=0))
+        return ("power", g), lambda rx, ry, t: (rx**2 + ry**2) ** (g / 2), True
     raise InvalidParams(
         f'weight must be "none", "gamma0" or ("power", gamma >= 0), got {spec!r}'
     )
@@ -974,12 +972,6 @@ def _tail(field, params):
     return 0.0 if field.tail is None else _tail_energy(field, params)
 
 
-def _check_lam(lam):
-    """Raise unless the ball radius lam is a finite real number > 0."""
-    if not (isinstance(lam, numbers.Real) and 0 < lam < np.inf):
-        raise InvalidParams(f"lam must be finite and > 0, got {lam}")
-
-
 def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     """Energy with a pair weight; optional truncation to B_lambda pairs.
 
@@ -993,7 +985,7 @@ def weighted_seminorm(field, table, weight, lam=None, exterior=False):
     seminorm's.
     """
     if lam is not None:
-        _check_lam(lam)
+        check_real(lam, "lam", gt=0)
     elif exterior:
         raise InvalidParams("exterior=True needs lam")
     form = assemble(field.grid, table, field.sigma, weight)
@@ -1046,8 +1038,7 @@ def _exterior_mass(field, p):
 
 def lp_norm(field, p):
     """L^p norm of u over the half-space, angular factor and any tail included."""
-    if not 0 < p < np.inf:
-        raise InvalidParams(f"p must be finite and > 0, got {p}")
+    check_real(p, "p", gt=0)
     grid = field.grid
     mass = _mass_rule(grid, field.sigma, p)[0](field.regular_values)
     if field.tail is not None:

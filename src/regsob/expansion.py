@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (
-    _check_lam,
     _run,
     _seminorm_total,
     critical_p,
@@ -33,7 +32,7 @@ from .errors import (
     UnknownKind,
 )
 from .field import eval_u
-from .kernel import KernelParams, build_kernel_table, is_integer
+from .kernel import KernelParams, build_kernel_table, check_real, is_integer
 
 __all__ = [
     "BoundaryGraph",
@@ -76,20 +75,15 @@ class BoundaryGraph:
     mu: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "g_coeffs", tuple(float(c) for c in self.g_coeffs))
+        for name in ("alpha", "g_coeffs"):
+            vals = check_real(getattr(self, name), name, each=True)
+            object.__setattr__(self, name, tuple(float(v) for v in vals))
         if len(self.alpha) < 1:
             raise InvalidParams("need at least one principal curvature")
         if self.g_kind not in _G_KINDS:
             raise UnknownKind(f"unknown perturbation kind {self.g_kind!r}")
-        for name in ("alpha", "g_coeffs"):
-            vals = getattr(self, name)
-            if not np.all(np.isfinite(vals)):
-                raise InvalidParams(f"{name} entries must be finite, got {vals}")
         for name in ("R0", "delta0", "epsilon0", "mu"):
-            val = getattr(self, name)
-            if not 0 < val < np.inf:
-                raise InvalidParams(f"{name} must be finite and > 0, got {val}")
+            check_real(getattr(self, name), name, gt=0)
 
     @property
     def n(self):
@@ -139,8 +133,7 @@ class BoundaryGraph:
 
 def dilate_graph(bg, mu):
     """The mu-dilated graph: x_n = mu*h(x'/mu), chart radius scaled by mu."""
-    if not 0 < mu < np.inf:
-        raise InvalidParams(f"dilation factor mu must be finite and > 0, got {mu}")
+    check_real(mu, "dilation factor mu", gt=0)
     return replace(bg, mu=bg.mu * mu, R0=bg.R0 * mu, delta0=bg.delta0 * mu)
 
 
@@ -312,6 +305,7 @@ def cw_cutoff_check(theta, lam, sample_count=100000, seed=0):
     <= 2|T(xi)-T(zeta)|^2 + 2|eta(xi/lam)-eta(zeta/lam)|^2 T(zeta)^2 over
     pairs in the half ball of radius 4 lam; returns the violation count
     (expected 0)."""
+    check_real(lam, "lam", gt=0)
     n = theta.grid.n
     rng = np.random.default_rng(seed)
     radius = _CW_RADIUS * lam
@@ -349,8 +343,7 @@ def cutoff_profile(theta, lam):
     rule is relative to the grid, so both equal their values for the field
     on the exactly dilated grid (field.dilate_exact) up to rounding; no grid
     or kernel table has to be rebuilt per lambda."""
-    if not 0 < lam < np.inf:
-        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
+    check_real(lam, "dilation factor lam", gt=0)
     R, Z = np.meshgrid(theta.grid.r_nodes, theta.grid.z_nodes, indexing="ij")
     eta = cutoff(np.hypot(R, Z) / lam)
     return theta.with_values(theta.regular_values * eta, tail=None)
@@ -414,7 +407,7 @@ def curvature_term(theta, lam, bg, gamma0_report=None, table=None):
     built here when not given, so that a lambda scan builds it once."""
     if gamma0_report is None:
         raise MissingGamma0("curvature term needs a Gamma0 report")
-    _check_lam(lam)
+    check_real(lam, "lam", gt=0)
     n, sigma = theta.grid.n, theta.sigma
     if table is None:
         table = build_kernel_table(theta.grid, KernelParams.curvature(n, sigma))
@@ -459,10 +452,7 @@ class MCConfig:
             v = getattr(self, name)
             if not is_integer(v, low):
                 raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
-        if not 0 < self.max_rel_stderr < np.inf:
-            raise InvalidParams(
-                f"max_rel_stderr must be finite and > 0, got {self.max_rel_stderr!r}"
-            )
+        check_real(self.max_rel_stderr, "max_rel_stderr", gt=0)
 
 
 @dataclass(frozen=True)
@@ -613,12 +603,12 @@ def _checked_lams(theta, gamma0_report, bg, lam_schedule):
         raise InvalidParams(f"field dimension {theta.grid.n} vs graph {bg.n}")
     if bg.R0 < 3.0:
         raise InvalidParams("chart must contain the cutoff support ball B_3")
-    lams = [float(lam) for lam in lam_schedule]
-    if not lams:
-        raise InvalidParams("lambda schedule must list at least one lambda")
-    for lam in lams:
-        _check_lam(lam)
-    return lams
+    if not (isinstance(lam_schedule, (list, tuple)) and lam_schedule):
+        raise InvalidParams(
+            "lam_schedule must be a list or tuple of at least one lambda, "
+            f"got {lam_schedule!r}"
+        )
+    return [float(check_real(lam, "lam", gt=0)) for lam in lam_schedule]
 
 
 def verify_upper_bound(theta, gamma0_report, bg, lam_schedule, mc_config=None):

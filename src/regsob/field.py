@@ -7,7 +7,6 @@ has a z^(2*sigma-1) cusp.  Grids are power-graded toward r = 0 and z = 0.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from . import io_container
 from .errors import GridMismatch, InvalidGrading, InvalidParams, UnknownKind
-from .kernel import check_dimension, is_integer
+from .kernel import check_dimension, check_real, is_integer
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,10 @@ def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
         raise InvalidParams(
             f"need an integer number >= 4 of cells per axis, got {N_r!r}x{N_z!r}"
         )
-    if not 0 < R_max < np.inf:
-        raise InvalidParams(f"R_max must be finite and > 0, got {R_max}")
-    if not (
-        isinstance(grading, (tuple, list))
-        and len(grading) == 2
-        and all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in grading)
-    ):
+    check_real(R_max, "R_max", gt=0)
+    if not (isinstance(grading, (tuple, list)) and len(grading) == 2):
         raise InvalidGrading(f"grading must hold exactly two numbers, got {grading!r}")
-    beta_r, beta_z = grading
-    if not (1 <= beta_r < np.inf and 1 <= beta_z < np.inf):
-        raise InvalidGrading(
-            f"grading exponents must be finite and >= 1, got {grading}"
-        )
+    beta_r, beta_z = check_real(grading, "grading", InvalidGrading, ge=1, each=True)
     r = R_max * (np.arange(N_r + 1) / N_r) ** beta_r
     z = R_max * (np.arange(N_z + 1) / N_z) ** beta_z
     return HalfSpaceGrid(
@@ -204,8 +194,7 @@ def dilate_exact(fld, lam):
     lam^((n-2*sigma)/2 + 2*sigma - 1), so the dilated field is represented
     exactly, with no interpolation.
     """
-    if not 0 < lam < np.inf:
-        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
+    check_real(lam, "dilation factor lam", gt=0)
     grid = fld.grid
     n, sigma = grid.n, fld.sigma
     q = (n - 2 * sigma) / 2.0 + 2 * sigma - 1.0

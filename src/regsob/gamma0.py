@@ -9,15 +9,14 @@ inside the error budget.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _check_lam, weighted_seminorm
+from .energy import weighted_seminorm
 from .errors import InsufficientConvergence, InvalidGamma, InvalidParams
 from .field import make_grid, resample
-from .kernel import KernelParams, build_kernel_table, is_integer
+from .kernel import KernelParams, build_kernel_table, check_real, is_integer
 
 __all__ = [
     "Gamma0Report",
@@ -41,24 +40,10 @@ class Gamma0Report:
         real, both error terms are reals >= 0 (inf is allowed: a one-grid
         estimate has no grid error), every truncation radius is finite and
         > 0, and sign_verdict is one of the three verdicts."""
-
-        def real(x):
-            return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-        if not (real(self.value) and np.isfinite(self.value)):
-            raise InvalidParams(f"value must be a finite real, got {self.value!r}")
+        check_real(self.value, "value")
         for name in ("grid_extrapolation_error", "truncation_tail_bound"):
-            x = getattr(self, name)
-            if not (real(x) and x >= 0):
-                raise InvalidParams(f"{name} must be a real >= 0, got {x!r}")
-        lams = self.lambda_schedule
-        if not (
-            isinstance(lams, (list, tuple))
-            and all(real(l) and 0 < l < np.inf for l in lams)
-        ):
-            raise InvalidParams(
-                f"lambda_schedule must list radii finite and > 0, got {lams!r}"
-            )
+            check_real(getattr(self, name), name, ge=0, le=np.inf)
+        lams = check_real(self.lambda_schedule, "lambda_schedule", gt=0, each=True)
         object.__setattr__(self, "lambda_schedule", tuple(lams))
         if self.sign_verdict not in ("positive", "negative", "indeterminate"):
             raise InvalidParams(
@@ -95,16 +80,12 @@ def _checked_inputs(theta, schedule, grids):
     g = theta.grid
     if schedule is None:
         schedule = tuple(g.R_max * np.array([0.3, 0.45, 0.65, 0.95]))
+    check_real(schedule, "schedule", InvalidGamma, gt=0, each=True)
     schedule = tuple(float(l) for l in schedule)
     # the lambda fit has two parameters, so it needs two distinct radii
-    if (
-        len(schedule) < 2
-        or not all(0 < l < np.inf for l in schedule)
-        or any(a >= b for a, b in zip(schedule, schedule[1:]))
-    ):
+    if len(schedule) < 2 or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise InvalidGamma(
-            "need at least 2 truncation radii, finite, > 0 and strictly "
-            f"increasing, got {schedule}"
+            f"need at least 2 truncation radii, strictly increasing, got {schedule}"
         )
     where = ""
     if grids is None:
@@ -179,22 +160,16 @@ def estimate_gamma0(theta, schedule=None, grids=None, provenance=""):
     )
 
 
-def _check_gamma(gamma):
-    """Raise unless the power weight gamma is finite and >= 0 (NaN fails)."""
-    if not 0 <= gamma < np.inf:
-        raise InvalidGamma(f"power weight needs a finite gamma >= 0, got {gamma}")
-
-
 def tail_bound(theta, lam, gamma, table=None):
     """Weighted energy of the pairs leaving B_lambda x B_lambda, power
     weight gamma; an upper bound for the curvature truncation remainder via
     pointwise domination at gamma = 1."""
-    _check_gamma(gamma)
+    check_real(gamma, "power weight gamma", InvalidGamma, ge=0)
     if gamma >= 2 * theta.sigma:
         raise InvalidGamma(
             f"tail bound needs gamma < 2*sigma, got {gamma} >= {2 * theta.sigma}"
         )
-    _check_lam(lam)
+    check_real(lam, "lam", gt=0)
     if table is None:
         table = build_kernel_table(
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)
@@ -206,11 +181,11 @@ def interior_weighted_growth(theta, lam, gamma, table=None):
     """Weighted energy of the B_lambda x B_lambda pairs, power weight gamma;
     bounded in lambda for gamma < 2*sigma and growing like
     lambda^(gamma-2*sigma) above."""
-    _check_gamma(gamma)
+    check_real(gamma, "power weight gamma", InvalidGamma, ge=0)
     if gamma == 2 * theta.sigma:
         raise InvalidGamma("gamma = 2*sigma is the excluded borderline case")
     if lam is not None:
-        _check_lam(lam)
+        check_real(lam, "lam", gt=0)
     if table is None:
         table = build_kernel_table(
             theta.grid, KernelParams.energy(theta.grid.n, theta.sigma)

@@ -74,11 +74,49 @@ def check_dimension(n):
     return n
 
 
+def check_real(
+    x, name, error=InvalidParams, *, gt=-np.inf, ge=None, lt=np.inf, le=None, each=False
+):
+    """x unchanged if it is a real number (numbers.Real, not a bool) above gt
+    (or at least ge) and below lt (or at most le), so finite by default; with
+    each=True, a list or tuple of such numbers.  Otherwise error, naming name
+    and x.  The one check of a caller's real-valued input."""
+
+    def ok(v):
+        return (
+            isinstance(v, numbers.Real)
+            and not isinstance(v, bool)
+            and (v > gt if ge is None else v >= ge)
+            and (v < lt if le is None else v <= le)
+        )
+
+    if isinstance(x, (list, tuple)) and all(map(ok, x)) if each else ok(x):
+        return x
+    low = gt if ge is None else ge
+    high = lt if le is None else le
+    if low > -np.inf and high < np.inf:
+        left, right = "(" if ge is None else "[", ")" if le is None else "]"
+        rule = f"lie in {left}{low}, {high}{right}"
+    else:
+        terms = ["finite"] if le is None else []
+        if low > -np.inf:
+            terms.append(f"{'>' if ge is None else '>='} {low}")
+        rule = "be " + " and ".join(terms)
+    if each:
+        name = f"{name} must be a list or tuple and each entry"
+    raise error(f"{name} must {rule}, got {x!r}")
+
+
 def sphere_surface(d):
     """Surface measure of the unit sphere S^d in R^(d+1)."""
     if d < 0:
         raise InvalidParams(f"sphere dimension must be >= 0, got {d}")
     return 2.0 * np.pi ** ((d + 1) / 2.0) / gamma_fn((d + 1) / 2.0)
+
+
+def _energy_p(n, sigma):
+    """n + 2*sigma, once n is an integer >= 2 and sigma a real in (1/2, 1)."""
+    return check_dimension(n) + 2 * check_real(sigma, "sigma", gt=0.5, lt=1)
 
 
 @dataclass(frozen=True)
@@ -94,22 +132,19 @@ class KernelParams:
     p: float
 
     def __post_init__(self):
-        check_dimension(self.n)
-        if not (0.5 < self.sigma < 1.0):
-            raise InvalidParams(f"sigma must lie in (1/2, 1), got {self.sigma}")
-        allowed = (self.n + 2 * self.sigma, self.n + 2 * self.sigma + 2)
-        if not any(abs(self.p - a) < 1e-12 for a in allowed):
+        e = _energy_p(self.n, self.sigma)
+        if not any(abs(check_real(self.p, "p") - a) < 1e-12 for a in (e, e + 2)):
             raise InvalidParams(
                 f"p must be n + 2*sigma or n + 2*sigma + 2, got {self.p}"
             )
 
     @classmethod
     def energy(cls, n, sigma):
-        return cls(n, sigma, check_dimension(n) + 2 * sigma)
+        return cls(n, sigma, _energy_p(n, sigma))
 
     @classmethod
     def curvature(cls, n, sigma):
-        return cls(n, sigma, check_dimension(n) + 2 * sigma + 2)
+        return cls(n, sigma, _energy_p(n, sigma) + 2)
 
     @property
     def is_energy(self):

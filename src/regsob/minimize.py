@@ -34,7 +34,13 @@ from .field import (
     synthesize_profile,
 )
 from .io_container import write_atomic
-from .kernel import KernelParams, build_kernel_table, is_integer, sphere_surface
+from .kernel import (
+    KernelParams,
+    build_kernel_table,
+    check_real,
+    is_integer,
+    sphere_surface,
+)
 from .rearrange import rearrange_sharp
 
 __all__ = [
@@ -74,26 +80,27 @@ class SolverConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("tol_quotient", "tol_residual"):
-            x = getattr(self, name)
-            if not 0 < x < np.inf:
-                raise InvalidParams(f"{name} must be finite and > 0, got {x!r}")
-        if not 0 <= self.init_noise < np.inf:
+        """Raise, naming the field, unless every value is valid: each
+        scheduled grid is checked by make_grid, (n, sigma) by KernelParams
+        and init by synthesize_profile on the first grid."""
+        check_real(self.tol_quotient, "tol_quotient", gt=0)
+        check_real(self.tol_residual, "tol_residual", gt=0)
+        check_real(self.init_noise, "init_noise", ge=0)
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not is_integer(v, low):
+                raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
+        sched = self.schedule
+        if not (isinstance(sched, (list, tuple)) and sched):
             raise InvalidParams(
-                f"init_noise must be finite and >= 0, got {self.init_noise!r}"
+                "grid schedule must be a list or tuple naming at least one grid, "
+                f"got {sched!r}"
             )
-        m = self.max_iters
-        if not is_integer(m, 1):
-            raise InvalidParams(f"max_iters must be an integer >= 1, got {m!r}")
-        if not self.schedule:
-            raise InvalidParams("grid schedule must name at least one grid")
-        for N in self.schedule:
-            make_grid(self.n, self.R_max, N, N, self.grading)
-        if list(self.schedule) != sorted(self.schedule):
-            raise InvalidParams(
-                f"grid schedule must be coarse to fine, got {self.schedule}"
-            )
+        grids = [make_grid(self.n, self.R_max, N, N, self.grading) for N in sched]
+        if list(sched) != sorted(sched):
+            raise InvalidParams(f"grid schedule must be coarse to fine, got {sched}")
         KernelParams.energy(self.n, self.sigma)
+        synthesize_profile(self.init, grids[0], self.sigma)
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -303,8 +310,7 @@ def scale_field(theta, lam):
     """Dilation u_lam(x) = lam^((n-2*sigma)/2) u(lam x) resampled onto the
     same grid; the critical-norm and the quotient are invariant up to
     resampling error."""
-    if not 0 < lam < np.inf:
-        raise InvalidParams(f"dilation factor lam must be finite and > 0, got {lam}")
+    check_real(lam, "dilation factor lam", gt=0)
     if lam == 1.0:
         return theta
     return resample(dilate_exact(theta, lam), theta.grid)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParams, SingularAtZeroSeparation
-from .kernel import KernelParams, gauss_nodes, kernel_values, sphere_surface
+from .kernel import KernelParams, check_real, gauss_nodes, kernel_values, sphere_surface
 
 __all__ = [
     "SliceProfile",
@@ -44,6 +44,7 @@ def rearrange_sharp(field):
 
 def slice_lp_norm(profile, p):
     """Discrete p-norm of the slice values, the quantity rearrangement keeps."""
+    check_real(p, "p", gt=0)
     return float(np.sum(np.abs(profile.values) ** p) ** (1.0 / p))
 
 
@@ -57,8 +58,7 @@ def slice_interaction(f, g, t, n, sigma, q=6):
     runs over the whole hyperplane.  Both must end at the same value (equal
     constants give exactly zero); with unequal ends the integral diverges,
     and InvalidParams is raised."""
-    if t <= 0:
-        raise SingularAtZeroSeparation("slice interaction needs t > 0")
+    check_real(t, "slice separation t", SingularAtZeroSeparation, gt=0)
     cf, cg = float(f.values[-1]), float(g.values[-1])
     if cf != cg:
         raise InvalidParams(

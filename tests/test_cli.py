@@ -178,8 +178,9 @@ def test_solver_grading_checked(tmp_path, capsys):
         ({"schedule": [3]}, "InvalidParams"),
         ({"sigma": 0.3}, "InvalidParams"),
         ({"n": 1}, "InvalidParams"),
+        ({"init": "bogus", "schedule": [8]}, "UnknownKind"),
     ],
-    ids=["grading", "schedule", "sigma", "n"],
+    ids=["grading", "schedule", "sigma", "n", "init"],
 )
 def test_solve_rejected_config_leaves_no_manifest(solver, error, tmp_path, capsys):
     p = tmp_path / "c.json"
@@ -187,6 +188,17 @@ def test_solve_rejected_config_leaves_no_manifest(solver, error, tmp_path, capsy
     out = tmp_path / "t"
     assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
     assert f"error: {error}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_solve_negative_seed_leaves_no_manifest(tmp_path, capsys):
+    # the config's integer check lets -1 through to SolverConfig, which
+    # rejects it before the manifest is written and before any table
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "t"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+    assert "error: InvalidParams: seed must be an integer >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [p]
 
 

@@ -7,7 +7,7 @@ from collections import Counter, OrderedDict
 import numpy as np
 import pytest
 
-from regsob import energy, gamma0
+from regsob import energy, expansion, gamma0, minimize
 from regsob.energy import (
     AssembledForm,
     _hat,
@@ -25,20 +25,37 @@ from regsob.errors import (
     DiagonalSingularity,
     GridMismatch,
     InvalidGamma,
+    InvalidGrading,
     InvalidParams,
     NonCompactSupport,
+    SingularAtZeroSeparation,
     TableExponentMismatch,
     ZeroField,
+)
+from regsob.expansion import (
+    BoundaryGraph,
+    MCConfig,
+    curvature_term,
+    cutoff_profile,
+    cw_cutoff_check,
+    dilate_graph,
+    verify_upper_bound,
 )
 from regsob.field import (
     RadialField,
     attach_tail_model,
+    dilate_exact,
     eval_u,
     eval_vt,
     make_grid,
     synthesize_profile,
 )
-from regsob.gamma0 import estimate_gamma0, tail_bound
+from regsob.gamma0 import (
+    Gamma0Report,
+    estimate_gamma0,
+    interior_weighted_growth,
+    tail_bound,
+)
 from regsob.kernel import (
     KernelParams,
     build_kernel_table,
@@ -49,6 +66,8 @@ from regsob.kernel import (
     save_table,
     sphere_surface,
 )
+from regsob.minimize import SolverConfig, scale_field
+from regsob.rearrange import SliceProfile, slice_interaction, slice_lp_norm
 
 
 def bump_u(pts, sigma=0.75):
@@ -1078,6 +1097,152 @@ def test_lp_norm_needs_finite_positive_p(p, setup4):
     _, _, f = setup4
     with pytest.raises(InvalidParams, match=f"got {p}"):
         lp_norm(f, p)
+
+
+def _report(**kw):
+    base = dict(
+        value=1.0,
+        grid_extrapolation_error=0.1,
+        truncation_tail_bound=0.2,
+        lambda_schedule=(2.0, 3.0),
+        sign_verdict="positive",
+    )
+    return Gamma0Report(**dict(base, **kw))
+
+
+_FLAT = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
+_SLICE = SliceProfile(np.linspace(0.0, 1.0, 6), np.ones(6), 2)
+# every caller-supplied real: its typed error, its name, and a call that
+# hands it the bad value x on the field f with its energy table t
+_REAL_INPUTS = {
+    "weight-gamma": (
+        InvalidParams, "gamma", lambda x, f, t: weighted_seminorm(f, t, ("power", x))
+    ),
+    "ball-lam": (
+        InvalidParams, "lam", lambda x, f, t: weighted_seminorm(f, t, "none", lam=x)
+    ),
+    "lp_norm-p": (InvalidParams, "p", lambda x, f, t: lp_norm(f, x)),
+    "kernel-sigma": (InvalidParams, "sigma", lambda x, f, t: KernelParams.energy(4, x)),
+    "curvature-sigma": (
+        InvalidParams, "sigma", lambda x, f, t: KernelParams.curvature(4, x)
+    ),
+    "grid-R_max": (InvalidParams, "R_max", lambda x, f, t: make_grid(4, x, 8, 8)),
+    "grid-grading": (
+        InvalidGrading, "grading", lambda x, f, t: make_grid(4, 1.0, 8, 8, (2.0, x))
+    ),
+    "dilate_exact-lam": (InvalidParams, "lam", lambda x, f, t: dilate_exact(f, x)),
+    "scale_field-lam": (InvalidParams, "lam", lambda x, f, t: scale_field(f, x)),
+    "solver-tol_quotient": (
+        InvalidParams, "tol_quotient", lambda x, f, t: SolverConfig(tol_quotient=x)
+    ),
+    "solver-tol_residual": (
+        InvalidParams, "tol_residual", lambda x, f, t: SolverConfig(tol_residual=x)
+    ),
+    "solver-init_noise": (
+        InvalidParams, "init_noise", lambda x, f, t: SolverConfig(init_noise=x)
+    ),
+    "tail_bound-gamma": (InvalidGamma, "gamma", lambda x, f, t: tail_bound(f, 0.6, x)),
+    "tail_bound-lam": (InvalidParams, "lam", lambda x, f, t: tail_bound(f, x, 0.5)),
+    "growth-gamma": (
+        InvalidGamma, "gamma", lambda x, f, t: interior_weighted_growth(f, 0.6, x)
+    ),
+    "growth-lam": (
+        InvalidParams, "lam", lambda x, f, t: interior_weighted_growth(f, x, 0.5)
+    ),
+    "gamma0-schedule": (
+        InvalidGamma,
+        "schedule",
+        lambda x, f, t: estimate_gamma0(f, schedule=(x, 0.6), grids=(8, 10)),
+    ),
+    "report-value": (InvalidParams, "value", lambda x, f, t: _report(value=x)),
+    "report-grid_extrapolation_error": (
+        InvalidParams,
+        "grid_extrapolation_error",
+        lambda x, f, t: _report(grid_extrapolation_error=x),
+    ),
+    "report-truncation_tail_bound": (
+        InvalidParams,
+        "truncation_tail_bound",
+        lambda x, f, t: _report(truncation_tail_bound=x),
+    ),
+    "report-lambda_schedule": (
+        InvalidParams,
+        "lambda_schedule",
+        lambda x, f, t: _report(lambda_schedule=(2.0, x)),
+    ),
+    "graph-alpha": (
+        InvalidParams, "alpha", lambda x, f, t: BoundaryGraph(alpha=(0.0, x, 0.0))
+    ),
+    "graph-g_coeffs": (
+        InvalidParams,
+        "g_coeffs",
+        lambda x, f, t: BoundaryGraph(
+            alpha=(0.0, 0.0, 0.0), g_kind="polynomial", g_coeffs=(x,)
+        ),
+    ),
+    **{
+        f"graph-{name}": (
+            InvalidParams,
+            name,
+            lambda x, f, t, name=name: BoundaryGraph(alpha=(0.0,) * 3, **{name: x}),
+        )
+        for name in ("R0", "delta0", "epsilon0", "mu")
+    },
+    "dilate_graph-mu": (InvalidParams, "mu", lambda x, f, t: dilate_graph(_FLAT, x)),
+    "cutoff_profile-lam": (InvalidParams, "lam", lambda x, f, t: cutoff_profile(f, x)),
+    "curvature_term-lam": (
+        InvalidParams, "lam", lambda x, f, t: curvature_term(f, x, _FLAT, _report())
+    ),
+    "verify-lam": (
+        InvalidParams,
+        "lam",
+        lambda x, f, t: verify_upper_bound(f, _report(), _FLAT, [2.5, x]),
+    ),
+    "cw_cutoff_check-lam": (
+        InvalidParams, "lam", lambda x, f, t: cw_cutoff_check(f, x, sample_count=100)
+    ),
+    "slice_lp_norm-p": (InvalidParams, "p", lambda x, f, t: slice_lp_norm(_SLICE, x)),
+    "slice_interaction-t": (
+        SingularAtZeroSeparation,
+        "t",
+        lambda x, f, t: slice_interaction(_SLICE, _SLICE, x, 4, 0.75),
+    ),
+    "mc-max_rel_stderr": (
+        InvalidParams, "max_rel_stderr", lambda x, f, t: MCConfig(max_rel_stderr=x)
+    ),
+}
+# the values that are valid there: inf for a Gamma0Report's error terms (a
+# one-grid estimate has no grid error) and None for a ball radius (no ball)
+_VALID = {
+    ("report-grid_extrapolation_error", "inf"),
+    ("report-truncation_tail_bound", "inf"),
+    ("ball-lam", "None"),
+    ("growth-lam", "None"),
+}
+
+
+@pytest.mark.parametrize(
+    "site, bad",
+    [
+        (site, bad)
+        for site in _REAL_INPUTS
+        for bad in ("x", None, True, float("nan"), float("inf"))
+        if (site, repr(bad)) not in _VALID
+    ],
+)
+def test_each_real_input_is_checked_by_name(
+    site, bad, setup_graded, builds, monkeypatch
+):
+    # no bad value may reach the arithmetic (an untyped error) or pass as a
+    # number (True as 1)
+    _, tab, f = setup_graded
+    tables = []
+    for mod in (gamma0, expansion, minimize):
+        monkeypatch.setattr(mod, "build_kernel_table", lambda *a: tables.append(a))
+    error, name, call = _REAL_INPUTS[site]
+    with pytest.raises(error, match=rf"\b{name} .*{re.escape(repr(bad))}"):
+        call(bad, f, tab)
+    assert builds == {} and not energy._cache and tables == []
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))

@@ -5,7 +5,7 @@ import pytest
 
 from regsob import energy, minimize
 from regsob.energy import AssembledForm, critical_p, lp_norm, rayleigh_quotient
-from regsob.errors import DivergentStep, InvalidGrading, InvalidParams
+from regsob.errors import DivergentStep, InvalidGrading, InvalidParams, UnknownKind
 from regsob.field import (
     TailModel,
     attach_tail_model,
@@ -64,13 +64,22 @@ def test_config_validation():
         (dict(sigma=0.3), InvalidParams, "sigma must lie in"),
         (dict(n=1), InvalidParams, "dimension n must be an integer"),
         (dict(n=4.0), InvalidParams, "dimension n must be an integer"),
+        # each fails when the config is made, not in solve_halfspace after
+        # its first table
+        (dict(init="bogus"), UnknownKind, "unknown profile kind 'bogus'"),
+        (dict(seed=-1), InvalidParams, "seed must be an integer >= 0"),
+        (dict(seed="x"), InvalidParams, "seed must be an integer >= 0"),
+        (dict(seed=2.5), InvalidParams, "seed must be an integer >= 0"),
+        (dict(schedule=5), InvalidParams, "schedule must be a list or tuple"),
     ],
     ids=["grading-three", "grading-low", "schedule-3", "schedule-float", "sigma",
-         "n-1", "n-float"],
+         "n-1", "n-float", "init", "seed-negative", "seed-str", "seed-float",
+         "schedule-int"],
 )
 def test_config_checks_each_grid_and_the_kernel(kw, error, match):
-    # every scheduled grid and the energy kernel are checked when the
-    # config is made, by make_grid and KernelParams themselves
+    # every scheduled grid, the energy kernel and the initial profile are
+    # checked when the config is made, by make_grid, KernelParams and
+    # synthesize_profile themselves
     with pytest.raises(error, match=match):
         SolverConfig(**kw)
 

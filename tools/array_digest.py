@@ -11,12 +11,12 @@ outputs (norms, seminorms, ball sums, the slice interaction, the
 Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
 batch: its means and Taylor count), of one small solve through the public
 solver API (its trace, theta, s_estimate, el_residual and stop reasons),
-and of the file that
-`regsob kernel-table` writes for the `tables_n3` workload's config (n=3,
-sigma 0.75, N=24), run in a temporary directory with REGSOB_CACHE_DIR
-unset so that no checkout loads a cached table.  Two checkouts whose
-printouts are equal produce the same bits for these inputs; diff the two
-printouts to compare a change with its parent.
+of the file that `regsob kernel-table` writes for the `tables_n3`
+workload's config (n=3, sigma 0.75, N=24), run in a temporary directory,
+and of the configs a run records: the `regsob print-config` output and
+the `SolverConfig.digest()` of the default config and of the solve's.
+Two checkouts whose printouts are equal produce the same bits for these
+inputs; diff the two printouts to compare a change with its parent.
 """
 
 import contextlib
@@ -140,13 +140,18 @@ def _outputs(out):
             out[f"kernel_values.n{n}.{order}"] = _digest(kernel_values(r, s, t, params))
 
 
-def _solve(out):
-    from regsob.minimize import SolverConfig, solve_halfspace
+def _solve_config():
+    from regsob.minimize import SolverConfig
 
-    cfg = SolverConfig(
+    return SolverConfig(
         schedule=(10, 12), max_iters=40, init="interior-bubble", init_noise=0.05, seed=3
     )
-    res = solve_halfspace(cfg)
+
+
+def _solve(out):
+    from regsob.minimize import solve_halfspace
+
+    res = solve_halfspace(_solve_config())
     out["solve.trace"] = _digest(res.trace)
     out["solve.theta"] = _digest(res.theta.regular_values)
     out["solve.s_estimate"] = res.s_estimate.hex()
@@ -157,7 +162,6 @@ def _solve(out):
 def _cli(out):
     from regsob import cli
 
-    os.environ.pop("REGSOB_CACHE_DIR", None)
     with tempfile.TemporaryDirectory() as d:
         cfg, tab = os.path.join(d, "n3.json"), os.path.join(d, "n3.rsob")
         with open(cfg, "w") as fh:
@@ -170,6 +174,19 @@ def _cli(out):
             out["cli.kernel_table.n3_N24"] = hashlib.sha256(fh.read()).hexdigest()
 
 
+def _config(out):
+    from regsob import cli
+    from regsob.minimize import SolverConfig
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(["print-config"])
+    if rc != 0:
+        raise SystemExit(f"print-config exited with {rc}")
+    out["config.print_config"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    out["config.solver_digest"] = [SolverConfig().digest(), _solve_config().digest()]
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.dirname(os.path.dirname(__file__))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
@@ -179,6 +196,7 @@ def main(argv):
     _outputs(out)
     _solve(out)
     _cli(out)
+    _config(out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
