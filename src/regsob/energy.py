@@ -23,7 +23,8 @@ mid-ring box pairs, field.cell_of locates the cell under a point, and
 _node_rule gives the node-product rule (far part, tail, exterior mass);
 assemble checks grid, sigma and kernel order before its cache.  The forms are
 assembled once per (grid, kernel, weight) into one symmetric matrix H, so
-the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2.  Each
+the energy is v.Hv, its gradient 2Hv and the bilinear form v1.Hv2; a build
+holds no N x N array besides the far kernel M and H.  Each
 question is answered one way: every total reads H; the sum over the pairs
 inside a ball B_lambda is AssembledForm.ball, which reads the far moments,
 the mid ring (one Gauss basis per box and one weighted kernel block per
@@ -58,6 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (
     GridMismatch,
@@ -565,7 +567,7 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     )
     # the (tri, k, m) samples of the relative coordinates in the order the
     # forms add them up: Duffy triangle, radial and angular node
-    tri, k, m = np.indices((2, n_rho, n_v)).reshape(3, -1)
+    tri, k, m = np.unravel_index(np.arange(2 * n_rho * n_v), (2, n_rho, n_v))
     rv = rho[k] * vv[m]
     a_s = np.where(tri == 0, rho[k], rv)
     b_s = np.where(tri == 0, rv, rho[k])
@@ -721,35 +723,37 @@ class AssembledForm:
     """Far + near quadratic form for one (grid, kernel table, weight).
 
     The whole form is one symmetric matrix H, so that energy(v) = v.Hv and
-    grad(v) = 2Hv; H and the far kernel M are its only N x N arrays.  For
-    ball(v, sel) it keeps the fine near forms L, the far moments and, for
-    the mid ring, one Gauss basis per box (patch, basis) and one weighted
-    kernel block KW per box pair (mga, mgb); seminorm's near part reads L
-    and its quadrature error estimate the coarse near forms L_coarse.  The
-    constructor builds M, the far moments, L and the mid ring; H (with the
-    exterior forms) and L_coarse are cached properties, each built on its
-    first read.  Build it through assemble, which checks the inputs."""
+    grad(v) = 2Hv; H and the far kernel M are its only N x N arrays.  M is
+    gathered from the table in place.  H starts as the far moments' -2 C^T M
+    C, with C sparse (the 9 slots of each node's patch), takes every other
+    family by scatter and is symmetrised once.  For ball(v, sel) the form
+    keeps the fine near forms L, the far moments and, for the mid ring, one
+    Gauss basis per box (patch, basis) and one weighted kernel block KW per
+    box pair (mga, mgb); seminorm's near part reads L and its quadrature
+    error estimate the coarse near forms L_coarse.  The constructor builds
+    M, the far moments, L and the mid ring; H (with the exterior forms) and
+    L_coarse are cached properties, each built on its first read.  Build it
+    through assemble, which checks the inputs."""
 
     def __init__(self, grid, table, sigma, weight="none"):
         wfn = _weight(weight)[1]
         self._inputs = (grid, table.params, sigma, wfn)
         self.sphere = sphere_surface(grid.n - 2)
         nr, nz = grid.shape
-        r_flat, z_flat, W = _node_rule(grid.r_nodes, grid.z_nodes, grid.n)
-        self.r_flat, self.z_flat, self.node_weight = r_flat, z_flat, W
+        rn, zn = grid.r_nodes, grid.z_nodes
+        self.r_flat, self.z_flat, self.node_weight = _node_rule(rn, zn, grid.n)
 
+        # M on its (i, j, k, l) view, rows (i, j): W W^T times one gather of
+        # the table and the weight, zeroed where |i - k|, |j - l| <= _MID_RING
+        i, j = np.arange(nr), np.arange(nz)
+        self.M = np.outer(self.node_weight, self.node_weight)
+        M = self.M.reshape(nr, nz, nr, nz)
         idx_t = t_index_map(table, grid)
-        ri, zi = np.indices((nr, nz)).reshape(2, -1)
-        K = table.values[ri[:, None], ri[None, :], idx_t[zi[:, None], zi[None, :]]]
-        M = W[:, None] * W[None, :] * K
+        M *= table.values[i[:, None, None, None], i[:, None], idx_t[:, None]]
         if wfn is not None:
-            t = z_flat[:, None] - z_flat[None, :]
-            M *= wfn(r_flat[:, None], r_flat[None, :], t)
-        handled = (np.abs(ri[:, None] - ri[None, :]) <= _MID_RING) & (
-            np.abs(zi[:, None] - zi[None, :]) <= _MID_RING
-        )
-        M[handled] = 0.0
-        self.M = M
+            M *= wfn(rn[:, None, None, None], rn[:, None], (zn[:, None] - zn)[:, None])
+        ik, jl = (np.nonzero(np.abs(a[:, None] - a) <= _MID_RING) for a in (i, j))
+        M[ik[0][:, None], jl[0], ik[1][:, None], jl[1]] = 0.0
         self.map9, self.c1, self.Q2 = _box_moments(grid, sigma)
 
         self.maps, self.ga, self.gb, fine = _near_local_forms(
@@ -776,27 +780,25 @@ class AssembledForm:
         ext_maps, X = _exterior_forms(grid, params, sigma, wfn)
 
         # far: 2 sum_n row_n S_n - 2 P.MP with the box moments P = Cv and
-        # S_n = v.Q2_n.v / W_n, then the mid-ring and exterior forms
+        # S_n = v.Q2_n.v / W_n; C is sparse, its row n the 9 slots map9[n],
+        # and M C = (C^T M)^T bit for bit, since M is symmetric
         M = self.M
         N = M.shape[0]
         Wp = np.maximum(self.node_weight, 1e-300)
-        C = np.bincount(
-            (np.arange(N)[:, None] * N + self.map9).ravel(),
-            (self.c1 / Wp[:, None]).ravel(),
-            minlength=N * N,
-        ).reshape(N, N)
-        H_far = -2.0 * (C.T @ M @ C)
-        del C
+        c = (self.c1 / Wp[:, None]).ravel()
+        C = csr_array((c, self.map9.ravel(), np.arange(0, c.size + 1, 9)), shape=(N, N))
+        H = C.T @ np.ascontiguousarray((C.T @ M).T)
+        H *= -2.0
         row = M.sum(axis=1)
-        _scatter(H_far, self.map9, 2.0 * (row / Wp)[:, None, None] * self.Q2)
+        _scatter(H, self.map9, 2.0 * (row / Wp)[:, None, None] * self.Q2)
         # mid ring, 2 sum_gh KW (U_a,g - U_b,h)^2 per pair: a diagonal form
         # per box with the kernel mass D each Gauss point sees, and each
-        # cross block once at twice its weight (H_far is symmetrised below)
+        # cross block once at twice its weight (H is symmetrised below)
         B, ma, mb = self.basis, self.mga, self.mgb
         D = np.zeros(B.shape[:2])
         np.add.at(D, ma, self.KW.sum(axis=2))
         np.add.at(D, mb, self.KW.sum(axis=1))
-        _scatter(H_far, self.patch, 2.0 * np.einsum("nga,ng,ngb->nab", B, D, B))
+        _scatter(H, self.patch, 2.0 * np.einsum("nga,ng,ngb->nab", B, D, B))
         step, sub = 1 << 14, 1 << 10
         for s in range(0, ma.size, step):
             a, b, KW = ma[s : s + step], mb[s : s + step], self.KW[s : s + step]
@@ -807,16 +809,13 @@ class AssembledForm:
                 k = slice(t, t + sub)
                 cross[k] = B[a[k]].transpose(0, 2, 1) @ KW[k] @ B[b[k]]
             cross *= -4.0
-            _scatter(H_far, self.patch[a], cross, self.patch[b])
-        _scatter(H_far, ext_maps, X)
-        H_near = np.zeros((N, N))
-        _scatter(H_near, self.maps, self.L)
-        # in place: the bits of 0.5 sphere (A + A^T), fewer N x N temporaries
-        for A in (H_far, H_near):
-            A += A.T
-            A *= 0.5 * self.sphere
-        H_far += H_near
-        return H_far
+            _scatter(H, self.patch[a], cross, self.patch[b])
+        _scatter(H, ext_maps, X)
+        _scatter(H, self.maps, self.L)
+        # in place: the bits of 0.5 sphere (H + H^T), fewer N x N temporaries
+        H += H.T
+        H *= 0.5 * self.sphere
+        return H
 
     def _far(self, v, sel):
         """Far-moment part over the pairs with both boxes in sel."""
@@ -923,7 +922,7 @@ def _tail_energy(field, params):
     inner = (rr <= R) & (zz <= R)
     uf = eval_u(field, rr, zz)
     ub = np.where(inner, uf, 0.0)
-    ri, zi = np.indices((r_ax.size, z_ax.size)).reshape(2, -1)
+    ri, zi = np.unravel_index(np.arange(rr.size), (r_ax.size, z_ax.size))
     # blocks of rows bound the memory; one sum in row-major order keeps the bits
     terms = []
     for s in range(0, ri.size, _TAIL_ROWS):

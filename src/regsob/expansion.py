@@ -32,7 +32,9 @@ from .errors import (
     UnknownKind,
 )
 from .field import eval_u
-from .kernel import KernelParams, build_kernel_table, check_real, is_integer
+from .kernel import (
+    KernelParams, build_kernel_table, check_integer, check_real, check_sigma
+)
 
 __all__ = [
     "BoundaryGraph",
@@ -178,11 +180,12 @@ def a1_constant(n, sigma):
     """Minimal A1 with (1+a)^(-q) <= 1 - q*a + A1*a^2 on |a| <= 1/2, where
     q = (n+2*sigma)/2.  The remainder ratio is decreasing in a (integral
     form of the Taylor remainder), so the maximum sits at a = -1/2."""
-    q = (n + 2.0 * sigma) / 2.0
+    q = (n + 2.0 * check_sigma(sigma)) / 2.0
     return 4.0 * (2.0 ** q - 1.0 - q / 2.0)
 
 
 def _correction_arrays(bg, xi, zeta, n, sigma):
+    a1 = a1_constant(n, sigma)  # checks sigma before any arithmetic
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     q = (n + 2.0 * sigma) / 2.0
@@ -204,7 +207,7 @@ def _correction_arrays(bg, xi, zeta, n, sigma):
     C = 2.0 * dn * g_diff / dist2
     D = (hx - hz) ** 2 / dist2
     E = B + C + D
-    F = q * np.abs(C) + q * D + a1_constant(n, sigma) * E ** 2
+    F = q * np.abs(C) + q * D + a1 * E ** 2
     ratio = (1.0 + E) ** (-q)
     return B, C, D, E, F, ratio
 
@@ -262,6 +265,13 @@ def _sample_half_ball(rng, m, n, radius):
     return v * r[:, None]
 
 
+def _sampler(sample_count, seed):
+    """The generator of a sampled check, once sample_count is an integer >= 1
+    and seed an integer >= 0."""
+    check_integer(sample_count, "sample_count", 1)
+    return np.random.default_rng(check_integer(seed, "seed", 0))
+
+
 def bounds_check(bg, sample_count=100000, seed=0, sigma=0.75):
     """Sampled verification of the correction-term bounds on chart pairs.
 
@@ -270,7 +280,7 @@ def bounds_check(bg, sample_count=100000, seed=0, sigma=0.75):
     (9/2)*eps0^2*s^2 with s = |xi'|^2 + |zeta'|^2, and the one-sided Taylor
     inequality ratio <= 1 - (n+2*sigma)/2 * B + F."""
     n = bg.n
-    rng = np.random.default_rng(seed)
+    rng = _sampler(sample_count, seed)
     xi = _sample_half_ball(rng, sample_count, n, bg.R0)
     zeta = _sample_half_ball(rng, sample_count, n, bg.R0)
     same = np.all(xi == zeta, axis=1)
@@ -307,7 +317,7 @@ def cw_cutoff_check(theta, lam, sample_count=100000, seed=0):
     (expected 0)."""
     check_real(lam, "lam", gt=0)
     n = theta.grid.n
-    rng = np.random.default_rng(seed)
+    rng = _sampler(sample_count, seed)
     radius = _CW_RADIUS * lam
     xi = _sample_half_ball(rng, sample_count, n, radius)
     zeta = _sample_half_ball(rng, sample_count, n, radius)
@@ -449,9 +459,7 @@ class MCConfig:
         for name, low in (
             ("batches", 2), ("samples_per_batch", 100), ("seed", 0), ("workers", 1)
         ):
-            v = getattr(self, name)
-            if not is_integer(v, low):
-                raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
+            check_integer(getattr(self, name), name, low)
         check_real(self.max_rel_stderr, "max_rel_stderr", gt=0)
 
 

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from . import io_container
 from .errors import GridMismatch, InvalidGrading, InvalidParams, UnknownKind
-from .kernel import check_dimension, check_real, is_integer
+from .kernel import check_integer, check_real, check_sigma, is_integer
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def make_grid(n, R_max, N_r, N_z, grading=(2.0, 2.0)):
     unless n is an integer >= 2, N_r and N_z are integers >= 4, R_max is
     finite and > 0 and grading holds exactly two exponents, each finite and
     >= 1."""
-    check_dimension(n)
+    check_integer(n, "dimension n", 2)
     if not (is_integer(N_r, 4) and is_integer(N_z, 4)):
         raise InvalidParams(
             f"need an integer number >= 4 of cells per axis, got {N_r!r}x{N_z!r}"
@@ -81,7 +81,8 @@ class TailModel:
 
 @dataclass(frozen=True)
 class RadialField:
-    """Discrete half-space field u(r, z) = z^(2*sigma-1) vt(r, z)."""
+    """Discrete half-space field u(r, z) = z^(2*sigma-1) vt(r, z), sigma a
+    real in (1/2, 1)."""
 
     grid: HalfSpaceGrid
     regular_values: np.ndarray
@@ -95,6 +96,7 @@ class RadialField:
             )
         if not np.all(np.isfinite(self.regular_values)):
             raise InvalidParams("field values must be finite")
+        check_sigma(self.sigma)
 
     def with_values(self, values, **kw):
         return replace(self, regular_values=values, **kw)
@@ -159,6 +161,7 @@ def resample(fld, new_grid):
 
 def synthesize_profile(kind, grid, sigma):
     """Analytic test profiles given through their regular factor."""
+    check_sigma(sigma)
     R, Z = np.meshgrid(grid.r_nodes, grid.z_nodes, indexing="ij")
     rho2 = R ** 2 + Z ** 2
     n = grid.n

@@ -67,11 +67,12 @@ def is_integer(k, least):
     return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
 
 
-def check_dimension(n):
-    """n, unless it is not an integer >= 2 (InvalidParams naming n)."""
-    if not is_integer(n, 2):
-        raise InvalidParams(f"dimension n must be an integer >= 2, got {n!r}")
-    return n
+def check_integer(k, name, least):
+    """k, unless it is not an integer >= least (InvalidParams naming name).
+    The one check of a caller's integer input."""
+    if not is_integer(k, least):
+        raise InvalidParams(f"{name} must be an integer >= {least}, got {k!r}")
+    return k
 
 
 def check_real(
@@ -107,6 +108,11 @@ def check_real(
     raise error(f"{name} must {rule}, got {x!r}")
 
 
+def check_sigma(sigma):
+    """sigma, unless it is not a real in (1/2, 1) (InvalidParams naming it)."""
+    return check_real(sigma, "sigma", gt=0.5, lt=1)
+
+
 def sphere_surface(d):
     """Surface measure of the unit sphere S^d in R^(d+1)."""
     if d < 0:
@@ -116,7 +122,7 @@ def sphere_surface(d):
 
 def _energy_p(n, sigma):
     """n + 2*sigma, once n is an integer >= 2 and sigma a real in (1/2, 1)."""
-    return check_dimension(n) + 2 * check_real(sigma, "sigma", gt=0.5, lt=1)
+    return check_integer(n, "dimension n", 2) + 2 * check_sigma(sigma)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .io_container import write_atomic
 from .kernel import (
     KernelParams,
     build_kernel_table,
+    check_integer,
     check_real,
-    is_integer,
     sphere_surface,
 )
 from .rearrange import rearrange_sharp
@@ -87,9 +87,7 @@ class SolverConfig:
         check_real(self.tol_residual, "tol_residual", gt=0)
         check_real(self.init_noise, "init_noise", ge=0)
         for name, low in (("max_iters", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not is_integer(v, low):
-                raise InvalidParams(f"{name} must be an integer >= {low}, got {v!r}")
+            check_integer(getattr(self, name), name, low)
         sched = self.schedule
         if not (isinstance(sched, (list, tuple)) and sched):
             raise InvalidParams(

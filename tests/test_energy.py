@@ -35,6 +35,9 @@ from regsob.errors import (
 from regsob.expansion import (
     BoundaryGraph,
     MCConfig,
+    a1_constant,
+    bounds_check,
+    correction_terms,
     curvature_term,
     cutoff_profile,
     cw_cutoff_check,
@@ -65,6 +68,7 @@ from regsob.kernel import (
     load_table,
     save_table,
     sphere_surface,
+    t_index_map,
 )
 from regsob.minimize import SolverConfig, scale_field
 from regsob.rearrange import SliceProfile, slice_interaction, slice_lp_norm
@@ -438,6 +442,103 @@ def test_assembled_form_keeps_two_dense_matrices(setup4):
         if isinstance(a, np.ndarray) and a.shape == (N, N)
     )
     assert dense == ["H", "M"]
+
+
+def _dense_reference_H(form):
+    """H as the form assembled it before C was sparse: C as a dense N x N
+    matrix, the far part -2 C^T M C as a dense triple product, and the far
+    and near matrices each symmetrised on its own before their sum."""
+    grid, params, sigma, wfn = form._inputs
+    ext_maps, X = energy._exterior_forms(grid, params, sigma, wfn)
+    M = form.M
+    N = M.shape[0]
+    Wp = np.maximum(form.node_weight, 1e-300)
+    C = np.bincount(
+        (np.arange(N)[:, None] * N + form.map9).ravel(),
+        (form.c1 / Wp[:, None]).ravel(),
+        minlength=N * N,
+    ).reshape(N, N)
+    H_far = -2.0 * (C.T @ M @ C)
+    row = M.sum(axis=1)
+    energy._scatter(H_far, form.map9, 2.0 * (row / Wp)[:, None, None] * form.Q2)
+    B, ma, mb = form.basis, form.mga, form.mgb
+    D = np.zeros(B.shape[:2])
+    np.add.at(D, ma, form.KW.sum(axis=2))
+    np.add.at(D, mb, form.KW.sum(axis=1))
+    energy._scatter(H_far, form.patch, 2.0 * np.einsum("nga,ng,ngb->nab", B, D, B))
+    step = 1 << 14
+    for s in range(0, ma.size, step):
+        a, b = ma[s : s + step], mb[s : s + step]
+        cross = -4.0 * (B[a].transpose(0, 2, 1) @ form.KW[s : s + step] @ B[b])
+        energy._scatter(H_far, form.patch[a], cross, form.patch[b])
+    energy._scatter(H_far, ext_maps, X)
+    H_near = np.zeros((N, N))
+    energy._scatter(H_near, form.maps, form.L)
+    for A in (H_far, H_near):
+        A += A.T
+        A *= 0.5 * form.sphere
+    return H_far + H_near
+
+
+def _indices_reference_M(form, table):
+    """M as the form gathered it before the (i, j, k, l) view: flat node
+    index grids, an N x N index of the t table and an N x N mask of the mid
+    ring's window."""
+    grid, _, _, wfn = form._inputs
+    W, r, z = form.node_weight, form.r_flat, form.z_flat
+    idx_t = t_index_map(table, grid)
+    ri, zi = np.indices(grid.shape).reshape(2, -1)
+    K = table.values[ri[:, None], ri[None, :], idx_t[zi[:, None], zi[None, :]]]
+    M = W[:, None] * W[None, :] * K
+    if wfn is not None:
+        M *= wfn(r[:, None], r[None, :], z[:, None] - z[None, :])
+    ring = energy._MID_RING
+    handled = (np.abs(ri[:, None] - ri[None, :]) <= ring) & (
+        np.abs(zi[:, None] - zi[None, :]) <= ring
+    )
+    M[handled] = 0.0
+    return M
+
+
+def _n3_non_square():
+    g = make_grid(3, 1.05, 12, 17, (2.0, 2.0))
+    tab = build_kernel_table(g, KernelParams.energy(3, 0.75))
+    return g, tab, synthesize_profile("compact-bump", g, 0.75)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SUMS) + ["n3_non_square"])
+def test_H_matches_the_dense_reference(name, request):
+    # C is sparse and every family goes into one matrix, symmetrised once:
+    # H moves from the dense assembly by rounding only (1.8e-16 of the
+    # largest entry seen), and stays exactly symmetric
+    if name == "n3_non_square":
+        (g, tab, f), weight = _n3_non_square(), "none"
+    else:
+        g, tab, f = request.getfixturevalue(name)
+        weight = _FAMILY_SUMS[name]["weight"]
+    form = AssembledForm(g, tab, 0.75, weight)
+    H, ref = form.H, _dense_reference_H(form)
+    assert np.abs(H - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(H, H.T)
+    v = f.regular_values.ravel()
+    w = np.random.default_rng(0).uniform(-1, 1, v.size)
+    assert form.energy(v) == pytest.approx(v @ ref @ v, rel=1e-13)
+    want = 0.5 * (v @ ref @ w + w @ ref @ v)
+    assert form.bilinear(v, w) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["setup_gamma0", "setup_graded", "n3_non_square"])
+def test_M_is_the_flat_index_gather_bit_for_bit(name, request):
+    # two weighted forms (gamma0 has entries of both signs, so a -0.0 would
+    # show) and a grid with N_r != N_z
+    if name == "n3_non_square":
+        (g, tab, _), weight = _n3_non_square(), "none"
+    else:
+        g, tab, _ = request.getfixturevalue(name)
+        weight = _FAMILY_SUMS[name]["weight"]
+    form = AssembledForm(g, tab, 0.75, weight)
+    ref = _indices_reference_M(form, tab)
+    assert form.M.shape == ref.shape and form.M.tobytes() == ref.tobytes()
 
 
 def test_table_order_checked(setup4, setup_gamma0):
@@ -1112,8 +1213,10 @@ def _report(**kw):
 
 _FLAT = BoundaryGraph(alpha=(0.0, 0.0, 0.0))
 _SLICE = SliceProfile(np.linspace(0.0, 1.0, 6), np.ones(6), 2)
-# every caller-supplied real: its typed error, its name, and a call that
-# hands it the bad value x on the field f with its energy table t
+_CHART_PAIR = (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.3, 0.1, 0.2, 0.5]))
+# every caller-supplied real, and the sample counts and seeds of the sampled
+# checks: its typed error, its name, and a call that hands it the bad value
+# x on the field f with its energy table t
 _REAL_INPUTS = {
     "weight-gamma": (
         InvalidParams, "gamma", lambda x, f, t: weighted_seminorm(f, t, ("power", x))
@@ -1210,6 +1313,33 @@ _REAL_INPUTS = {
     "mc-max_rel_stderr": (
         InvalidParams, "max_rel_stderr", lambda x, f, t: MCConfig(max_rel_stderr=x)
     ),
+    "field-sigma": (
+        InvalidParams, "sigma", lambda x, f, t: RadialField(f.grid, f.regular_values, x)
+    ),
+    "synthesize_profile-sigma": (
+        InvalidParams,
+        "sigma",
+        lambda x, f, t: synthesize_profile("envelope", f.grid, x),
+    ),
+    "bounds_check-sigma": (
+        InvalidParams, "sigma", lambda x, f, t: bounds_check(_FLAT, 100, sigma=x)
+    ),
+    "correction_terms-sigma": (
+        InvalidParams, "sigma", lambda x, f, t: correction_terms(_FLAT, *_CHART_PAIR, x)
+    ),
+    "a1_constant-sigma": (InvalidParams, "sigma", lambda x, f, t: a1_constant(4, x)),
+    "bounds_check-sample_count": (
+        InvalidParams, "sample_count", lambda x, f, t: bounds_check(_FLAT, x)
+    ),
+    "bounds_check-seed": (
+        InvalidParams, "seed", lambda x, f, t: bounds_check(_FLAT, 100, seed=x)
+    ),
+    "cw_cutoff_check-sample_count": (
+        InvalidParams, "sample_count", lambda x, f, t: cw_cutoff_check(f, 2.0, x)
+    ),
+    "cw_cutoff_check-seed": (
+        InvalidParams, "seed", lambda x, f, t: cw_cutoff_check(f, 2.0, 100, seed=x)
+    ),
 }
 # the values that are valid there: inf for a Gamma0Report's error terms (a
 # one-grid estimate has no grid error) and None for a ball radius (no ball)
@@ -1243,6 +1373,37 @@ def test_each_real_input_is_checked_by_name(
     with pytest.raises(error, match=rf"\b{name} .*{re.escape(repr(bad))}"):
         call(bad, f, tab)
     assert builds == {} and not energy._cache and tables == []
+
+
+_OUT_OF_RANGE = {
+    "field-0.3": ("sigma", lambda f: RadialField(f.grid, f.regular_values, 0.3)),
+    "synthesize_profile-0.3": (
+        "sigma", lambda f: synthesize_profile("envelope", f.grid, 0.3)
+    ),
+    "bounds_check-0.3": ("sigma", lambda f: bounds_check(_FLAT, 100, sigma=0.3)),
+    "correction_terms-2.0": (
+        "sigma", lambda f: correction_terms(_FLAT, *_CHART_PAIR, sigma=2.0)
+    ),
+    "a1_constant-1.5": ("sigma", lambda f: a1_constant(4, 1.5)),
+    "bounds_check-count-0": ("sample_count", lambda f: bounds_check(_FLAT, 0)),
+    "bounds_check-count-2.5": ("sample_count", lambda f: bounds_check(_FLAT, 2.5)),
+    "bounds_check-seed--1": ("seed", lambda f: bounds_check(_FLAT, 100, seed=-1)),
+    "cw_cutoff_check-count-0": ("sample_count", lambda f: cw_cutoff_check(f, 2.0, 0)),
+    "cw_cutoff_check-seed--1": (
+        "seed", lambda f: cw_cutoff_check(f, 2.0, 100, seed=-1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_sigma_count_and_seed_are_typed_errors(case, setup_graded):
+    # numbers of the right type outside their range: a sigma outside (1/2, 1)
+    # gave 0 violations or a value, and a sample count of 0 a check of no
+    # pairs that passed
+    _, _, f = setup_graded
+    name, call = _OUT_OF_RANGE[case]
+    with pytest.raises(InvalidParams, match=rf"\b{name} "):
+        call(f)
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_SUMS))
