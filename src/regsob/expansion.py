@@ -184,20 +184,33 @@ def a1_constant(n, sigma):
     return 4.0 * (2.0 ** q - 1.0 - q / 2.0)
 
 
+def _sum_sq(x):
+    """Sum of squares over the last axis, added one column at a time.
+
+    For up to 7 columns this gives the bits of np.sum(x ** 2, axis=-1) (and
+    of the square of np.linalg.norm), whose reduction adds the same terms in
+    the same order; numpy sums 8 or more terms pairwise, in another order.
+    It allocates no (rows, columns) temporary."""
+    s = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        s += x[..., j] ** 2
+    return s
+
+
 def _correction_arrays(bg, xi, zeta, n, sigma):
     a1 = a1_constant(n, sigma)  # checks sigma before any arithmetic
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     q = (n + 2.0 * sigma) / 2.0
     d = xi - zeta
-    dist2 = np.sum(d ** 2, axis=-1)
+    dist2 = _sum_sq(d)
     dn = d[..., -1]
     alpha = np.asarray(bg.curvatures)
     quad_diff = np.tensordot(
         xi[..., :-1] ** 2 - zeta[..., :-1] ** 2, alpha, axes=([-1], [0])
     )
-    rx2 = np.sum(xi[..., :-1] ** 2, axis=-1)
-    rz2 = np.sum(zeta[..., :-1] ** 2, axis=-1)
+    rx2 = _sum_sq(xi[..., :-1])
+    rz2 = _sum_sq(zeta[..., :-1])
     gx = bg.g_of_rho(np.sqrt(rx2) / bg.mu) / bg.mu
     gz = bg.g_of_rho(np.sqrt(rz2) / bg.mu) / bg.mu
     g_diff = gx * rx2 - gz * rz2
@@ -510,14 +523,17 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
     the rw uniforms, dir_w, so a sample is the same point for any chunk
     size.  The arithmetic then runs over _MC_CHUNK samples at a time, each
     chunk adding into the sums; a sample keeps its bits and only the order
-    of the sums depends on the chunk.  A batch so holds its draws (2n + 2
-    doubles per sample) and one chunk's temporaries: at m = 200000 and
-    n = 4 it peaks at 33 MiB under tracemalloc, 15 MiB of it the draws, where
-    batch-length temporaries took it to 118 MiB.  The chunk is not smaller
-    because each chunk pays a fixed Python and numpy overhead while it
-    holds the GIL, which the other sampler threads wait for: two workers
-    ran the sampler slower at 2^11 and 2^13 samples per chunk than at 2^15,
-    and at 2^11 slower than with no chunks at all."""
+    of the sums depends on the chunk.  Within a chunk the integrands are
+    evaluated only on the pairs whose partner lies in the chart half ball
+    (43 % of them at lambda 2.5 and 41 % at lambda 5 with R0 = 4); the
+    others have weight 0 and add a zero to each sum.  A batch so holds its
+    draws (2n + 2 doubles per sample) and one chunk's temporaries: at
+    m = 200000 and n = 4 it peaks at 28 MiB under tracemalloc, 15 MiB of it
+    the draws, where batch-length temporaries took it to 118 MiB.  The
+    chunk is not smaller because each chunk pays a fixed Python and numpy
+    overhead while it holds the GIL, which the other sampler threads wait
+    for: two workers ran the sampler slower at 2^11 and 2^13 samples per
+    chunk than at 2^15, and at 2^11 slower than with no chunks at all."""
     n, sigma = bg.n, theta.sigma
     q = (n + 2.0 * sigma) / 2.0
     rng = np.random.default_rng(seed)
@@ -532,14 +548,12 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
     pw = 2.0 - 2.0 * sigma
     amp = lam ** ((n - 2.0 * sigma) / 2.0)
 
-    def theta_hat(pts, rho, live):
-        # eta(rho/lam) Theta_lam at pts, evaluated only where it can be
-        # nonzero (z > 0 and rho <= sup) among the live points
-        out = np.zeros(len(pts))
-        live = live & (pts[:, -1] > 0) & (rho <= sup)
-        p = pts[live]
-        r = np.sqrt(np.sum(p[:, :-1] ** 2, axis=-1))
-        out[live] = cutoff(rho[live] / lam) * amp * eval_u(theta, r, p[:, -1])
+    def theta_hat(r, zn, rho):
+        # eta(rho/lam) Theta_lam at the points (r, zn), evaluated only where
+        # it can be nonzero (zn > 0 and rho <= sup)
+        out = np.zeros(len(r))
+        live = (zn > 0) & (rho <= sup)
+        out[live] = cutoff(rho[live] / lam) * amp * eval_u(theta, r[live], zn[live])
         return out
 
     sums = np.zeros(4)
@@ -550,7 +564,7 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
         ry = np.interp(u[c], tab_cdf, tab_rho)
         # views of the draws, normalised in place: each chunk is read once
         dy = dir_y[c]
-        dy /= np.linalg.norm(dy, axis=1, keepdims=True)
+        dy /= np.sqrt(_sum_sq(dy))[:, None]
         dy[:, -1] = np.abs(dy[:, -1])
         y = dy * ry[:, None]
         q_y = np.interp(ry, tab_rho, tab_pdf) / (
@@ -558,30 +572,31 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
         )
         rw = wmax * u_w[c] ** (1.0 / pw)
         dw = dir_w[c]
-        dw /= np.linalg.norm(dw, axis=1, keepdims=True)
+        dw /= np.sqrt(_sum_sq(dw))[:, None]
         w = dw * rw[:, None]
         q_w = (pw / wmax ** pw) * rw ** (1.0 - 2.0 * sigma) / (area * rw ** (n - 1))
         inv_density = 1.0 / (q_y * q_w)
-        y_lam = y / lam
-        ty = theta_hat(y, np.sqrt(np.sum(y ** 2, axis=-1)), True)
+        ty = theta_hat(np.sqrt(_sum_sq(y[:, :-1])), y[:, -1], np.sqrt(_sum_sq(y)))
         for sgn in (1.0, -1.0):
             z_pt = y + sgn * w
-            rz = np.sqrt(np.sum(z_pt[:, :-1] ** 2, axis=1))
-            in_u = (
+            rz = np.sqrt(_sum_sq(z_pt[:, :-1]))
+            # a pair whose partner leaves the chart half ball has weight 0,
+            # so the integrands are evaluated on the rows k inside it only
+            k = np.flatnonzero(
                 (z_pt[:, -1] > 0)
                 & (z_pt[:, -1] < lam * bg.R0)
                 & (rz < lam * bg.R0)
             )
-            rho2 = np.sum(z_pt ** 2, axis=1)
-            tz = theta_hat(z_pt, np.sqrt(rho2), in_u)
-            diff2 = np.where(in_u, (ty - tz) ** 2, 0.0)
+            y_k, z_k = y[k], z_pt[k]
+            rho2 = _sum_sq(z_k)
+            tz = theta_hat(rz[k], z_k[:, -1], np.sqrt(rho2))
+            diff2 = (ty[k] - tz) ** 2
             # double weight for pairs whose partner is outside the support,
             # covering the (xi outside, zeta inside) half of the pair set
-            mult = np.where(in_u, 1.0 + (rho2 > sup ** 2), 0.0)
-            d = y - z_pt
-            dist2 = np.sum(d ** 2, axis=1)
+            mult = 1.0 + (rho2 > sup ** 2)
+            dist2 = _sum_sq(y_k - z_k)
             B, C, D, E, F, ratio = _correction_arrays(
-                bg, y_lam, z_pt / lam, n, sigma
+                bg, y_k / lam, z_k / lam, n, sigma
             )
             kern_flat = dist2 ** (-q)
             g_flat = diff2 * kern_flat
@@ -598,8 +613,14 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
             taylor_bad += int(
                 np.sum(g_delta > -g_b + g_f + 1e-12 * np.abs(g_flat))
             )
-            for k, g in enumerate((g_flat, g_b, g_f, g_res)):
-                sums[k] += np.sum(0.5 * g * mult * inv_density)
+            # each weighted integrand goes back to its row of a chunk-long
+            # zero buffer, so every sum adds the same values in the same
+            # order as over the whole chunk; a sum over the k rows alone
+            # would pair its terms differently and move the low bits
+            buf = np.zeros(len(z_pt))
+            for i, g in enumerate((g_flat, g_b, g_f, g_res)):
+                buf[k] = 0.5 * g * mult * inv_density[k]
+                sums[i] += np.sum(buf)
     return sums / m, taylor_bad
 
 

@@ -390,6 +390,64 @@ def test_mc_batch_chunks_match_one_pass(envelope16, monkeypatch):
         assert np.allclose(got_means, means, rtol=1e-13, atol=0.0)
 
 
+def test_sum_sq_matches_numpy_row_sum():
+    # the sampler's column-by-column sum of squares keeps the bits of the
+    # numpy reduction it replaced on 1 to 7 columns, strided or contiguous
+    rng = np.random.default_rng(11)
+    for cols in range(1, 8):
+        scale = rng.uniform(1e-3, 1e3, (20000, 1))
+        x = rng.standard_normal((20000, cols + 1)) * scale
+        for view in (x[:, :-1], np.ascontiguousarray(x[:, :-1])):
+            want = np.sum(view ** 2, axis=-1)
+            assert np.array_equal(expansion._sum_sq(view), want)
+            assert np.array_equal(
+                np.sqrt(expansion._sum_sq(view)), np.linalg.norm(view, axis=1)
+            )
+
+
+def test_mc_batch_golden_bits(envelope16):
+    # pinned from the evaluation of the integrands on every pair of each
+    # chunk: the batch sums must add the same values in the same order
+    means, bad = _cap_batch(envelope16, 2.0, 40000)
+    assert [x.hex() for x in means] == [
+        "0x1.2342e0868e4bep+7",
+        "0x1.9c59ca669dce6p-1",
+        "0x1.9e0acc0418046p+8",
+        "-0x1.360ec471f60d9p+2",
+    ]
+    assert bad == 44
+    # zero g, and m = 2^15 + 5777 leaves a ragged last chunk
+    cap = BoundaryGraph(alpha=(0.05, 0.05, 0.05))
+    tabs = expansion._radial_cdf(cap.n, envelope16.sigma, 7.5)
+    means, bad = expansion._mc_batch(envelope16, 2.5, cap, 3, 38545, *tabs)
+    assert [x.hex() for x in means] == [
+        "0x1.fe0ac64bdb888p+7",
+        "0x1.1005e6ebfd7aep+0",
+        "0x1.ce5619204b466p+0",
+        "-0x1.0774b2ca2e035p-7",
+    ]
+    assert bad == 0
+
+
+def test_mc_batch_corrections_only_inside_chart(envelope16, monkeypatch):
+    rows = []
+    corrections = expansion._correction_arrays
+
+    def checking(bg, xi, zeta, n, sigma):
+        rows.append(len(zeta))
+        assert np.all(zeta[:, -1] > 0.0)
+        assert np.all(zeta[:, -1] < bg.R0)
+        assert np.all(np.linalg.norm(zeta[:, :-1], axis=1) < bg.R0)
+        return corrections(bg, xi, zeta, n, sigma)
+
+    monkeypatch.setattr(expansion, "_correction_arrays", checking)
+    m = 5000
+    _cap_batch(envelope16, 5.0, m)
+    # one call per chunk and sign, on the pairs in the chart alone
+    assert len(rows) == 2
+    assert 0 < sum(rows) < 2 * m
+
+
 def test_mc_batch_peak_memory(envelope16):
     # the whole-batch draws take 15 MiB at m = 200000, n = 4; unchunked, the
     # batch-length temporaries took the peak to 118 MiB

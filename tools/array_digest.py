@@ -8,9 +8,9 @@ prints one sorted JSON object: the SHA-256 of every array an
 and near-diagonal mask of four kernel tables (among them the n=3 N=24
 table the `tables_n3` benchmark workload builds), and of a set of scalar
 outputs (norms, seminorms, ball sums, the slice interaction, the
-Euler-Lagrange residual, the kernel at n = 2..6 and one cap Monte Carlo
-batch: its means and Taylor count), of one small solve through the public
-solver API (its trace, theta, s_estimate, el_residual and stop reasons),
+Euler-Lagrange residual, the kernel at n = 2..6 and two cap Monte Carlo
+batches: their means and Taylor counts), of one small solve through the
+public solver API (its trace, theta, s_estimate, el_residual and stop reasons),
 of the file that `regsob kernel-table` writes for the `tables_n3`
 workload's config (n=3, sigma 0.75, N=24), run in a temporary directory,
 and of the configs a run records: the `regsob print-config` output and
@@ -117,6 +117,13 @@ def _outputs(out):
     # (means, taylor count), or in older checkouts (means, squares, count)
     batch = _mc_batch(fld, 5.0, cap, 16, 5000, *_radial_cdf(4, sigma, 15.0))
     out["mc_batch.cap_lam5"] = _digest(np.concatenate([batch[0], [batch[-1]]]))
+    # the quadratic taper breaks the one-sided Taylor inequality on some
+    # samples, and m = 2^15 + 5777 ends in a ragged chunk
+    taper = BoundaryGraph(
+        alpha=(0.05, 0.05, 0.05), g_kind="quadratic-taper", g_coeffs=(0.3,)
+    )
+    batch = _mc_batch(fld, 2.0, taper, 16, 38545, *_radial_cdf(4, sigma, 6.0))
+    out["mc_batch.taper_lam2"] = _digest(np.concatenate([batch[0], [batch[-1]]]))
 
     grid3 = make_grid(3, 20.0, 16, 16)
     fld3 = synthesize_profile("interior-bubble", grid3, sigma)
