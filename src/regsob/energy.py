@@ -15,8 +15,12 @@ the kernel and every pair weight see the vertical coordinates only through
 z_x - z_y, which is fixed in each sample of the relative coordinates, so
 each (pair, sample) has a radial factor (the r hats against the kernel and
 weight) and a vertical factor (the z hats against the z weights), 4 x 4 per
-side pair each, and their product is one batched product per chunk of
-pairs over every sample and side pair.
+side pair each.  A pair's vertical factor depends only on its two z cells,
+and its radial nodes and hats only on its two r cells, so each is built
+once per distinct cell pair of a block and gathered per pair; the kernel,
+the weights and the radial factor, which need both sides, and the product
+of the two factors are batched per chunk of pairs over every sample and
+side pair.
 The quadrature rules are defined once each: kernel.gauss_nodes gives every
 Gauss-Legendre rule on intervals, _box_pairs enumerates the near and
 mid-ring box pairs, field.cell_of locates the cell under a point, and
@@ -507,12 +511,20 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     term enters as xy and as yx, each at half its coefficient, and each yx
     factor is the transpose of its xy factor.  Then F = sum R (x) Z over
     (sample, side pair), one batched product per chunk of pairs, and F[(a,
-    b), (c, d)] goes to the slots (a, c), (b, d).  That costs 16 per inner
-    r or z node and side pair plus 256 per sample and side pair, where
-    dense 16-slot rows cost 256 per inner (r, z) node and term; a split r
-    or z rule multiplies only its own factor's cost.  The chunks are taken
-    over pairs, at most _NEAR_CHUNK elements, so each pair's form has the
-    same bits for any budget.
+    b), (c, d)] goes to the slots (a, c), (b, d).
+
+    In a block the quadrant (sr, sz) and the z panels are fixed, so a pair's
+    r side (separation, inner radial nodes at x and y, their hats) depends
+    only on its r cells (ai, bi), and its z side (separation t, z rules and
+    hats of the three terms, the factor Z) only on its z cells (aj, bj).
+    Each side is built once per distinct cell pair of the block and gathered
+    by index per pair; only the kernel, the weights, R and the product need
+    the whole pair.  That costs 16 per inner r node and side pair plus 256
+    per sample and side pair for each pair, and 16 per inner z node and side
+    pair for each z-cell pair, where dense 16-slot rows cost 256 per inner
+    (r, z) node and term; a split z rule adds to the per-cell-pair cost
+    only.  The chunks are taken over pairs, at most _NEAR_CHUNK elements,
+    so each pair's form has the same bits for any budget.
 
     The forms are a sum over independent blocks, one per sign quadrant and
     per batch (interior pairs, then pairs touching z = 0).  Returns (maps,
@@ -576,76 +588,87 @@ def _near_local_forms(grid, params, sigma, weight_fn, orders):
     def block(sel, sr, sz, ers, ezs, npan):
         nzt = n_z * (npan + 1)
         w_sel = mult[sel] * ers * ezs
-        sre, sze = sr * ers, sz * ezs
         Ps, S = sel.size, a_s.size
-        acc = np.empty((Ps, 16, 16))
-        # per pair: the factors R and Z, (sample, side pair, 16) each, and
-        # the hats of both sides at one term's z nodes, (sample, 2, z node, 4)
-        step = max(1, _NEAR_CHUNK // (S * (2 * 4 * 16 + 2 * nzt * 4)))
+        # each side as (cell pair, sample, ...) arrays over the block's
+        # distinct r-cell and z-cell pairs, gathered per pair by ir and iz
+        _, ur, ir = np.unique(ai[sel] * nr + bi[sel], return_index=True,
+                              return_inverse=True)
+        _, uz, iz = np.unique(aj[sel] * nz + bj[sel], return_index=True,
+                              return_inverse=True)
+        rep_r, rep_z = sel[ur], sel[uz]
 
+        # r: the inner radial nodes at x and y and their hats, (cell pair,
+        # sample, side, radial node, 4)
+        dr = (sr * ers[ur])[:, None] * a_s
+        lo_r = np.maximum(A0r[rep_r, None], B0r[rep_r, None] - dr)
+        hi_r = np.minimum(A1r[rep_r, None], B1r[rep_r, None] - dr)
+        wid_r = np.maximum(hi_r - lo_r, 0.0)
+        xr = lo_r[..., None] + wid_r[..., None] * gg
+        yr = xr + dr[..., None]
+        b_r = base_i[rep_r, None, None]
+        h_r = np.stack([_hat(*_interp_slots(rn, b_r, p), 4) for p in (xr, yr)], 2)
+
+        # z: Z[u, v] = sum_j scale zw_j h_z[u]_c h_z[v]_d for the side pairs
+        # (u, v) in the order xx, xy, yx, yy, (cell pair, sample, side pair,
+        # 4, 4); the cross term enters as xy and as yx, each at 0.5 coef, and
+        # the yx factor is the transpose of the xy factor
+        Uz, b_z = rep_z.size, base_j[rep_z, None, None]
+        dz = (sz * ezs[uz])[:, None] * b_s
+        lo_z = np.maximum(A0z[rep_z, None], B0z[rep_z, None] - dz)
+        hi_z = np.minimum(A1z[rep_z, None], B1z[rep_z, None] - dz)
+        hi_z = np.maximum(hi_z, lo_z)
+        # the sample's separation t = z_x - z_y, all the kernel and the
+        # weight see of z
+        t = -dz[..., None]
+        lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
+        if not npan:
+            # interior pairs have no Jacobi head panel, so all three terms
+            # share one plain Gauss rule in z and their hats
+            z_plain, w_plain = _z_rule(lo_z, hi_z, dzf, 0.0, 0.0, n_z)
+        Z = np.empty((Uz, S, 4, 4, 4))
+        for k, (e_x, e_y, coef, sides) in enumerate(terms):
+            if npan:
+                zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
+            else:
+                zz, zw = z_plain, _z_weights(z_plain, w_plain, dzf, e_x, e_y)
+            if npan or k == 0:
+                zx = zz.reshape(Uz, S, nzt)
+                h_z = np.stack(
+                    [_hat(*_interp_slots(zn, b_z, q), 4) for q in (zx, zx - t)], 2
+                )
+            u, v = ("xy".index(s) for s in sides)
+            scale = coef if u == v else 0.5 * coef
+            zw = (scale * zw).reshape(Uz, S, nzt, 1)
+            Z[:, :, 2 * u + v] = h_z[:, :, u].swapaxes(-1, -2) @ (zw * h_z[:, :, v])
+        Z[:, :, 2] = Z[:, :, 1].swapaxes(-1, -2)
+
+        acc = np.empty((Ps, 16, 16))
+        # per pair: the factors R and Z, (sample, side pair, 16) each, and the
+        # radial hats of both sides with their weighted copy
+        step = max(1, _NEAR_CHUNK // (S * (2 * 4 * 16 + 4 * n_x * 4)))
         for p0 in range(0, Ps, step):
-            # arrays are (pair, sample, ...) over the chunk's pairs, and flat
-            # over (pair, sample) where a helper wants one pair axis
+            # arrays are (pair, sample, ...) over the chunk's pairs
             ch = slice(p0, p0 + step)
-            sp = sel[ch]
-            Pc = sp.size
-            dr = sre[ch, None] * a_s
-            dz = sze[ch, None] * b_s
-            lo_r = np.maximum(A0r[sp, None], B0r[sp, None] - dr)
-            hi_r = np.minimum(A1r[sp, None], B1r[sp, None] - dr)
-            lo_z = np.maximum(A0z[sp, None], B0z[sp, None] - dz)
-            hi_z = np.minimum(A1z[sp, None], B1z[sp, None] - dz)
-            wid_r = np.maximum(hi_r - lo_r, 0.0)
-            hi_z = np.maximum(hi_z, lo_z)
+            jr, jz = ir[ch], iz[ch]
+            Pc = jr.size
+            xc, yc, tc = xr[jr], yr[jr], t[jz]
             w_pair = w_sel[ch, None] * w_rho_s * w_v_s
-            # radial inner nodes; the kernel and the weight need only these
-            # and the sample's separation t = z_x - z_y
-            xr = lo_r[..., None] + wid_r[..., None] * gg
-            yr = xr + dr[..., None]
-            t = -dz[..., None]
-            kv = kernel_values(xr, yr, t, params)
+            kv = kernel_values(xc, yc, tc, params)
             wc = (
-                w_pair[..., None] * wid_r[..., None] * w_g * kv * xr ** npow * yr ** npow
+                w_pair[..., None] * wid_r[jr][..., None] * w_g * kv * xc ** npow * yc ** npow
             )
             if weight_fn is not None:
-                wc = wc * weight_fn(xr, yr, t)
-            bi, bj = base_i[sp, None, None], base_j[sp, None, None]
-            # the side pairs (u, v) in the order xx, xy, yx, yy; each yx
-            # factor is the transpose of its xy factor
+                wc = wc * weight_fn(xc, yc, tc)
+            # R[u, v] = sum_i wc_i h_r[u]_a h_r[v]_b in the side pair order of Z
             R = np.empty((Pc, S, 4, 4, 4))
-            Z = np.empty((Pc, S, 4, 4, 4))
-            # r: R[u, v] = sum_i wc_i h_r[u]_a h_r[v]_b, hats (pair, sample,
-            # side, radial node, 4)
-            h_r = np.stack([_hat(*_interp_slots(rn, bi, p), 4) for p in (xr, yr)], 2)
-            hw = wc[:, :, None, :, None] * h_r
+            hc = h_r[jr]
+            hw = wc[:, :, None, :, None] * hc
             for u, v in ((0, 0), (0, 1), (1, 1)):
-                R[:, :, 2 * u + v] = h_r[:, :, u].swapaxes(-1, -2) @ hw[:, :, v]
+                R[:, :, 2 * u + v] = hc[:, :, u].swapaxes(-1, -2) @ hw[:, :, v]
             R[:, :, 2] = R[:, :, 1].swapaxes(-1, -2)
-            lo_z, hi_z, dzf = lo_z.ravel(), hi_z.ravel(), dz.ravel()
-            if not npan:
-                # interior pairs have no Jacobi head panel, so all three
-                # terms share one plain Gauss rule in z and their hats
-                z_plain, w_plain = _z_rule(lo_z, hi_z, dzf, 0.0, 0.0, n_z)
-            # z: Z[u, v] = sum_j scale zw_j h_z[u]_c h_z[v]_d, the cross term
-            # entering as xy and as yx, each at 0.5 coef
-            for k, (e_x, e_y, coef, sides) in enumerate(terms):
-                if npan:
-                    zz, zw = _z_rule(lo_z, hi_z, dzf, e_x, e_y, n_z, panels=npan)
-                else:
-                    zz, zw = z_plain, _z_weights(z_plain, w_plain, dzf, e_x, e_y)
-                if npan or k == 0:
-                    zx = zz.reshape(Pc, S, nzt)
-                    h_z = np.stack(
-                        [_hat(*_interp_slots(zn, bj, q), 4) for q in (zx, zx - t)], 2
-                    )
-                u, v = ("xy".index(s) for s in sides)
-                scale = coef if u == v else 0.5 * coef
-                zw = (scale * zw).reshape(Pc, S, nzt, 1)
-                Z[:, :, 2 * u + v] = h_z[:, :, u].swapaxes(-1, -2) @ (zw * h_z[:, :, v])
-            Z[:, :, 2] = Z[:, :, 1].swapaxes(-1, -2)
             # one product per pair over (sample, side pair): F[p, (a, b),
             # (c, d)] onto the slots (a, c), (b, d)
-            F = R.reshape(Pc, 4 * S, 16).transpose(0, 2, 1) @ Z.reshape(Pc, 4 * S, 16)
+            F = R.reshape(Pc, 4 * S, 16).transpose(0, 2, 1) @ Z[jz].reshape(Pc, 4 * S, 16)
             acc[ch] = F.reshape(Pc, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(
                 Pc, 16, 16
             )

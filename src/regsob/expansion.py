@@ -525,11 +525,12 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
     chunk adding into the sums; a sample keeps its bits and only the order
     of the sums depends on the chunk.  Within a chunk the integrands are
     evaluated only on the pairs whose partner lies in the chart half ball
-    (43 % of them at lambda 2.5 and 41 % at lambda 5 with R0 = 4); the
-    others have weight 0 and add a zero to each sum.  A batch so holds its
-    draws (2n + 2 doubles per sample) and one chunk's temporaries: at
-    m = 200000 and n = 4 it peaks at 28 MiB under tracemalloc, 15 MiB of it
-    the draws, where batch-length temporaries took it to 118 MiB.  The
+    (43 % of them at lambda 2.5 and 41 % at lambda 5 with R0 = 4) and not
+    on y itself; the others have weight 0 and add a zero to each sum.  A
+    batch so holds its draws (2n + 2 doubles per sample) and one chunk's
+    temporaries: at m = 200000 and n = 4 it peaks at 28 MiB under
+    tracemalloc, 15 MiB of it the draws, where batch-length temporaries
+    took it to 118 MiB.  The
     chunk is not smaller because each chunk pays a fixed Python and numpy
     overhead while it holds the GIL, which the other sampler threads wait
     for: two workers ran the sampler slower at 2^11 and 2^13 samples per
@@ -588,13 +589,19 @@ def _mc_batch(theta, lam, bg, seed, m, tab_rho, tab_pdf, tab_cdf):
                 & (rz < lam * bg.R0)
             )
             y_k, z_k = y[k], z_pt[k]
+            dist2 = _sum_sq(y_k - z_k)
+            if not dist2.all():
+                # a partner that rounds onto y (|w| below y's ulp) has no
+                # separation and its kernel no value; its pair adds 0, like
+                # a partner outside the chart
+                keep = dist2 > 0.0
+                k, y_k, z_k, dist2 = k[keep], y_k[keep], z_k[keep], dist2[keep]
             rho2 = _sum_sq(z_k)
             tz = theta_hat(rz[k], z_k[:, -1], np.sqrt(rho2))
             diff2 = (ty[k] - tz) ** 2
             # double weight for pairs whose partner is outside the support,
             # covering the (xi outside, zeta inside) half of the pair set
             mult = 1.0 + (rho2 > sup ** 2)
-            dist2 = _sum_sq(y_k - z_k)
             B, C, D, E, F, ratio = _correction_arrays(
                 bg, y_k / lam, z_k / lam, n, sigma
             )

@@ -233,48 +233,63 @@ def _composite_moment(p, m0, m1, alpha):
     return out
 
 
+def _off_axis(p, d, r, s, rs, t2, d0):
+    """K_p at points with r s != 0, from r, s, r s, t^2 and (r - s)^2 on
+    shapes that broadcast against each other.  Each branch forms only what
+    it reads, and the Gauss-Jacobi moments of d >= 3 run on flat arrays."""
+    if d == 2:
+        c = r * r + s * s + t2
+        return _closed_form_d2(p, c - 2.0 * rs, c + 2.0 * rs, rs)
+    # the range [m0, m1] of the squared separation over the angle
+    m0 = d0 + t2
+    d1 = r + s
+    m1 = d1 * d1 + t2
+    if d == 0:
+        return m0 ** (-p / 2.0) + m1 ** (-p / 2.0)
+    J = _composite_moment(p, m0.ravel(), m1.ravel(), (d - 2) / 2.0)
+    return sphere_surface(d - 1) * (2.0 * rs) ** (-(d - 1)) * J.reshape(m0.shape)
+
+
 def kernel_values(r, s, t, params):
-    """Vectorized K_p on broadcasted arrays, 0-d for scalar arguments.
+    """Vectorized K_p over the broadcast shape of r, s and t, 0-d for scalar
+    arguments.
 
     Symmetric in (r, s) and even in t; scales as lambda^(-p) under joint
     dilation.  Raises DiagonalSingularity if any element sits at r = s,
-    t = 0.  Each value depends only on its own (r, s, t): a point gets the
-    same bits alone, in any batch and in any order."""
-    r, s, t = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    )
-    shape = r.shape
-    # a 0-d point is taken as a 1-element array: numpy's scalar pow rounds
+    t = 0.  The squares and the product r s are taken on the inputs' own
+    shapes, and only the sums that mix them have the broadcast shape; all
+    of it is elementwise, so each value depends only on its own (r, s, t):
+    a point gets the same bits alone, in any batch, in any order and from
+    inputs of any shapes that broadcast to it.  Points on the axis (r s =
+    0) are split off by mask only when a call has some."""
+    r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
+    shape = np.broadcast_shapes(r.shape, s.shape, t.shape)
+    # a 0-d input is taken as a 1-element array: numpy's scalar pow rounds
     # unlike its array pow, and a point alone must get the bits it gets in a
     # batch
-    if not shape:
-        r, s, t = r.reshape(1), s.reshape(1), t.reshape(1)
-    c = r * r + s * s + t * t
-    rs = r * s
-    # the range [m0, m1] of the squared separation over the angle
-    m0 = (r - s) ** 2 + t * t
-    m1 = (r + s) ** 2 + t * t
-    p, d = params.p, params.n - 2
-    if np.any(m0 == 0.0):
+    r, s, t = (x if x.ndim else x.reshape(1) for x in (r, s, t))
+    t2 = t * t
+    d0 = r - s
+    d0 = d0 * d0
+    # (r - s)^2 + t^2 is 0 exactly where both terms are, as both are >= 0
+    t_zero = t2 == 0.0
+    if t_zero.any() and ((d0 == 0.0) & t_zero).any():
         raise DiagonalSingularity("kernel evaluated at r = s, t = 0")
 
-    out = np.empty_like(c)
-    axis_free = rs == 0.0
-    if np.any(axis_free):
-        out[axis_free] = sphere_surface(d) * c[axis_free] ** (-p / 2.0)
-    rest = ~axis_free
-    if np.any(rest):
-        if d == 0:
-            out[rest] = m0[rest] ** (-p / 2.0) + m1[rest] ** (-p / 2.0)
-        elif d == 2:
-            cr, rsr = c[rest], rs[rest]
-            out[rest] = _closed_form_d2(p, cr - 2.0 * rsr, cr + 2.0 * rsr, rsr)
-        else:
-            alpha = (d - 2) / 2.0
-            J = _composite_moment(p, m0[rest], m1[rest], alpha)
-            out[rest] = (
-                sphere_surface(d - 1) * (2.0 * rs[rest]) ** (-(d - 1)) * J
-            )
+    p, d = params.p, params.n - 2
+    rs = r * s
+    axis = rs == 0.0
+    if not axis.any():
+        return _off_axis(p, d, r, s, rs, t2, d0).reshape(shape)
+    c = r * r + s * s + t2
+    axis = np.broadcast_to(axis, c.shape)
+    out = np.empty(c.shape)
+    out[axis] = sphere_surface(d) * c[axis] ** (-p / 2.0)
+    rest = ~axis
+    if rest.any():
+        out[rest] = _off_axis(
+            p, d, *(np.broadcast_to(a, c.shape)[rest] for a in (r, s, rs, t2, d0))
+        )
     return out.reshape(shape)
 
 

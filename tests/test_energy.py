@@ -710,8 +710,10 @@ def _near_forms(g, params, weight):
 def test_near_forms_independent_of_batch_budget(name, request, monkeypatch):
     # a budget of 1 takes one pair per chunk, and so one kernel_values call
     # per pair over all its (tri, k, m) samples; the default budget takes one
-    # call per chunk of pairs.  Each pair's form is one product over its own
-    # samples, terms and nodes, so it has the same bits in any chunk
+    # call per chunk of pairs.  The z rules run once per block, on its
+    # distinct z-cell pairs, whatever the budget.  Each pair's form is one
+    # product over its own samples, terms and nodes, so it has the same bits
+    # in any chunk
     if name == "n3":
         g = make_grid(3, 1.0, 8, 8, (1.0, 1.5))
         params, weight = KernelParams.energy(3, 0.75), "none"
@@ -735,15 +737,16 @@ def test_near_forms_independent_of_batch_budget(name, request, monkeypatch):
         calls.clear()
         forms = _near_forms(g, params, weight)
         got.append((forms, (calls.count("_z_rule"), calls.count("kernel_values"))))
-    (chunked, n_chunked), (single, n_single) = got
-    # some blocks took several samples per chunk
-    assert all(a < b for a, b in zip(n_chunked, n_single))
+    (chunked, (z_chunked, k_chunked)), (single, (z_single, k_single)) = got
+    assert z_chunked == z_single
+    # some blocks took several pairs per chunk
+    assert k_chunked < k_single
     for a, b in zip(chunked, single):
         assert np.array_equal(a, b)
 
 
 def test_interior_terms_share_z_nodes(setup_graded, monkeypatch):
-    # interior near-form blocks take one plain z rule per chunk for the
+    # interior near-form blocks take one plain z rule per block for the
     # three terms of (z_x^a p_x - z_y^a p_y)^2, build their rows from its
     # nodes and derive their weights with _z_weights, which holds bit for
     # bit only while each term's own _z_rule has those nodes and weights

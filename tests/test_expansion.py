@@ -448,6 +448,42 @@ def test_mc_batch_corrections_only_inside_chart(envelope16, monkeypatch):
     assert 0 < sum(rows) < 2 * m
 
 
+def test_mc_batch_partner_rounding_onto_y_adds_zero(envelope16, monkeypatch):
+    # a u_w draw of 1e-30 gives |w| ~ 1e-59, far below the ulp of every
+    # coordinate of y, so y + w == y == y - w: the pair has no kernel value
+    # and must add 0, as a partner outside the chart does
+    make_rng = np.random.default_rng
+
+    class Forced:
+        # the generator of _mc_batch with the first rw uniform forced
+        def __init__(self, seed):
+            self.rng, self.draws = make_rng(seed), 0
+
+        def random(self, size):
+            out = self.rng.random(size)
+            self.draws += 1
+            if self.draws == 2:  # u, then the rw uniforms
+                out[0] = 1e-30
+            return out
+
+        def standard_normal(self, size):
+            return self.rng.standard_normal(size)
+
+    rows = []
+    corrections = expansion._correction_arrays
+
+    def checking(bg, xi, zeta, n, sigma):
+        rows.append(np.any(xi != zeta, axis=1).all())
+        return corrections(bg, xi, zeta, n, sigma)
+
+    monkeypatch.setattr(np.random, "default_rng", Forced)
+    monkeypatch.setattr(expansion, "_correction_arrays", checking)
+    with np.errstate(all="raise"):
+        means, _ = _cap_batch(envelope16, 2.5, 5000)
+    assert np.all(np.isfinite(means))
+    assert rows and all(rows)
+
+
 def test_mc_batch_peak_memory(envelope16):
     # the whole-batch draws take 15 MiB at m = 200000, n = 4; unchunked, the
     # batch-length temporaries took the peak to 118 MiB

@@ -100,6 +100,14 @@ def test_diagonal_singularity_raises():
     par = KernelParams.energy(4, 0.75)
     with pytest.raises(DiagonalSingularity):
         float(kernel_values(1.0, 1.0, 0.0, par))
+    # one singular point, r = s = 1.5 at t = 0, in a broadcast call
+    r, t = np.linspace(0.5, 2.5, 5)[:, None], np.array([0.0, 0.3])
+    with pytest.raises(DiagonalSingularity):
+        kernel_values(r, 1.5, t, par)
+    assert np.all(np.isfinite(kernel_values(r, 1.75, t, par)))
+    # (r - s)^2 underflows to 0, so the squared separation is 0 at t = 0
+    with pytest.raises(DiagonalSingularity):
+        kernel_values(1e-170, 2e-170, 0.0, par)
 
 
 def test_monotone_decreasing_in_abs_t():
@@ -252,11 +260,12 @@ def test_gauss_nodes_integrate_polynomials_below_degree_2q(q):
 
 
 @pytest.mark.parametrize("order", ["energy", "curvature"])
-@pytest.mark.parametrize("n", [3, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_kernel_values_depend_only_on_their_point(n, order):
-    # a batch, shuffled subsets of it and single 0-d points give the same
-    # bits: the panel sums run node by node for each point, and a lone
-    # point is taken as a 1-element array
+    # a batch, shuffled subsets of it, single 0-d points and un-broadcast
+    # inputs give the same bits: the panel sums run node by node for each
+    # point, a lone point is taken as a 1-element array, and what is formed
+    # on the inputs' own shapes is elementwise
     par = getattr(KernelParams, order)(n, 0.75)
     rng = np.random.default_rng(n)
     r, s, t = rng.uniform(0.0, 3.0, (3, 600))
@@ -281,6 +290,20 @@ def test_kernel_values_depend_only_on_their_point(n, order):
     assert np.array_equal(np.array(single), full)
     grid = kernel_values(r.reshape(20, 30), s.reshape(20, 30), t.reshape(20, 30), par)
     assert np.array_equal(grid.ravel(), full)
+    # the call shapes of the mid ring (pair, r_x, z_x, r_y, z_y nodes) and of
+    # the exterior (rows, z nodes, exterior points) against the flat call on
+    # the materialised points; one axis point takes the masked path
+    for shapes in (
+        ((6, 3, 1, 1, 1), (6, 1, 1, 3, 1), (6, 1, 3, 1, 3)),
+        ((4, 1, 1), (1, 1, 9), (1, 5, 9)),
+    ):
+        a, b, c = (rng.uniform(0.0, 3.0, sh) for sh in shapes)
+        on_axis = a.copy()
+        on_axis.flat[0] = 0.0
+        for x in (a, on_axis):
+            got = kernel_values(x, b, c, par)
+            pts = (np.broadcast_to(y, got.shape).ravel() for y in (x, b, c))
+            assert np.array_equal(got.ravel(), kernel_values(*pts, par))
 
 
 def test_n3_table_entries_are_the_pointwise_kernel_bit_for_bit():

@@ -17,10 +17,16 @@ one `AssembledForm` family by family:
 - near_coarse: the first read of L_coarse;
 - build: the constructor, H and L_coarse as a caller builds them;
 - build_peak_mb: the peak RSS (ru_maxrss, Linux) of a fresh interpreter
-  that builds only the kernel table, the form, H and L_coarse, on the pool.
+  that builds only the kernel table, the form, H and L_coarse, on the pool;
+- kernel_ns: nanoseconds per point of `kernel_values` at n = 3 and n = 4
+  (the kernel order of --weight) on the inputs of the first kernel call of
+  the mid ring and of the exterior forms on make_grid(n, 20, N, N, (2, 2)),
+  un-broadcast as those families pass them.
 
 Each figure is the least of --repeat runs, once with one worker and once on
-the pool (one worker per CPU in the affinity mask).  --weight is none,
+the pool (one worker per CPU in the affinity mask); kernel_ns runs on the
+calling thread, and its least is taken over one more call than --repeat,
+as the first fills the Gauss rule caches.  --weight is none,
 gamma0 or power:GAMMA.  BLAS runs on one thread unless the environment sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.  Prints one JSON
 object.
@@ -28,8 +34,9 @@ object.
 With --against OTHER it times OTHER and CHECKOUT in --repeat rounds of one
 run of each, each run in a fresh interpreter and the side that runs first
 alternating, and prints each family's least seconds on both side by side
-with the relative change, and each side's least build_peak_mb, so that
-before and after come from one command on a shared, noisy machine.
+with the relative change, and each side's least build_peak_mb and
+kernel_ns, so that before and after come from one command on a shared,
+noisy machine.
 """
 
 import argparse
@@ -40,6 +47,8 @@ import subprocess
 import sys
 import time
 from unittest import mock
+
+import numpy as np
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -54,11 +63,16 @@ def _setup(args):
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "src"))
     from regsob import energy
     from regsob.field import make_grid
-    from regsob.kernel import KernelParams, build_kernel_table
+    from regsob.kernel import build_kernel_table
 
     grid = make_grid(args.n, 20.0, args.N, args.N, (2.0, 2.0))
-    order = KernelParams.curvature if args.weight == "gamma0" else KernelParams.energy
-    return energy, grid, lambda: build_kernel_table(grid, order(args.n, _SIGMA))
+    return energy, grid, lambda: build_kernel_table(grid, _order(args)(args.n, _SIGMA))
+
+
+def _order(args):
+    from regsob.kernel import KernelParams
+
+    return KernelParams.curvature if args.weight == "gamma0" else KernelParams.energy
 
 
 def _peak(args):
@@ -146,6 +160,46 @@ def _families(energy, grid, table, sigma, weight, repeat):
     return {k: round(v, 4) for k, v in sec.items()}
 
 
+class _Captured(Exception):
+    """Raised by _first_call's stand-in kernel once it holds a call's inputs."""
+
+
+def _first_call(energy, family, grid, params):
+    """The inputs (r, s, t) of the first kernel_values call of family, which
+    stops there; one worker, so the first call is the first task's."""
+    seen = []
+
+    def record(r, s, t, params):
+        seen.append((r, s, t))
+        raise _Captured
+
+    with mock.patch.object(energy, "kernel_values", record), \
+            mock.patch.object(energy, "_cpu_count", lambda: 1):
+        try:
+            family(grid, params, _SIGMA, None)
+        except _Captured:
+            pass
+    return seen[0]
+
+
+def _kernel_ns(energy, args):
+    """kernel_values nanoseconds per point at n = 3 and 4 on the first call
+    inputs of the mid ring and of the exterior forms."""
+    from regsob.field import make_grid
+
+    out = {}
+    for n in (3, 4):
+        grid = make_grid(n, 20.0, args.N, args.N, (2.0, 2.0))
+        params = _order(args)(n, _SIGMA)
+        for name, family in (("mid_ring", energy._mid_pair_forms),
+                             ("exterior", energy._exterior_forms)):
+            r, s, t = _first_call(energy, family, grid, params)
+            sec, _ = _best(lambda: energy.kernel_values(r, s, t, params),
+                           args.repeat + 1)
+            out[f"n{n}_{name}"] = round(1e9 * sec / np.broadcast(r, s, t).size, 1)
+    return out
+
+
 def _against(args):
     """One run of each checkout per round, the first side alternating; print
     the least seconds of each family on both, side by side."""
@@ -157,13 +211,13 @@ def _against(args):
                    "--n", str(args.n), "--N", str(args.N), "--weight", args.weight]
             out = json.loads(subprocess.run(
                 cmd, check=True, capture_output=True, text=True).stdout)
-            for label in ("one_worker", "pool"):
+            for label in ("one_worker", "pool", "kernel_ns"):
                 for family, sec in out[label].items():
                     key = (label, family, side)
                     best[key] = min(best.get(key, float("inf")), sec)
             peak[side] = min(peak.get(side, float("inf")), out["build_peak_mb"])
     print(f"n={args.n} N={args.N} weight={args.weight}, least of {args.repeat} "
-          "alternating rounds (s)")
+          "alternating rounds (s; kernel_ns in ns per point)")
     print(f"{'':11} {'family':13} {'against':>9} {'this':>9} {'change':>8}")
     for label, family, side in best:
         if side == "this":
@@ -208,6 +262,7 @@ def main(argv):
         with mock.patch.object(energy, "_cpu_count", lambda w=workers: w):
             out[label] = _families(energy, grid, table, _SIGMA, weight, args.repeat)
     out["build_peak_mb"] = peak
+    out["kernel_ns"] = _kernel_ns(energy, args)
     print(json.dumps(out, indent=1))
 
 
